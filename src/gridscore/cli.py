@@ -22,21 +22,21 @@ import argparse
 import dataclasses
 import os
 import sys
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import __version__, combine, metrics, stats, synth
 from .alpha_search import cumulative_levels, optimal_alpha, order_units
-from .domain import EventSet, contingency
+from .domain import EventSet, SelectionTally
 from .errors import (
     AlphaSearchError,
     GridscoreError,
     ValidationError,
 )
 from .ingest import (
-    MEASURE_IDS,
     UNIT_MEASURES,
     Dataset,
     RunConfig,
+    atomic_open,
     load_config,
     load_dataset,
     load_units,
@@ -46,15 +46,6 @@ from .ingest import (
     write_surfaces,
 )
 from .report import FORMAT_VERSION, Report, fmt
-
-_RATE_FIELDS = {
-    "sensitivity": "sensitivity",
-    "specificity": "specificity",
-    "precision": "ppv",
-    "npv": "npv",
-    "accuracy": "accuracy",
-    "fpr": "fpr",
-}
 
 
 def _dataset_inputs(dataset: Dataset) -> list[tuple[str, str]]:
@@ -73,6 +64,28 @@ def _dataset_inputs(dataset: Dataset) -> list[tuple[str, str]]:
     return inputs
 
 
+def _alpha_search(
+    units: Sequence[metrics.HotspotUnit],
+    target: float,
+    grid_step: float,
+    report: Report,
+):
+    """Run the PPAI alpha grid search over ``units``; fill the [alpha] section."""
+    ordered = order_units(units)
+    levels = cumulative_levels(ordered)
+    result = optimal_alpha(levels, target, grid_step=grid_step)
+    lo, hi = result.valid_range
+    report.alpha_info = [
+        ("alpha_star", fmt(result.alpha_star)),
+        ("valid_range_high", fmt(hi)),
+        ("valid_range_low", fmt(lo)),
+        ("target_prefix_len", str(result.target_level.prefix_len)),
+        ("target_cum_area", fmt(result.target_level.cum_area)),
+        ("target_cum_crime", fmt(result.target_level.cum_crime)),
+    ]
+    return ordered, levels, result
+
+
 def _resolve_global_alpha(
     config: RunConfig, dataset: Dataset, report: Report
 ) -> Optional[float]:
@@ -89,124 +102,109 @@ def _resolve_global_alpha(
             "ppai.alpha_mode = grid_search needs a units file to define "
             "the cumulative levels"
         )
-    levels = cumulative_levels(order_units(dataset.units))
-    result = optimal_alpha(
-        levels, config.target_coverage, grid_step=config.grid_step
+    _, _, result = _alpha_search(
+        dataset.units, config.target_coverage, config.grid_step, report
     )
-    lo, hi = result.valid_range
-    report.alpha_info = [
-        ("alpha_star", fmt(result.alpha_star)),
-        ("valid_range_high", fmt(hi)),
-        ("valid_range_low", fmt(lo)),
-        ("target_prefix_len", str(result.target_level.prefix_len)),
-        ("target_cum_area", fmt(result.target_level.cum_area)),
-        ("target_cum_crime", fmt(result.target_level.cum_crime)),
-    ]
     return result.alpha_star
 
 
-def _unit_measure_rows(
-    dataset: Dataset, config: RunConfig, report: Report, global_alpha: Optional[float]
-) -> None:
-    bad = [m for m in config.measures if m not in UNIT_MEASURES]
-    if bad:
-        raise ValidationError(
-            f"measures {', '.join(bad)} need cell-level data; a units-only "
-            f"dataset supports {', '.join(UNIT_MEASURES)}"
-        )
-    by_id = dataset.units_by_id()
-    for model in dataset.models():
-        for period in sorted(dataset.selections.get(model, {})):
-            selection = dataset.selections[model][period]
-            selected = [by_id[uid] for uid in sorted(selection.flagged)]
-            hit = metrics.hit_rate(selected)
-            cov = metrics.coverage(selected)
-            values = {"hit_rate": hit, "coverage": cov}
-            if "pai" in config.measures:
-                values["pai"] = metrics.pai(hit, cov)
-            if "ppai" in config.measures:
-                alpha = global_alpha if global_alpha is not None else hit
-                values["ppai"] = metrics.ppai(hit, cov, alpha)
-            for measure in config.measures:
-                report.measure_rows.append((model, period, measure, values[measure]))
+class _UnitTally(NamedTuple):
+    """Units mode's tally: crime and area shares summed over flagged units."""
+
+    hit_rate: float
+    coverage: float
 
 
-def _cell_measure_rows(
-    dataset: Dataset, config: RunConfig, report: Report, global_alpha: Optional[float]
+#: Each selection measure as one formula on a (model, period)'s tally and
+#: the PPAI alpha of its row. Units mode has only hit_rate and coverage.
+_FORMULAS: dict[str, Callable[..., Optional[float]]] = {
+    "accuracy": lambda t, _: metrics.rates_from_contingency(t.table).accuracy,
+    "coverage": lambda t, _: t.coverage,
+    "fpr": lambda t, _: metrics.rates_from_contingency(t.table).fpr,
+    "hit_rate": lambda t, _: t.hit_rate,
+    "npv": lambda t, _: metrics.rates_from_contingency(t.table).npv,
+    "pai": lambda t, _: (
+        None if t.hit_rate is None else metrics.pai(t.hit_rate, t.coverage)
+    ),
+    "ppai": lambda t, alpha: (
+        None if t.hit_rate is None else metrics.ppai(t.hit_rate, t.coverage, alpha)
+    ),
+    "precision": lambda t, _: metrics.rates_from_contingency(t.table).ppv,
+    "sensitivity": lambda t, _: metrics.rates_from_contingency(t.table).sensitivity,
+    "ser": lambda t, _: metrics.ser(t.hits, t.coverage * t.total_area_km2),
+    "specificity": lambda t, _: metrics.rates_from_contingency(t.table).specificity,
+}
+
+
+def _measure_rows(
+    dataset: Dataset,
+    config: RunConfig,
+    report: Report,
+    global_alpha: Optional[float],
+    utilities: Optional[combine.UtilitySpec],
 ) -> None:
-    if dataset.events is None:
+    """Score each (model, period) from one tally: the selection measures,
+    the expected utility when ``utilities`` is given, and the ALS."""
+    if dataset.grid is None:
+        if utilities is not None:
+            raise ValidationError(
+                "expected utility needs cell-level data (a contingency "
+                "table), not a pre-aggregated units table"
+            )
+        bad = [m for m in config.measures if m not in UNIT_MEASURES]
+        if bad:
+            raise ValidationError(
+                f"measures {', '.join(bad)} need cell-level data; a units-only "
+                f"dataset supports {', '.join(UNIT_MEASURES)}"
+            )
+        units = dataset.units_by_id()
+    elif dataset.events is None:
         raise ValidationError("cell-level evaluation needs an events file")
-    grid = dataset.grid
-    needs_selection = [m for m in config.measures if m != "als"]
+    scored = [m for m in config.measures if m != "als"]
+    floor = config.als_floor_epsilon if config.als_floor_enabled else None
     for model in dataset.models():
-        sel_periods = set(dataset.selections.get(model, {}))
-        surf_periods = set(dataset.surfaces.get(model, {}))
-        for period in sorted(sel_periods | surf_periods):
+        selections = dataset.selections.get(model, {})
+        surfaces = dataset.surfaces.get(model, {})
+        for period in sorted(set(selections) | set(surfaces)):
+            where = f"model {model} period {period}"
+            selection = selections.get(period)
+            if dataset.grid is None:
+                chosen = [units[uid] for uid in sorted(selection.flagged)]
+                tally = _UnitTally(metrics.hit_rate(chosen), metrics.coverage(chosen))
+            else:
+                flagged = frozenset() if selection is None else selection.flagged
+                counts = dataset.events.counts_by_cell(period)
+                tally = SelectionTally.of(dataset.grid, flagged, counts)
             rows: list[tuple[str, Optional[float]]] = []
-            if period in sel_periods and needs_selection:
-                selection = dataset.selections[model][period]
-                table = contingency(grid, selection, dataset.events, period)
-                rates = metrics.rates_from_contingency(table)
-                hit = metrics.hit_rate_from_events(
-                    grid, selection, dataset.events, period
-                )
-                cov = metrics.coverage_from_cells(grid, selection)
-                if hit is None:
+            if selection is not None:
+                if scored and tally.hit_rate is None:
                     report.warnings.append(
-                        f"model {model} period {period}: no events, "
-                        f"event-level rates undefined"
+                        f"{where}: no events, event-level rates undefined"
                     )
-                for measure in config.measures:
-                    if measure in _RATE_FIELDS:
-                        value = getattr(rates, _RATE_FIELDS[measure])
-                    elif measure == "hit_rate":
-                        value = hit
-                    elif measure == "coverage":
-                        value = cov
-                    elif measure == "pai":
-                        value = None if hit is None else metrics.pai(hit, cov)
-                    elif measure == "ppai":
-                        if global_alpha is not None:
-                            alpha = global_alpha
-                        else:
-                            alpha = hit  # alpha_mode = hit_rate
-                        value = (
-                            None
-                            if hit is None or alpha is None
-                            else metrics.ppai(hit, cov, alpha)
-                        )
-                    elif measure == "ser":
-                        hits = sum(
-                            1
-                            for e in dataset.events.in_period(period)
-                            if e.cell_id in selection.flagged
-                        )
-                        area = cov * grid.total_area_km2
-                        value = metrics.ser(hits, area)
-                    else:  # als, handled below
-                        continue
-                    rows.append((measure, value))
-            if "als" in config.measures and period in surf_periods:
-                surface = dataset.surfaces[model][period]
-                restrict = None
-                if config.als_restrict_to_hotspots:
-                    restrict = dataset.selections.get(model, {}).get(period)
-                    if restrict is None:
-                        report.warnings.append(
-                            f"model {model} period {period}: als restriction "
-                            f"requested but model has no selection here"
-                        )
-                floor = (
-                    config.als_floor_epsilon if config.als_floor_enabled else None
-                )
-                scoped = dataset.events.in_period(period)
-                if restrict is not None:
-                    scoped = tuple(
-                        e for e in scoped if e.cell_id in restrict.flagged
+                alpha = tally.hit_rate if global_alpha is None else global_alpha
+                rows += [(m, _FORMULAS[m](tally, alpha)) for m in scored]
+            if selection is not None and utilities is not None:
+                try:
+                    rates = combine.conditional_rates(tally.table)
+                except ValidationError as exc:
+                    report.warnings.append(
+                        f"{where}: expected utility undefined ({exc})"
                     )
-                if scoped:
+                    rows.append(("expected_utility", None))
+                else:
+                    value = combine.expected_utility(rates, utilities)
+                    rows.append(("expected_utility", value))
+            if "als" in config.measures and period in surfaces:
+                restrict = selection if config.als_restrict_to_hotspots else None
+                if config.als_restrict_to_hotspots and selection is None:
+                    report.warnings.append(
+                        f"{where}: als restriction requested but model has "
+                        f"no selection here"
+                    )
+                in_scope = tally.n_events if restrict is None else tally.hits
+                if in_scope:
                     value = metrics.als(
-                        surface,
+                        surfaces[period],
                         dataset.events,
                         period,
                         restrict_to=restrict,
@@ -215,34 +213,11 @@ def _cell_measure_rows(
                 else:
                     value = None
                     report.warnings.append(
-                        f"model {model} period {period}: no events in scope, "
-                        f"als undefined"
+                        f"{where}: no events in scope, als undefined"
                     )
                 rows.append(("als", value))
             for measure, value in rows:
                 report.measure_rows.append((model, period, measure, value))
-
-
-def _expected_utility_rows(
-    dataset: Dataset, config: RunConfig, report: Report
-) -> None:
-    for model in dataset.models():
-        for period in sorted(dataset.selections.get(model, {})):
-            selection = dataset.selections[model][period]
-            table = contingency(dataset.grid, selection, dataset.events, period)
-            try:
-                rates = combine.conditional_rates(table)
-            except ValidationError as exc:
-                report.warnings.append(
-                    f"model {model} period {period}: expected utility "
-                    f"undefined ({exc})"
-                )
-                report.measure_rows.append(
-                    (model, period, "expected_utility", None)
-                )
-                continue
-            value = combine.expected_utility(rates, config.utilities)
-            report.measure_rows.append((model, period, "expected_utility", value))
 
 
 def _collect_series(report: Report) -> dict[str, dict[str, list[tuple[str, float]]]]:
@@ -428,9 +403,15 @@ def _load_run(args) -> tuple[Dataset, RunConfig]:
     return dataset, config
 
 
-def cmd_evaluate(args) -> Report:
+def _scored_report(args, command: str) -> tuple[Dataset, RunConfig, Report]:
+    """Load a run and fill in what evaluate and compare share, up to the
+    per-(model, period) measure rows; compare also scores expected utility."""
     dataset, config = _load_run(args)
-    report = Report(command="evaluate")
+    if command == "compare" and len(dataset.models()) < 2:
+        raise ValidationError(
+            f"compare needs at least two models, found {len(dataset.models())}"
+        )
+    report = Report(command=command)
     report.config_pairs = config.to_pairs()
     report.inputs = _dataset_inputs(dataset)
     if dataset.rejected:
@@ -438,10 +419,13 @@ def cmd_evaluate(args) -> Report:
             f"{len(dataset.rejected)} event rows dropped (unknown cells)"
         )
     global_alpha = _resolve_global_alpha(config, dataset, report)
-    if dataset.grid is None:
-        _unit_measure_rows(dataset, config, report, global_alpha)
-    else:
-        _cell_measure_rows(dataset, config, report, global_alpha)
+    utilities = config.utilities if command == "compare" else None
+    _measure_rows(dataset, config, report, global_alpha, utilities)
+    return dataset, config, report
+
+
+def cmd_evaluate(args) -> Report:
+    _, _, report = _scored_report(args, "evaluate")
     if not report.measure_rows:
         raise ValidationError(
             "nothing to compute: no model has inputs for any requested measure"
@@ -451,32 +435,7 @@ def cmd_evaluate(args) -> Report:
 
 
 def cmd_compare(args) -> Report:
-    dataset, config = _load_run(args)
-    if len(dataset.models()) < 2:
-        raise ValidationError(
-            f"compare needs at least two models, found {len(dataset.models())}"
-        )
-    report = Report(command="compare")
-    report.config_pairs = config.to_pairs()
-    report.inputs = _dataset_inputs(dataset)
-    if dataset.rejected:
-        report.warnings.append(
-            f"{len(dataset.rejected)} event rows dropped (unknown cells)"
-        )
-    global_alpha = _resolve_global_alpha(config, dataset, report)
-    if dataset.grid is None:
-        if config.utilities is not None:
-            raise ValidationError(
-                "expected utility needs cell-level data (a contingency "
-                "table), not a pre-aggregated units table"
-            )
-        _unit_measure_rows(dataset, config, report, global_alpha)
-    else:
-        _cell_measure_rows(dataset, config, report, global_alpha)
-        if config.utilities is not None:
-            if dataset.events is None:
-                raise ValidationError("expected utility needs an events file")
-            _expected_utility_rows(dataset, config, report)
+    dataset, config, report = _scored_report(args, "compare")
     _summary_rows(report)
     _combined_rows(dataset, config, report)
     _wsr_rows(dataset, config, report)
@@ -485,24 +444,15 @@ def cmd_compare(args) -> Report:
 
 def cmd_optimize_alpha(args) -> Report:
     units = load_units(args.units)
-    ordered = order_units(units)
-    levels = cumulative_levels(ordered)
-    result = optimal_alpha(levels, args.target, grid_step=args.grid_step)
     report = Report(command="optimize-alpha")
+    ordered, levels, result = _alpha_search(
+        units, args.target, args.grid_step, report
+    )
     report.config_pairs = [
         ("ppai.grid_step", fmt(args.grid_step)),
         ("ppai.target_coverage", fmt(args.target)),
     ]
     report.inputs = [("n_units", str(len(units)))]
-    lo, hi = result.valid_range
-    report.alpha_info = [
-        ("alpha_star", fmt(result.alpha_star)),
-        ("valid_range_high", fmt(hi)),
-        ("valid_range_low", fmt(lo)),
-        ("target_prefix_len", str(result.target_level.prefix_len)),
-        ("target_cum_area", fmt(result.target_level.cum_area)),
-        ("target_cum_crime", fmt(result.target_level.cum_crime)),
-    ]
     for unit, level in zip(ordered, levels):
         report.level_rows.append(
             (
@@ -532,9 +482,6 @@ def cmd_gen(args) -> Report:
         )
     grid = synth.make_grid(spec)
     events = synth.generate_events(spec)
-    top_k = config.gen_top_k
-    if top_k is None:
-        top_k = max(1, spec.n_cells // 10)
 
     selections: dict[str, dict[str, object]] = {"top_k": {}}
     surfaces: dict[str, dict[str, object]] = {"empirical": {}, "uniform": {}}
@@ -542,7 +489,7 @@ def cmd_gen(args) -> Report:
     for prev, period in zip(periods, periods[1:]):
         train = EventSet(events.in_period(prev))
         selections["top_k"][period] = synth.top_k_baseline(
-            train, grid, top_k, period
+            train, grid, config.gen_top_k, period
         )
         surfaces["empirical"][period] = synth.empirical_surface(
             train, grid, period, smoothing=config.gen_smoothing
@@ -616,7 +563,8 @@ def build_parser() -> argparse.ArgumentParser:
             mode.add_argument(
                 "--lenient",
                 action="store_true",
-                help="drop and count invalid event rows instead of failing",
+                help="drop and count event rows whose cell is not in the grid, "
+                "and ignore unknown config keys, instead of failing",
             )
         p.add_argument("--out", help="write the report here instead of stdout")
 
@@ -674,7 +622,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
     text = report.render()
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
+        with atomic_open(args.out) as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)

@@ -200,8 +200,8 @@ class ContingencyTable:
     """Cell-level confusion counts for one (model, period) pair.
 
     A flagged cell with at least one event counts once as a true positive
-    no matter how many events hit it; event-level accounting lives in the
-    metrics module instead.
+    no matter how many events hit it; event-level counts live in
+    :class:`SelectionTally` instead.
     """
 
     tp: int
@@ -218,6 +218,57 @@ class ContingencyTable:
     @property
     def total(self) -> int:
         return self.tp + self.fp + self.tn + self.fn
+
+
+@dataclass(frozen=True)
+class SelectionTally:
+    """The counts every selection measure of one (model, period) comes from.
+
+    ``n_events`` is N, the events of the period; ``hits`` is n, those inside
+    flagged cells; ``flagged_area_km2`` is a and ``total_area_km2`` is A;
+    ``table`` is the cell-level contingency table.
+    """
+
+    n_events: int
+    hits: int
+    flagged_area_km2: float
+    total_area_km2: float
+    table: ContingencyTable
+
+    @classmethod
+    def of(
+        cls, grid: GridSpec, flagged: frozenset[CellId], counts: Mapping[CellId, int]
+    ) -> "SelectionTally":
+        """Tally flagged grid cells against one period's events per cell.
+
+        ``counts`` maps each cell with events to its positive count, as
+        :meth:`EventSet.counts_by_cell` returns it. Cells outside the grid
+        count towards N but are no cell of the contingency table.
+        """
+        hit = counts.keys() & grid._areas.keys()
+        caught = hit & flagged
+        return cls(
+            n_events=sum(counts.values()),
+            hits=sum(counts[c] for c in caught),
+            flagged_area_km2=math.fsum(grid.area_of(c) for c in sorted(flagged)),
+            total_area_km2=grid.total_area_km2,
+            table=ContingencyTable(
+                tp=len(caught),
+                fp=len(flagged) - len(caught),
+                tn=len(grid.cells) - len(flagged | hit),
+                fn=len(hit) - len(caught),
+            ),
+        )
+
+    @property
+    def hit_rate(self) -> float | None:
+        """n/N, or None when the period has no events."""
+        return None if self.n_events == 0 else self.hits / self.n_events
+
+    @property
+    def coverage(self) -> float:
+        """a/A: the flagged share of the grid's area."""
+        return self.flagged_area_km2 / self.total_area_km2
 
 
 @dataclass(frozen=True)
@@ -278,17 +329,6 @@ def contingency(
     unknown = sorted(selection.flagged - grid.cell_ids)
     if unknown:
         raise ValidationError(f"selection flags unknown cells: {unknown}")
-    hit = set(events.counts_by_cell(period))
-    tp = fp = tn = fn = 0
-    for cell in grid.cells:
-        flagged = cell.id in selection.flagged
-        has_event = cell.id in hit
-        if flagged and has_event:
-            tp += 1
-        elif flagged:
-            fp += 1
-        elif has_event:
-            fn += 1
-        else:
-            tn += 1
-    return ContingencyTable(tp=tp, fp=fp, tn=tn, fn=fn)
+    return SelectionTally.of(
+        grid, selection.flagged, events.counts_by_cell(period)
+    ).table

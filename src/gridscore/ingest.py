@@ -19,10 +19,12 @@ load → write → load round trip is the identity on every valid dataset.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
+import os
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, TextIO
 
 from .combine import UtilitySpec, WeightVector
 from .domain import (
@@ -144,7 +146,7 @@ class RunConfig:
         default_factory=lambda: dict(DEFAULT_ORIENTATION)
     )
     generator: Optional[GeneratorSpec] = None
-    gen_top_k: Optional[int] = None
+    gen_top_k: Optional[int] = None  # load_config defaults it with a generator
     gen_smoothing: float = 1.0
 
     def to_pairs(self) -> list[tuple[str, str]]:
@@ -182,9 +184,6 @@ class RunConfig:
                 pairs.append((f"orientation.{mid}", self.orientations[mid]))
         if self.generator is not None:
             g = self.generator
-            top_k = self.gen_top_k
-            if top_k is None:
-                top_k = max(1, g.n_cells // 10)
             pairs += [
                 ("gen.cell_area", repr(g.cell_area_km2)),
                 ("gen.cells", str(g.n_cells)),
@@ -192,7 +191,7 @@ class RunConfig:
                 ("gen.periods", str(g.n_periods)),
                 ("gen.seed", str(g.seed)),
                 ("gen.smoothing", repr(self.gen_smoothing)),
-                ("gen.top_k", str(top_k)),
+                ("gen.top_k", str(self.gen_top_k)),
                 ("gen.weights", ",".join(repr(w) for w in g.weights)),
             ]
         return sorted(pairs)
@@ -699,6 +698,7 @@ def load_config(path: str, cli_strict: Optional[bool] = None) -> RunConfig:
             )
         except ValidationError as exc:
             raise IngestError(path, f"gen: {exc}") from exc
+        gen_top_k = max(1, n_cells // 10)
         if "gen.top_k" in pairs:
             gen_top_k = _config_int(path, "gen.top_k", pairs["gen.top_k"])
             if not 0 < gen_top_k <= n_cells:
@@ -736,8 +736,26 @@ def load_config(path: str, cli_strict: Optional[bool] = None) -> RunConfig:
 # serialization (used by `gen` and for round-trip guarantees)
 
 
+@contextlib.contextmanager
+def atomic_open(path: str) -> Iterator[TextIO]:
+    """A text handle on a temporary file that replaces ``path`` on success.
+
+    The file is written completely or not at all: on any exception the
+    temporary file is removed and ``path`` keeps its old contents.
+    """
+    tmp = f"{path}.{os.urandom(4).hex()}.tmp"
+    handle = open(tmp, "x", newline="", encoding="utf-8")
+    try:
+        with handle:
+            yield handle
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
+
+
 def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence[str]]):
-    with open(path, "w", newline="", encoding="utf-8") as handle:
+    with atomic_open(path) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         for row in rows:

@@ -26,6 +26,7 @@ from .domain import (
     HotspotSelection,
     PeriodId,
     ProbabilitySurface,
+    SelectionTally,
 )
 from .errors import PeriodMismatchError, ValidationError, ZeroMassError
 
@@ -155,11 +156,9 @@ def hit_rate_from_events(
     unknown = sorted(selection.flagged - grid.cell_ids)
     if unknown:
         raise ValidationError(f"selection flags unknown cells: {unknown}")
-    in_period = events.in_period(period)
-    if not in_period:
-        return None
-    hits = sum(1 for e in in_period if e.cell_id in selection.flagged)
-    return hits / len(in_period)
+    return SelectionTally.of(
+        grid, selection.flagged, events.counts_by_cell(period)
+    ).hit_rate
 
 
 def coverage_from_cells(grid: GridSpec, selection: HotspotSelection) -> float:
@@ -167,8 +166,7 @@ def coverage_from_cells(grid: GridSpec, selection: HotspotSelection) -> float:
     unknown = sorted(selection.flagged - grid.cell_ids)
     if unknown:
         raise ValidationError(f"selection flags unknown cells: {unknown}")
-    flagged_area = math.fsum(grid.area_of(c) for c in sorted(selection.flagged))
-    return flagged_area / grid.total_area_km2
+    return SelectionTally.of(grid, selection.flagged, {}).coverage
 
 
 def pai(hit: float, cov: float) -> float:

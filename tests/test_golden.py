@@ -1,0 +1,157 @@
+"""Golden reports: fixed CLI runs over a small seeded dataset, byte for byte.
+
+The dataset is a ``gridscore gen`` run plus a few hand-made rows for the
+edge cases of per-(model, period) scoring:
+
+* model ``everywhere`` flags every cell in p2, so its expected utility is
+  undefined (no negatively labelled cells);
+* model ``quiet`` flags one cell without p2 events and carries a surface
+  for p2, so its hotspot-restricted ALS scope is empty; it also flags a
+  cell in p9, a period with no events at all;
+* the generated ``empirical`` and ``uniform`` surfaces have no selection,
+  so ALS restricted to hotspots falls back to every event with a warning.
+
+The files under ``tests/golden/`` are never rewritten by the tests. A diff
+against one is a changed number, warning or format, not a refactoring.
+"""
+
+import csv
+from pathlib import Path
+
+import pytest
+
+from gridscore.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+GEN_CONF = (
+    "gen.cells = 20\n"
+    "gen.cell_area = 0.5\n"
+    "gen.periods = 5\n"
+    "gen.events_per_period = 12\n"
+    "gen.seed = 5\n"
+    "gen.weights = 9,8,7,6,5,5,4,4,3,3,2,2,2,1,1,1,1,1,1,1\n"
+)
+
+EU = "eu.u_tp = 10\neu.u_fp = -1\neu.u_tn = 0.5\neu.u_fn = -5\n"
+
+CONFIGS = {
+    "evaluate_cells": (
+        "measures = accuracy,als,coverage,fpr,hit_rate,npv,pai,ppai,"
+        "precision,sensitivity,ser,specificity\n"
+        "als.floor = on\n"
+        "als.restrict_to_hotspots = on\n"
+    ),
+    "evaluate_eu": (
+        "measures = hit_rate,coverage,pai,ppai,ser\n"
+        "ppai.alpha_mode = fixed\n"
+        "ppai.alpha = 0.5\n" + EU
+    ),
+    "compare_eu_weights": (
+        "measures = hit_rate,accuracy\n"
+        "weights.precision = 0.25\n"
+        "weights.ser = 0.75\n" + EU
+    ),
+    "evaluate_units": (
+        "measures = hit_rate,coverage,pai,ppai\n"
+        "ppai.alpha_mode = grid_search\n"
+        "ppai.target_coverage = 0.3\n"
+        "ppai.grid_step = 0.05\n"
+    ),
+}
+
+
+def read_rows(path):
+    with open(path, newline="", encoding="utf-8") as handle:
+        return list(csv.reader(handle))[1:]
+
+
+def append_rows(path, rows):
+    with open(path, "a", newline="", encoding="utf-8") as handle:
+        csv.writer(handle, lineterminator="\n").writerows(rows)
+
+
+def build_dataset(root):
+    """Generate the dataset under ``root``; return the gen report text."""
+    (root / "gen.conf").write_text(GEN_CONF, encoding="utf-8")
+    data = root / "data"
+    assert main(["gen", "--config", str(root / "gen.conf"), "--out-dir", str(data),
+                 "--out", str(root / "gen.txt")]) == 0
+
+    cells = sorted(cell for cell, _ in read_rows(data / "cells.csv"))
+    events = read_rows(data / "events.csv")
+    quiet = min(set(cells) - {cell for _, cell, period in events if period == "p2"})
+    append_rows(data / "selections.csv", [
+        *(("everywhere", "p2", cell) for cell in cells),
+        ("quiet", "p2", quiet),
+        ("quiet", "p9", cells[0]),
+    ])
+    append_rows(data / "surfaces.csv", [
+        ("quiet", period, cell, mass)
+        for model, period, cell, mass in read_rows(data / "surfaces.csv")
+        if model == "uniform" and period == "p2"
+    ])
+
+    # One unit per cell: its share of the area and of all events.
+    hits = {cell: 0 for cell in cells}
+    for _, cell, _ in events:
+        hits[cell] += 1
+    with open(root / "units.csv", "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(("unit_id", "area_fraction", "crime_fraction"))
+        for cell in cells:
+            writer.writerow((cell, repr(1 / len(cells)), repr(hits[cell] / len(events))))
+    return (root / "gen.txt").read_text(encoding="utf-8")
+
+
+def render(root, name):
+    """Run golden case ``name`` against the dataset under ``root``."""
+    if name == "gen":
+        return (root / "gen.txt").read_text(encoding="utf-8")
+    data = root / "data"
+    out = root / f"{name}.txt"
+    if name == "optimize_alpha":
+        argv = ["optimize-alpha", "--units", str(root / "units.csv"),
+                "--target", "0.3", "--grid-step", "0.05"]
+    else:
+        conf = root / f"{name}.conf"
+        conf.write_text(CONFIGS[name], encoding="utf-8")
+        command, _, mode = name.partition("_")
+        if mode == "units":
+            inputs = ["--units", str(root / "units.csv")]
+        else:
+            inputs = ["--cells", str(data / "cells.csv"), "--events", str(data / "events.csv")]
+            if mode != "eu":
+                inputs += ["--surfaces", str(data / "surfaces.csv")]
+        argv = [command, *inputs, "--selections", str(data / "selections.csv"),
+                "--config", str(conf)]
+    assert main([*argv, "--out", str(out)]) == 0
+    return out.read_text(encoding="utf-8")
+
+
+CASES = ("gen", "optimize_alpha", *CONFIGS)
+
+
+@pytest.fixture(scope="module")
+def dataset(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden")
+    build_dataset(root)
+    return root
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_report_matches_golden(dataset, name):
+    expected = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+    assert render(dataset, name) == expected
+
+
+def test_goldens_cover_the_scoring_edge_cases():
+    text = {name: (GOLDEN / f"{name}.txt").read_text(encoding="utf-8") for name in CASES}
+    cells, compare = text["evaluate_cells"], text["compare_eu_weights"]
+    assert "model quiet period p9: no events, event-level rates undefined" in cells
+    assert "model quiet period p2: no events in scope, als undefined" in cells
+    assert ("model uniform period p2: als restriction requested but model has "
+            "no selection here") in cells
+    assert "model everywhere period p2: expected utility undefined" in compare
+    assert "expected_utility" not in text["evaluate_eu"]
+    assert "[alpha]" in text["evaluate_units"] and "[levels]" in text["optimize_alpha"]

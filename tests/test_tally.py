@@ -1,0 +1,61 @@
+"""SelectionTally against a brute-force oracle on random grids and events."""
+
+import math
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gridscore import Cell, Event, EventSet, GridSpec
+from gridscore.domain import SelectionTally
+
+PERIODS = ("p1", "p2", "p3")
+
+
+@st.composite
+def scenarios(draw):
+    n = draw(st.integers(min_value=1, max_value=12))
+    ids = [f"c{i:02d}" for i in range(n)]
+    areas = draw(st.lists(
+        st.floats(min_value=1e-3, max_value=1e3, allow_nan=False, allow_infinity=False),
+        min_size=n, max_size=n,
+    ))
+    grid = GridSpec(tuple(Cell(c, a) for c, a in zip(ids, areas)))
+    flagged = frozenset(draw(st.lists(st.sampled_from(ids), unique=True)))
+    # Events never fall in p3, so some tallies score an empty period.
+    raw = draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(PERIODS[:2]))))
+    events = EventSet(tuple(Event(f"e{i}", c, p) for i, (c, p) in enumerate(raw)))
+    return grid, flagged, events, draw(st.sampled_from(PERIODS))
+
+
+def oracle(grid, flagged, events, period):
+    in_period = [e for e in events.events if e.period == period]
+    hit = {e.cell_id for e in in_period}
+    tp = fp = tn = fn = 0
+    for cell in grid.cells:
+        if cell.id in flagged:
+            if cell.id in hit:
+                tp += 1
+            else:
+                fp += 1
+        elif cell.id in hit:
+            fn += 1
+        else:
+            tn += 1
+    hits = sum(1 for e in in_period if e.cell_id in flagged)
+    area = math.fsum(c.area_km2 for c in sorted(grid.cells, key=lambda c: c.id)
+                     if c.id in flagged)
+    return len(in_period), hits, area, (tp, fp, tn, fn)
+
+
+@settings(max_examples=300, deadline=None)
+@given(scenarios())
+def test_tally_matches_brute_force(scenario):
+    grid, flagged, events, period = scenario
+    tally = SelectionTally.of(grid, flagged, events.counts_by_cell(period))
+    n_events, hits, area, cells = oracle(grid, flagged, events, period)
+    t = tally.table
+    assert (t.tp, t.fp, t.tn, t.fn) == cells
+    assert (tally.n_events, tally.hits, tally.flagged_area_km2) == (n_events, hits, area)
+    assert tally.total_area_km2 == grid.total_area_km2
+    assert tally.hit_rate == (None if n_events == 0 else hits / n_events)
+    assert tally.coverage == area / grid.total_area_km2
