@@ -20,6 +20,9 @@ from .metrics import HotspotUnit, ppai
 #: Slack when matching a cumulative area against the target coverage.
 TARGET_TOL = 1e-12
 
+#: Default spacing of the alpha grid (``ppai.grid_step``, ``--grid-step``).
+DEFAULT_GRID_STEP = 0.01
+
 
 @dataclass(frozen=True)
 class CumulativeLevel:
@@ -104,7 +107,7 @@ def _alpha_grid(grid_step: float) -> list[float]:
 def optimal_alpha(
     levels: Sequence[CumulativeLevel],
     target_coverage: float,
-    grid_step: float = 0.01,
+    grid_step: float = DEFAULT_GRID_STEP,
 ) -> AlphaSearchResult:
     """Find the alpha making PPAI peak at the level nearest a coverage target.
 

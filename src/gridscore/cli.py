@@ -25,7 +25,12 @@ import sys
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import __version__, combine, metrics, stats, synth
-from .alpha_search import cumulative_levels, optimal_alpha, order_units
+from .alpha_search import (
+    DEFAULT_GRID_STEP,
+    cumulative_levels,
+    optimal_alpha,
+    order_units,
+)
 from .domain import EventSet, SelectionTally
 from .errors import (
     AlphaSearchError,
@@ -62,6 +67,10 @@ def _dataset_inputs(dataset: Dataset) -> list[tuple[str, str]]:
     if dataset.units is not None:
         inputs.append(("n_units", str(len(dataset.units))))
     return inputs
+
+
+def _ignored_keys(config: RunConfig) -> list[str]:
+    return [f"config key {key} ignored (unknown)" for key in config.ignored_keys]
 
 
 def _alpha_search(
@@ -382,15 +391,12 @@ def _wsr_rows(dataset: Dataset, config: RunConfig, report: Report) -> None:
 
 
 def _load_run(args) -> tuple[Dataset, RunConfig]:
-    cli_strict = None
-    if args.strict:
-        cli_strict = True
-    elif args.lenient:
-        cli_strict = False
+    # --strict and --lenient are mutually exclusive; neither defers to the file.
+    cli_strict = args.strict if args.strict or args.lenient else None
     if args.config is not None:
         config = load_config(args.config, cli_strict=cli_strict)
     else:
-        config = RunConfig(strict=cli_strict if cli_strict is not None else True)
+        config = RunConfig() if cli_strict is None else RunConfig(strict=cli_strict)
     dataset = load_dataset(
         cells=args.cells,
         events=args.events,
@@ -414,6 +420,7 @@ def _scored_report(args, command: str) -> tuple[Dataset, RunConfig, Report]:
     report = Report(command=command)
     report.config_pairs = config.to_pairs()
     report.inputs = _dataset_inputs(dataset)
+    report.warnings += _ignored_keys(config)
     if dataset.rejected:
         report.warnings.append(
             f"{len(dataset.rejected)} event rows dropped (unknown cells)"
@@ -518,6 +525,7 @@ def cmd_gen(args) -> Report:
         ("n_periods", str(spec.n_periods)),
         ("seed", str(spec.seed)),
     ]
+    report.warnings += _ignored_keys(config)
     report.generated_files = sorted(paths)
     return report
 
@@ -564,7 +572,8 @@ def build_parser() -> argparse.ArgumentParser:
                 "--lenient",
                 action="store_true",
                 help="drop and count event rows whose cell is not in the grid, "
-                "and ignore unknown config keys, instead of failing",
+                "and ignore unknown config keys (listed under [warnings]), "
+                "instead of failing",
             )
         p.add_argument("--out", help="write the report here instead of stdout")
 
@@ -589,7 +598,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="desired cumulative coverage, a fraction in (0, 1)",
     )
     p_opt.add_argument(
-        "--grid-step", type=float, default=0.01, help="alpha grid spacing"
+        "--grid-step", type=float, default=DEFAULT_GRID_STEP, help="alpha grid spacing"
     )
     p_opt.add_argument("--out", help="write the report here instead of stdout")
     p_opt.set_defaults(func=cmd_optimize_alpha)

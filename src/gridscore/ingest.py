@@ -23,9 +23,10 @@ import contextlib
 import csv
 import math
 import os
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, TextIO
+from dataclasses import dataclass, field, replace
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TextIO
 
+from .alpha_search import DEFAULT_GRID_STEP
 from .combine import UtilitySpec, WeightVector
 from .domain import (
     Cell,
@@ -39,6 +40,7 @@ from .domain import (
 )
 from .errors import IngestError, ValidationError
 from .metrics import HotspotUnit
+from .report import fmt
 from .synth import GeneratorSpec
 
 #: Every measure the toolkit can compute, by report/config identifier.
@@ -62,32 +64,6 @@ UNIT_MEASURES = ("hit_rate", "coverage", "pai", "ppai")
 
 #: Default orientation: is a larger value better? (fpr is the odd one out.)
 DEFAULT_ORIENTATION = {m: ("lower" if m == "fpr" else "higher") for m in MEASURE_IDS}
-
-_SIMPLE_KEYS = (
-    "measures",
-    "strict",
-    "ppai.alpha_mode",
-    "ppai.alpha",
-    "ppai.target_coverage",
-    "ppai.grid_step",
-    "als.floor",
-    "als.floor_epsilon",
-    "als.restrict_to_hotspots",
-    "combine.score_transform",
-    "eu.u_tp",
-    "eu.u_fp",
-    "eu.u_tn",
-    "eu.u_fn",
-    "gen.cells",
-    "gen.cell_area",
-    "gen.weights",
-    "gen.periods",
-    "gen.events_per_period",
-    "gen.seed",
-    "gen.top_k",
-    "gen.smoothing",
-)
-
 
 @dataclass(frozen=True)
 class Dataset:
@@ -135,7 +111,7 @@ class RunConfig:
     alpha_mode: str = "hit_rate"  # fixed | hit_rate | grid_search
     alpha: Optional[float] = None
     target_coverage: Optional[float] = None
-    grid_step: float = 0.01
+    grid_step: float = DEFAULT_GRID_STEP
     als_floor_enabled: bool = False
     als_floor_epsilon: float = 1e-12
     als_restrict_to_hotspots: bool = False
@@ -148,59 +124,32 @@ class RunConfig:
     generator: Optional[GeneratorSpec] = None
     gen_top_k: Optional[int] = None  # load_config defaults it with a generator
     gen_smoothing: float = 1.0
+    # Derived, not a config key: unknown keys that lenient mode skipped.
+    ignored_keys: tuple[str, ...] = ()
 
     def to_pairs(self) -> list[tuple[str, str]]:
-        pairs = [
-            ("als.floor", "on" if self.als_floor_enabled else "off"),
-            ("als.floor_epsilon", repr(self.als_floor_epsilon)),
-            ("als.log_base", "e"),
-            (
-                "als.restrict_to_hotspots",
-                "on" if self.als_restrict_to_hotspots else "off",
-            ),
-            ("combine.score_transform", self.score_transform),
-            ("measures", ",".join(self.measures)),
-            ("ppai.alpha_mode", self.alpha_mode),
-            ("ppai.grid_step", repr(self.grid_step)),
-            ("strict", "on" if self.strict else "off"),
-        ]
-        if self.alpha is not None:
-            pairs.append(("ppai.alpha", repr(self.alpha)))
-        if self.target_coverage is not None:
-            pairs.append(("ppai.target_coverage", repr(self.target_coverage)))
-        if self.utilities is not None:
-            u = self.utilities
-            pairs += [
-                ("eu.u_fn", repr(u.u_fn)),
-                ("eu.u_fp", repr(u.u_fp)),
-                ("eu.u_tn", repr(u.u_tn)),
-                ("eu.u_tp", repr(u.u_tp)),
-            ]
+        pairs = [("als.log_base", "e")]
+        for row in CONFIG_SCHEMA:
+            if row.key.startswith("gen.") and self.generator is None:
+                continue
+            owner, _, name = row.field.rpartition(".")
+            # An unset utilities leaves its keys' values None.
+            value = getattr(getattr(self, owner) if owner else self, name, None)
+            if value is not None:
+                pairs.append((row.key, _echo(value)))
         if self.weights is not None:
             for mid in sorted(self.weights.weights):
-                pairs.append((f"weights.{mid}", repr(self.weights.weights[mid])))
+                pairs.append((f"weights.{mid}", _echo(self.weights.weights[mid])))
         for mid in sorted(self.orientations):
             if mid in self.measures:
                 pairs.append((f"orientation.{mid}", self.orientations[mid]))
-        if self.generator is not None:
-            g = self.generator
-            pairs += [
-                ("gen.cell_area", repr(g.cell_area_km2)),
-                ("gen.cells", str(g.n_cells)),
-                ("gen.events_per_period", str(g.events_per_period)),
-                ("gen.periods", str(g.n_periods)),
-                ("gen.seed", str(g.seed)),
-                ("gen.smoothing", repr(self.gen_smoothing)),
-                ("gen.top_k", str(self.gen_top_k)),
-                ("gen.weights", ",".join(repr(w) for w in g.weights)),
-            ]
         return sorted(pairs)
 
 
 def _read_table(path: str, header: Sequence[str]):
     """Yield (line_number, row) for a CSV file, enforcing the exact header."""
     try:
-        handle = open(path, newline="", encoding="utf-8")
+        handle = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise IngestError(path, f"cannot open: {exc.strerror or exc}") from exc
     with handle:
@@ -224,7 +173,19 @@ def _read_table(path: str, header: Sequence[str]):
                     f"expected {len(header)} fields, found {len(row)}",
                     line=lineno,
                 )
+            if _unsafe("".join(row)):
+                name, text = next((h, f) for h, f in zip(header, row) if _unsafe(f))
+                raise IngestError(
+                    path,
+                    f"{name} {text!r} contains a comma or line break, which "
+                    f"report rows cannot carry",
+                    line=lineno,
+                )
             yield lineno, [f.strip() for f in row]
+
+
+def _unsafe(text: str) -> bool:
+    return "," in text or "\n" in text or "\r" in text
 
 
 def _parse_float(path: str, lineno: int, field_name: str, text: str) -> float:
@@ -489,11 +450,124 @@ def _config_int(path: str, key: str, text: str) -> int:
         raise IngestError(path, f"{key}: not an integer: {text!r}") from None
 
 
+def _config_text(path: str, key: str, text: str) -> str:
+    return text
+
+
+def _config_floats(path: str, key: str, text: str) -> tuple[float, ...]:
+    return tuple(_config_float(path, key, w) for w in text.split(","))
+
+
+def _config_measures(path: str, key: str, text: str) -> tuple[str, ...]:
+    parsed = tuple(m.strip() for m in text.split(",") if m.strip())
+    if not parsed:
+        raise IngestError(path, f"{key}: empty list, nothing to compute")
+    bad = [m for m in parsed if m not in MEASURE_IDS]
+    if bad:
+        raise IngestError(
+            path,
+            f"unknown measures: {', '.join(bad)} (known: {', '.join(MEASURE_IDS)})",
+        )
+    return parsed
+
+
+def _one_of(*choices: str) -> tuple[Callable[[object], bool], str]:
+    """A bound admitting exactly ``choices``, worded "be a, b or c"."""
+    return choices.__contains__, f"be {', '.join(choices[:-1])} or {choices[-1]}"
+
+
+def _out_of_bound(path: str, key: str, bound: str, value: object) -> IngestError:
+    return IngestError(path, f"{key} must {bound}, got {value!r}")
+
+
+def _echo(value: object) -> str:
+    """A config value as the [config] section shows it and load_config reads it."""
+    if isinstance(value, bool):
+        return "on" if value else "off"
+    if isinstance(value, tuple):
+        return ",".join(_echo(v) for v in value)
+    return fmt(value)
+
+
+@dataclass(frozen=True)
+class ConfigKey:
+    """One config key: how it is parsed, checked and stored.
+
+    ``field`` is the :class:`RunConfig` attribute holding the value, dotted
+    into ``utilities`` / ``generator`` for the ``eu.*`` / ``gen.*`` keys.
+    ``bound`` is a (predicate, wording) pair; a parsed value failing the
+    predicate is refused with "<key> must <wording>, got <value>".
+    ``default`` is given only where no RunConfig field can hold one.
+    """
+
+    key: str
+    field: str
+    parse: Callable[[str, str, str], object]
+    bound: Optional[tuple[Callable[[object], bool], str]] = None
+    default: object = None
+
+
+_UNIT_INTERVAL = (lambda v: 0.0 < v < 1.0, "lie in (0, 1)")
+
+#: Every plain config key. The ``weights.<measure>`` and
+#: ``orientation.<measure>`` families are read by :func:`load_config`.
+CONFIG_SCHEMA = (
+    ConfigKey("measures", "measures", _config_measures),
+    ConfigKey("strict", "strict", _parse_bool),
+    ConfigKey(
+        "ppai.alpha_mode",
+        "alpha_mode",
+        _config_text,
+        _one_of("fixed", "hit_rate", "grid_search"),
+    ),
+    ConfigKey(
+        "ppai.alpha",
+        "alpha",
+        _config_float,
+        (lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]"),
+    ),
+    ConfigKey("ppai.target_coverage", "target_coverage", _config_float, _UNIT_INTERVAL),
+    ConfigKey("ppai.grid_step", "grid_step", _config_float, _UNIT_INTERVAL),
+    ConfigKey("als.floor", "als_floor_enabled", _parse_bool),
+    ConfigKey(
+        "als.floor_epsilon",
+        "als_floor_epsilon",
+        _config_float,
+        (lambda v: v > 0, "be positive"),
+    ),
+    ConfigKey("als.restrict_to_hotspots", "als_restrict_to_hotspots", _parse_bool),
+    ConfigKey(
+        "combine.score_transform",
+        "score_transform",
+        _config_text,
+        _one_of("raw", "standardized", "rank"),
+    ),
+    ConfigKey("eu.u_tp", "utilities.u_tp", _config_float),
+    ConfigKey("eu.u_fp", "utilities.u_fp", _config_float),
+    ConfigKey("eu.u_tn", "utilities.u_tn", _config_float),
+    ConfigKey("eu.u_fn", "utilities.u_fn", _config_float),
+    ConfigKey("gen.cells", "generator.n_cells", _config_int, default=100),
+    ConfigKey("gen.cell_area", "generator.cell_area_km2", _config_float, default=1.0),
+    ConfigKey("gen.weights", "generator.weights", _config_floats),
+    ConfigKey("gen.periods", "generator.n_periods", _config_int, default=12),
+    ConfigKey(
+        "gen.events_per_period", "generator.events_per_period", _config_int, default=100
+    ),
+    ConfigKey("gen.seed", "generator.seed", _config_int, default=0),
+    ConfigKey("gen.top_k", "gen_top_k", _config_int),
+    ConfigKey(
+        "gen.smoothing", "gen_smoothing", _config_float, (lambda v: v >= 0, "be >= 0")
+    ),
+)
+
+_SCHEMA_BY_KEY = {row.key: row for row in CONFIG_SCHEMA}
+
+
 def read_config_pairs(path: str) -> dict[str, str]:
     """Raw key → value text from a config file, last assignment winning."""
     pairs: dict[str, str] = {}
     try:
-        handle = open(path, encoding="utf-8")
+        handle = open(path, encoding="utf-8-sig")
     except OSError as exc:
         raise IngestError(path, f"cannot open: {exc.strerror or exc}") from exc
     with handle:
@@ -519,216 +593,99 @@ def load_config(path: str, cli_strict: Optional[bool] = None) -> RunConfig:
 
     ``cli_strict`` (from --strict/--lenient) overrides the file's own
     ``strict`` key. Unknown keys are errors in strict mode; in lenient mode
-    they are ignored.
+    they are ignored and listed in ``ignored_keys``.
     """
     pairs = read_config_pairs(path)
-    strict = True
-    if "strict" in pairs:
-        strict = _parse_bool(path, "strict", pairs["strict"])
+    # RunConfig fields by owner: "" is RunConfig itself.
+    values: dict[str, dict[str, object]] = {"": {}, "utilities": {}, "generator": {}}
+    weight_map: dict[str, float] = {}
+    orientations = dict(DEFAULT_ORIENTATION)
+    unknown = []
+    for key in sorted(pairs):
+        text = pairs[key]
+        row = _SCHEMA_BY_KEY.get(key)
+        family, _, mid = key.partition(".")
+        if row is not None:
+            value = row.parse(path, key, text)
+            if row.bound is not None and not row.bound[0](value):
+                raise _out_of_bound(path, key, row.bound[1], value)
+            owner, _, name = row.field.rpartition(".")
+            values[owner][name] = value
+        elif not key.startswith(("weights.", "orientation.")):
+            unknown.append(key)
+        elif mid not in MEASURE_IDS:
+            raise IngestError(path, f"{key}: unknown measure {mid!r}")
+        elif family == "weights":
+            weight_map[mid] = _config_float(path, key, text)
+        elif text.lower() in ("higher", "lower"):
+            orientations[mid] = text.lower()
+        else:
+            raise IngestError(path, f"{key}: expected higher or lower, got {text!r}")
     if cli_strict is not None:
-        strict = cli_strict
-
-    known_prefixes = ("weights.", "orientation.")
-    unknown = [
-        k
-        for k in sorted(pairs)
-        if k not in _SIMPLE_KEYS and not k.startswith(known_prefixes)
-    ]
-    if unknown and strict:
+        values[""]["strict"] = cli_strict
+    config = RunConfig(**values[""], orientations=orientations)
+    if unknown and config.strict:
         raise IngestError(path, f"unknown config keys: {', '.join(unknown)}")
 
-    measures = ("hit_rate", "coverage", "pai")
-    if "measures" in pairs:
-        parsed = tuple(m.strip() for m in pairs["measures"].split(",") if m.strip())
-        if not parsed:
-            raise IngestError(path, "measures: empty list, nothing to compute")
-        bad = [m for m in parsed if m not in MEASURE_IDS]
-        if bad:
-            raise IngestError(
-                path,
-                f"unknown measures: {', '.join(bad)} "
-                f"(known: {', '.join(MEASURE_IDS)})",
-            )
-        measures = parsed
-
-    alpha_mode = pairs.get("ppai.alpha_mode", "hit_rate")
-    if alpha_mode not in ("fixed", "hit_rate", "grid_search"):
+    needed = {"fixed": "ppai.alpha", "grid_search": "ppai.target_coverage"}
+    need = needed.get(config.alpha_mode)
+    if "ppai" in config.measures and need is not None and need not in pairs:
         raise IngestError(
-            path,
-            f"ppai.alpha_mode must be fixed, hit_rate or grid_search, "
-            f"got {alpha_mode!r}",
-        )
-    alpha = None
-    if "ppai.alpha" in pairs:
-        alpha = _config_float(path, "ppai.alpha", pairs["ppai.alpha"])
-        if not (0.0 <= alpha <= 1.0):
-            raise IngestError(path, f"ppai.alpha must lie in [0, 1], got {alpha!r}")
-    target_coverage = None
-    if "ppai.target_coverage" in pairs:
-        target_coverage = _config_float(
-            path, "ppai.target_coverage", pairs["ppai.target_coverage"]
-        )
-        if not (0.0 < target_coverage < 1.0):
-            raise IngestError(
-                path,
-                f"ppai.target_coverage must lie in (0, 1), got {target_coverage!r}",
-            )
-    grid_step = 0.01
-    if "ppai.grid_step" in pairs:
-        grid_step = _config_float(path, "ppai.grid_step", pairs["ppai.grid_step"])
-        if not (0.0 < grid_step < 1.0):
-            raise IngestError(
-                path, f"ppai.grid_step must lie in (0, 1), got {grid_step!r}"
-            )
-    if "ppai" in measures:
-        if alpha_mode == "fixed" and alpha is None:
-            raise IngestError(
-                path, "ppai.alpha_mode is 'fixed' but ppai.alpha is not set"
-            )
-        if alpha_mode == "grid_search" and target_coverage is None:
-            raise IngestError(
-                path,
-                "ppai.alpha_mode is 'grid_search' but ppai.target_coverage "
-                "is not set",
-            )
-
-    als_floor = False
-    if "als.floor" in pairs:
-        als_floor = _parse_bool(path, "als.floor", pairs["als.floor"])
-    als_epsilon = 1e-12
-    if "als.floor_epsilon" in pairs:
-        als_epsilon = _config_float(
-            path, "als.floor_epsilon", pairs["als.floor_epsilon"]
-        )
-        if not als_epsilon > 0:
-            raise IngestError(
-                path, f"als.floor_epsilon must be positive, got {als_epsilon!r}"
-            )
-    als_restrict = False
-    if "als.restrict_to_hotspots" in pairs:
-        als_restrict = _parse_bool(
-            path, "als.restrict_to_hotspots", pairs["als.restrict_to_hotspots"]
+            path, f"ppai.alpha_mode is {config.alpha_mode!r} but {need} is not set"
         )
 
-    transform = pairs.get("combine.score_transform", "raw")
-    if transform not in ("raw", "standardized", "rank"):
-        raise IngestError(
-            path,
-            f"combine.score_transform must be raw, standardized or rank, "
-            f"got {transform!r}",
-        )
-
-    eu_keys = ("eu.u_tp", "eu.u_fp", "eu.u_tn", "eu.u_fn")
-    present = [k for k in eu_keys if k in pairs]
     utilities = None
-    if present:
-        missing = [k for k in eu_keys if k not in pairs]
+    if values["utilities"]:
+        missing = [
+            row.key
+            for row in CONFIG_SCHEMA
+            if row.field.startswith("utilities.") and row.key not in pairs
+        ]
         if missing:
             raise IngestError(
                 path, f"utilities are all-or-nothing; missing {', '.join(missing)}"
             )
-        utilities = UtilitySpec(
-            u_tp=_config_float(path, "eu.u_tp", pairs["eu.u_tp"]),
-            u_fp=_config_float(path, "eu.u_fp", pairs["eu.u_fp"]),
-            u_tn=_config_float(path, "eu.u_tn", pairs["eu.u_tn"]),
-            u_fn=_config_float(path, "eu.u_fn", pairs["eu.u_fn"]),
-        )
+        utilities = UtilitySpec(**values["utilities"])
 
-    weight_map = {}
-    for key in sorted(pairs):
-        if not key.startswith("weights."):
-            continue
-        mid = key[len("weights.") :]
-        if mid not in MEASURE_IDS:
-            raise IngestError(path, f"{key}: unknown measure {mid!r}")
-        weight_map[mid] = _config_float(path, key, pairs[key])
     weights = None
+    measures = config.measures
     if weight_map:
         try:
             weights = WeightVector(weight_map)
         except ValidationError as exc:
             raise IngestError(path, f"weights: {exc}") from exc
         # Weighted measures are computed whether or not they were listed.
-        measures = measures + tuple(
-            m for m in sorted(weight_map) if m not in measures
-        )
-
-    orientations = dict(DEFAULT_ORIENTATION)
-    for key in sorted(pairs):
-        if not key.startswith("orientation."):
-            continue
-        mid = key[len("orientation.") :]
-        if mid not in MEASURE_IDS:
-            raise IngestError(path, f"{key}: unknown measure {mid!r}")
-        value = pairs[key].lower()
-        if value not in ("higher", "lower"):
-            raise IngestError(
-                path, f"{key}: expected higher or lower, got {pairs[key]!r}"
-            )
-        orientations[mid] = value
+        measures += tuple(m for m in sorted(weight_map) if m not in measures)
 
     generator = None
     gen_top_k = None
-    gen_smoothing = 1.0
     if any(k.startswith("gen.") for k in pairs):
-        n_cells = _config_int(path, "gen.cells", pairs.get("gen.cells", "100"))
-        cell_area = _config_float(
-            path, "gen.cell_area", pairs.get("gen.cell_area", "1.0")
-        )
-        n_periods = _config_int(path, "gen.periods", pairs.get("gen.periods", "12"))
-        events_per_period = _config_int(
-            path, "gen.events_per_period", pairs.get("gen.events_per_period", "100")
-        )
-        seed = _config_int(path, "gen.seed", pairs.get("gen.seed", "0"))
-        if "gen.weights" in pairs:
-            weight_list = tuple(
-                _config_float(path, "gen.weights", w)
-                for w in pairs["gen.weights"].split(",")
-            )
-        else:
-            weight_list = tuple(1.0 for _ in range(max(n_cells, 1)))
+        spec = {
+            row.field.rpartition(".")[2]: row.default
+            for row in CONFIG_SCHEMA
+            if row.default is not None
+        }
+        spec.update(values["generator"])
+        spec.setdefault("weights", (1.0,) * max(spec["n_cells"], 1))
         try:
-            generator = GeneratorSpec(
-                n_cells=n_cells,
-                cell_area_km2=cell_area,
-                weights=weight_list,
-                n_periods=n_periods,
-                events_per_period=events_per_period,
-                seed=seed,
-            )
+            generator = GeneratorSpec(**spec)
         except ValidationError as exc:
             raise IngestError(path, f"gen: {exc}") from exc
-        gen_top_k = max(1, n_cells // 10)
-        if "gen.top_k" in pairs:
-            gen_top_k = _config_int(path, "gen.top_k", pairs["gen.top_k"])
-            if not 0 < gen_top_k <= n_cells:
-                raise IngestError(
-                    path, f"gen.top_k must lie in [1, {n_cells}], got {gen_top_k!r}"
-                )
-        if "gen.smoothing" in pairs:
-            gen_smoothing = _config_float(path, "gen.smoothing", pairs["gen.smoothing"])
-            if gen_smoothing < 0:
-                raise IngestError(
-                    path, f"gen.smoothing must be >= 0, got {gen_smoothing!r}"
-                )
+        n_cells = generator.n_cells
+        gen_top_k = config.gen_top_k
+        if gen_top_k is None:
+            gen_top_k = max(1, n_cells // 10)
+        if not 0 < gen_top_k <= n_cells:
+            raise _out_of_bound(path, "gen.top_k", f"lie in [1, {n_cells}]", gen_top_k)
 
-    return RunConfig(
+    return replace(
+        config,
         measures=measures,
-        strict=strict,
-        alpha_mode=alpha_mode,
-        alpha=alpha,
-        target_coverage=target_coverage,
-        grid_step=grid_step,
-        als_floor_enabled=als_floor,
-        als_floor_epsilon=als_epsilon,
-        als_restrict_to_hotspots=als_restrict,
-        score_transform=transform,
         utilities=utilities,
         weights=weights,
-        orientations=orientations,
         generator=generator,
         gen_top_k=gen_top_k,
-        gen_smoothing=gen_smoothing,
+        ignored_keys=tuple(unknown),
     )
 
 

@@ -82,16 +82,6 @@ class RateSet:
     accuracy: Optional[float]
     fpr: Optional[float]
 
-    def as_dict(self) -> dict[str, Optional[float]]:
-        return {
-            "sensitivity": self.sensitivity,
-            "specificity": self.specificity,
-            "ppv": self.ppv,
-            "npv": self.npv,
-            "accuracy": self.accuracy,
-            "fpr": self.fpr,
-        }
-
 
 def _ratio(num: int, den: int) -> Optional[float]:
     return None if den == 0 else num / den

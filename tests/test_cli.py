@@ -267,6 +267,30 @@ class TestEvaluateCellMode:
         assert kv(sections["inputs"])["n_rejected_rows"] == "1"
         assert any("dropped" in line for line in sections["warnings"])
 
+    def test_lenient_mode_warns_of_ignored_config_keys(self, capsys, tmp_path):
+        (tmp_path / "cells.csv").write_text(
+            "cell_id,area_km2\nc1,1.0\nc2,1.0\n", encoding="utf-8"
+        )
+        (tmp_path / "events.csv").write_text(
+            "event_id,cell_id,period_id\ne1,c1,p1\n", encoding="utf-8"
+        )
+        (tmp_path / "selections.csv").write_text(
+            "model_id,period_id,cell_id\nm1,p1,c1\nm2,p1,c2\n", encoding="utf-8"
+        )
+        conf = write_conf(tmp_path, "run.conf", "strict = off\nno_such_key = 1\n")
+        inputs = [
+            "--cells", str(tmp_path / "cells.csv"),
+            "--events", str(tmp_path / "events.csv"),
+            "--selections", str(tmp_path / "selections.csv"),
+            "--config", conf,
+        ]
+        for command in ("evaluate", "compare"):
+            code, out, _ = run(capsys, command, *inputs)
+            assert code == 0
+            sections = parse_report(out)
+            assert sections["warnings"] == ["config key no_such_key ignored (unknown)"]
+            assert "no_such_key" not in "\n".join(sections["config"])
+
     def test_strict_mode_fails_on_unknown_cell(self, capsys, tmp_path):
         (tmp_path / "cells.csv").write_text(
             "cell_id,area_km2\nc1,1.0\n", encoding="utf-8"
@@ -642,6 +666,18 @@ class TestGen:
             (a_dir / "events.csv").read_bytes()
             != (b_dir / "events.csv").read_bytes()
         )
+
+    def test_ignored_config_key_warning(self, capsys, tmp_path):
+        conf = write_conf(
+            tmp_path, "gen.conf", self.CONF + "strict = off\ngen.colour = red\n"
+        )
+        code, out, _ = run(
+            capsys, "gen", "--config", conf, "--out-dir", str(tmp_path / "data")
+        )
+        assert code == 0
+        assert parse_report(out)["warnings"] == [
+            "config key gen.colour ignored (unknown)"
+        ]
 
     def test_needs_gen_section(self, capsys, tmp_path):
         conf = write_conf(tmp_path, "gen.conf", "measures = pai\n")

@@ -94,6 +94,10 @@ class TestLoadCells:
         with pytest.raises(IngestError, match="cannot open"):
             load_cells(str(tmp_path / "nope.csv"))
 
+    def test_byte_order_mark_accepted(self, tmp_path):
+        path = w(tmp_path / "cells.csv", "\ufeff" + CELLS_CSV)
+        assert [c.id for c in load_cells(path).cells] == ["c1", "c2", "c3"]
+
 
 class TestLoadEvents:
     def test_good_file(self, tmp_path):
@@ -168,6 +172,20 @@ class TestLoadSelections:
         )
         with pytest.raises(IngestError, match="duplicate selection"):
             load_selections(path, frozenset({"c1"}))
+
+    @pytest.mark.parametrize(
+        "row, field",
+        [('"m,x",p1,c1', "model_id 'm,x'"), ('m1,"p\n1",c1', "period_id 'p\\n1'")],
+    )
+    def test_ids_the_report_cannot_carry(self, tmp_path, row, field):
+        """A comma or line break in an id would break the report's rows."""
+        path = w(tmp_path / "sel.csv", f"model_id,period_id,cell_id\nm1,p1,c1\n{row}\n")
+        with pytest.raises(IngestError) as info:
+            load_selections(path, frozenset({"c1"}))
+        assert str(info.value) == (
+            f"{path}:3: {field} contains a comma or line break, which report "
+            f"rows cannot carry"
+        )
 
 
 class TestLoadSurfaces:
@@ -315,6 +333,11 @@ class TestConfigPairs:
     def test_empty_key(self, tmp_path):
         with pytest.raises(IngestError, match="empty key"):
             read_config_pairs(w(tmp_path / "run.conf", "= value\n"))
+
+    def test_byte_order_mark_accepted(self, tmp_path):
+        path = w(tmp_path / "run.conf", "\ufeffmeasures = pai\n")
+        assert read_config_pairs(path) == {"measures": "pai"}
+        assert load_config(path).measures == ("pai",)
 
 
 class TestLoadConfig:

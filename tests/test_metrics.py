@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -72,7 +73,7 @@ class TestRates:
 
     def test_empty_grid_table_every_rate_undefined(self):
         r = rates_from_contingency(ContingencyTable(tp=0, fp=0, tn=0, fn=0))
-        assert all(v is None for v in r.as_dict().values())
+        assert all(v is None for v in dataclasses.astuple(r))
 
 
 class TestHitRateCoverage:
