@@ -36,6 +36,7 @@ from .errors import (
     AlphaSearchError,
     GridscoreError,
     ValidationError,
+    ZeroMassError,
 )
 from .ingest import (
     UNIT_MEASURES,
@@ -212,13 +213,12 @@ def _measure_rows(
                     )
                 in_scope = tally.n_events if restrict is None else tally.hits
                 if in_scope:
-                    value = metrics.als(
-                        surfaces[period],
-                        dataset.events,
-                        period,
-                        restrict_to=restrict,
-                        floor=floor,
-                    )
+                    try:
+                        value = metrics.als(
+                            surfaces[period], dataset.events, period, restrict, floor
+                        )
+                    except ZeroMassError as exc:
+                        raise GridscoreError(f"model {model!r}: {exc}") from exc
                 else:
                     value = None
                     report.warnings.append(

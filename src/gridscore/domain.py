@@ -11,9 +11,11 @@ the two operations at the bottom are pure functions.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .errors import PeriodMismatchError, ValidationError
 
@@ -55,16 +57,22 @@ class GridSpec:
 
     cells: tuple[Cell, ...]
     total_area_km2: float = None  # type: ignore[assignment]
+    # Built once from ``cells``: cell id -> area, and the set of ids.
+    _areas: Mapping[CellId, float] = field(init=False, repr=False, compare=False)
+    _ids: frozenset[CellId] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cells = tuple(self.cells)
         object.__setattr__(self, "cells", cells)
         if not cells:
             raise ValidationError("a grid needs at least one cell")
-        ids = [c.id for c in cells]
-        if len(set(ids)) != len(ids):
-            dupes = sorted({i for i in ids if ids.count(i) > 1})
+        areas = {c.id: c.area_km2 for c in cells}
+        if len(areas) != len(cells):
+            counts = Counter(c.id for c in cells)
+            dupes = sorted(i for i, n in counts.items() if n > 1)
             raise ValidationError(f"duplicate cell ids: {dupes}")
+        object.__setattr__(self, "_areas", areas)
+        object.__setattr__(self, "_ids", frozenset(areas))
         derived = math.fsum(c.area_km2 for c in cells)
         if self.total_area_km2 is None:
             object.__setattr__(self, "total_area_km2", derived)
@@ -76,22 +84,13 @@ class GridSpec:
 
     @property
     def cell_ids(self) -> frozenset[CellId]:
-        return frozenset(c.id for c in self.cells)
+        return self._ids
 
     def area_of(self, cell_id: CellId) -> float:
         try:
             return self._areas[cell_id]
         except KeyError:
             raise ValidationError(f"unknown cell id {cell_id!r}") from None
-
-    @property
-    def _areas(self) -> Mapping[CellId, float]:
-        # Lazily built lookup; cached on the instance despite frozen-ness.
-        cached = self.__dict__.get("_areas_cache")
-        if cached is None:
-            cached = {c.id: c.area_km2 for c in self.cells}
-            object.__setattr__(self, "_areas_cache", cached)
-        return cached
 
 
 @dataclass(frozen=True)
@@ -119,39 +118,43 @@ class EventSet:
     """Observed events, held in a canonical (period, event id) order.
 
     The canonical order makes every downstream aggregate independent of the
-    order rows appeared in the source file. Cross-validation against a grid
-    happens at the construction sites (:func:`assign_events`, the loaders),
-    not here, because the event set does not hold a grid reference.
+    order rows appeared in the source file. The events are grouped by period
+    once, here, and every per-period query reads that grouping. Events are
+    cross-validated against a grid in one place, :func:`assign_events`,
+    because the event set does not hold a grid reference.
     """
 
     events: tuple[Event, ...]
+    # Built once from ``events``: period -> its events, periods in order.
+    _by_period: Mapping[PeriodId, tuple[Event, ...]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         ordered = tuple(
             sorted(self.events, key=lambda e: (e.period, e.event_id, e.cell_id))
         )
         object.__setattr__(self, "events", ordered)
+        groups = itertools.groupby(ordered, lambda e: e.period)
+        object.__setattr__(self, "_by_period", {p: tuple(g) for p, g in groups})
 
     def __len__(self) -> int:
         return len(self.events)
 
     def periods(self) -> tuple[PeriodId, ...]:
-        return tuple(sorted({e.period for e in self.events}))
+        return tuple(self._by_period)
 
     def in_period(self, period: PeriodId) -> tuple[Event, ...]:
-        return tuple(e for e in self.events if e.period == period)
+        return self._by_period.get(period, ())
 
     def count(self, period: PeriodId) -> int:
         """N: the total number of events observed in ``period``."""
-        return sum(1 for e in self.events if e.period == period)
+        return len(self._by_period.get(period, ()))
 
     def counts_by_cell(self, period: PeriodId | None = None) -> dict[CellId, int]:
         """Events per cell, over one period or over the whole set."""
-        counts: dict[CellId, int] = {}
-        for e in self.events:
-            if period is None or e.period == period:
-                counts[e.cell_id] = counts.get(e.cell_id, 0) + 1
-        return counts
+        scoped = self.events if period is None else self._by_period.get(period, ())
+        return dict(Counter(e.cell_id for e in scoped))
 
 
 @dataclass(frozen=True)
@@ -243,9 +246,14 @@ class SelectionTally:
 
         ``counts`` maps each cell with events to its positive count, as
         :meth:`EventSet.counts_by_cell` returns it. Cells outside the grid
-        count towards N but are no cell of the contingency table.
+        count towards N but are no cell of the contingency table; a flagged
+        cell outside the grid is an error.
         """
-        hit = counts.keys() & grid._areas.keys()
+        known = grid.cell_ids
+        unknown = sorted(flagged - known)
+        if unknown:
+            raise ValidationError(f"selection flags unknown cells: {unknown}")
+        hit = counts.keys() & known
         caught = hit & flagged
         return cls(
             n_events=sum(counts.values()),
@@ -292,7 +300,9 @@ def assign_events(
     not contain is a hard error naming the offending event id. In lenient
     mode such rows are dropped and returned alongside the event set so the
     caller can count and report them; silent dropping would hide upstream
-    geocoding mistakes.
+    geocoding mistakes. ``raw`` is read lazily, one row at a time, so a
+    caller streaming it from a file stands on the offending row when the
+    strict-mode error is raised.
     """
     known = grid.cell_ids
     kept: list[Event] = []
@@ -326,9 +336,6 @@ def contingency(
             f"selection is for period {selection.period!r}, asked to score "
             f"period {period!r}"
         )
-    unknown = sorted(selection.flagged - grid.cell_ids)
-    if unknown:
-        raise ValidationError(f"selection flags unknown cells: {unknown}")
     return SelectionTally.of(
         grid, selection.flagged, events.counts_by_cell(period)
     ).table

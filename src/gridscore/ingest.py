@@ -30,13 +30,13 @@ from .alpha_search import DEFAULT_GRID_STEP
 from .combine import UtilitySpec, WeightVector
 from .domain import (
     Cell,
-    Event,
     EventSet,
     GridSpec,
     HotspotSelection,
     PeriodId,
     ProbabilitySurface,
     RejectedRow,
+    assign_events,
 )
 from .errors import IngestError, ValidationError
 from .metrics import HotspotUnit
@@ -115,6 +115,7 @@ class RunConfig:
     als_floor_enabled: bool = False
     als_floor_epsilon: float = 1e-12
     als_restrict_to_hotspots: bool = False
+    als_log_base: str = "e"
     score_transform: str = "raw"  # raw | standardized | rank
     utilities: Optional[UtilitySpec] = None
     weights: Optional[WeightVector] = None
@@ -128,7 +129,7 @@ class RunConfig:
     ignored_keys: tuple[str, ...] = ()
 
     def to_pairs(self) -> list[tuple[str, str]]:
-        pairs = [("als.log_base", "e")]
+        pairs = []
         for row in CONFIG_SCHEMA:
             if row.key.startswith("gen.") and self.generator is None:
                 continue
@@ -229,28 +230,25 @@ def load_events(
     In lenient mode the offending rows are returned as rejects so the
     caller can count and report them instead of silently losing data.
     """
-    known = grid.cell_ids
-    events = []
-    rejected = []
-    seen: set[str] = set()
-    header = ("event_id", "cell_id", "period_id")
-    for lineno, (event_id, cell_id, period_id) in _read_table(path, header):
-        if not event_id or not cell_id or not period_id:
-            raise IngestError(path, "empty field", line=lineno)
-        if event_id in seen:
-            raise IngestError(path, f"duplicate event_id {event_id!r}", line=lineno)
-        seen.add(event_id)
-        if cell_id not in known:
-            if strict:
-                raise IngestError(
-                    path,
-                    f"event {event_id!r} references unknown cell {cell_id!r}",
-                    line=lineno,
-                )
-            rejected.append(RejectedRow(event_id, cell_id, period_id, "unknown cell"))
-            continue
-        events.append(Event(event_id, cell_id, period_id))
-    return EventSet(tuple(events)), tuple(rejected)
+    lineno = 0
+
+    def rows():
+        nonlocal lineno
+        seen: set[str] = set()
+        header = ("event_id", "cell_id", "period_id")
+        for lineno, (event_id, cell_id, period_id) in _read_table(path, header):
+            if not event_id or not cell_id or not period_id:
+                raise IngestError(path, "empty field", line=lineno)
+            if event_id in seen:
+                raise IngestError(path, f"duplicate event_id {event_id!r}", line=lineno)
+            seen.add(event_id)
+            yield event_id, cell_id, period_id
+
+    try:
+        return assign_events(grid, rows(), strict=strict)
+    except ValidationError as exc:
+        # assign_events reads rows() lazily: lineno is the offending row.
+        raise IngestError(path, str(exc), line=lineno) from exc
 
 
 def load_selections(
@@ -536,6 +534,7 @@ CONFIG_SCHEMA = (
         (lambda v: v > 0, "be positive"),
     ),
     ConfigKey("als.restrict_to_hotspots", "als_restrict_to_hotspots", _parse_bool),
+    ConfigKey("als.log_base", "als_log_base", _config_text, ("e".__eq__, "be e")),
     ConfigKey(
         "combine.score_transform",
         "score_transform",

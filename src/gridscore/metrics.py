@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .domain import (
-    CellId,
     ContingencyTable,
     EventSet,
     GridSpec,
@@ -143,9 +142,6 @@ def hit_rate_from_events(
         raise PeriodMismatchError(
             f"selection is for period {selection.period!r}, not {period!r}"
         )
-    unknown = sorted(selection.flagged - grid.cell_ids)
-    if unknown:
-        raise ValidationError(f"selection flags unknown cells: {unknown}")
     return SelectionTally.of(
         grid, selection.flagged, events.counts_by_cell(period)
     ).hit_rate
@@ -153,9 +149,6 @@ def hit_rate_from_events(
 
 def coverage_from_cells(grid: GridSpec, selection: HotspotSelection) -> float:
     """a/A from cell areas: flagged area over the grid's total area."""
-    unknown = sorted(selection.flagged - grid.cell_ids)
-    if unknown:
-        raise ValidationError(f"selection flags unknown cells: {unknown}")
     return SelectionTally.of(grid, selection.flagged, {}).coverage
 
 

@@ -338,6 +338,34 @@ class TestEvaluateCellMode:
             values[("m1", "p1", "als")], np.log(0.5), atol=1e-12
         )
 
+    def test_zero_mass_error_names_the_model(self, capsys, tmp_path):
+        (tmp_path / "cells.csv").write_text(
+            "cell_id,area_km2\nc1,1.0\nc2,1.0\n", encoding="utf-8"
+        )
+        (tmp_path / "events.csv").write_text(
+            "event_id,cell_id,period_id\ne1,c1,p1\ne2,c2,p1\n", encoding="utf-8"
+        )
+        (tmp_path / "surfaces.csv").write_text(
+            "model_id,period_id,cell_id,probability\n"
+            "m1,p1,c1,0.5\nm1,p1,c2,0.5\nm2,p1,c1,1.0\nm2,p1,c2,0.0\n",
+            encoding="utf-8",
+        )
+        conf = write_conf(tmp_path, "run.conf", "measures = als\n")
+        code, out, err = run(
+            capsys,
+            "evaluate",
+            "--cells", str(tmp_path / "cells.csv"),
+            "--events", str(tmp_path / "events.csv"),
+            "--surfaces", str(tmp_path / "surfaces.csv"),
+            "--config", conf,
+        )
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "gridscore: error: model 'm2': zero probability mass at event cell "
+            "'c2' in period 'p1'; enable a floor to score this model anyway\n"
+        )
+
     def test_no_models_is_an_error(self, capsys, tmp_path):
         (tmp_path / "cells.csv").write_text(
             "cell_id,area_km2\nc1,1.0\n", encoding="utf-8"

@@ -64,6 +64,7 @@ SINGLE_FAULTS = {
         "ppai.alpha_mode = best\n",
         "ppai.alpha_mode must be fixed, hit_rate or grid_search, got 'best'",
     ),
+    "log_base_choice": ("als.log_base = 10\n", "als.log_base must be e, got '10'"),
     "transform_choice": (
         "combine.score_transform = zscore\n",
         "combine.score_transform must be raw, standardized or rank, got 'zscore'",
@@ -168,7 +169,7 @@ def test_config_echo_is_a_fixed_point(tmp_path, text):
     """The [config] pairs, written back as a config file, load to themselves."""
     config = load_config(write(tmp_path, text))
     pairs = config.to_pairs()
-    echoed = "".join(f"{k} = {v}\n" for k, v in pairs if k != "als.log_base")
+    echoed = "".join(f"{k} = {v}\n" for k, v in pairs)
     again = load_config(write(tmp_path, echoed, "echo.conf"))
     assert again.to_pairs() == pairs
     assert again == config

@@ -11,6 +11,7 @@ from gridscore import (
     IngestError,
     ProbabilitySurface,
     ValidationError,
+    assign_events,
     coverage,
     hit_rate,
 )
@@ -113,10 +114,12 @@ class TestLoadEvents:
         grid = load_cells(w(tmp_path / "cells.csv", CELLS_CSV))
         path = w(
             tmp_path / "events.csv",
-            "event_id,cell_id,period_id\ne1,c1,p1\ne2,zz,p1\n",
+            # The first bad row is reported, not the later duplicate id.
+            "event_id,cell_id,period_id\ne1,c1,p1\ne2,zz,p1\ne1,c2,p1\n",
         )
-        with pytest.raises(IngestError, match=r"csv:3:"):
+        with pytest.raises(IngestError) as info:
             load_events(path, grid, strict=True)
+        assert str(info.value) == f"{path}:3: event 'e2' references unknown cell 'zz'"
 
     def test_unknown_cell_lenient(self, tmp_path):
         grid = load_cells(w(tmp_path / "cells.csv", CELLS_CSV))
@@ -129,6 +132,18 @@ class TestLoadEvents:
         assert len(rejected) == 1
         assert rejected[0].event_id == "e2"
         assert rejected[0].reason == "unknown cell"
+
+    def test_lenient_rejects_are_those_of_assign_events(self, tmp_path):
+        grid = load_cells(w(tmp_path / "cells.csv", CELLS_CSV))
+        rows = [("e1", "c1", "p1"), ("e2", "zz", "p1"), ("e3", "c2", "p2"),
+                ("e4", "yy", "p2"), ("e5", "zz", "p1")]
+        path = w(
+            tmp_path / "events.csv",
+            "event_id,cell_id,period_id\n" + "".join(f"{','.join(r)}\n" for r in rows),
+        )
+        loaded = load_events(path, grid, strict=False)
+        assert loaded == assign_events(grid, rows, strict=False)
+        assert [r.event_id for r in loaded[1]] == ["e2", "e4", "e5"]
 
     def test_duplicate_event_id(self, tmp_path):
         grid = load_cells(w(tmp_path / "cells.csv", CELLS_CSV))

@@ -4,6 +4,9 @@ import statistics
 
 import numpy as np
 import pytest
+import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridscore import (
     PeriodSeries,
@@ -215,6 +218,48 @@ class TestNormalApproximation:
 
         rho = np.corrcoef(to_ranks(exact_ps), to_ranks(approx_ps))[0, 1]
         assert rho > 0.9
+
+
+@st.composite
+def tie_free_pairs(draw, min_n, max_n):
+    """Pairs whose differences are non-zero with distinct magnitudes."""
+    magnitudes = draw(st.lists(
+        st.integers(min_value=1, max_value=10_000),
+        min_size=min_n, max_size=max_n, unique=True,
+    ))
+    signs = draw(st.lists(st.sampled_from((-1, 1)), min_size=len(magnitudes),
+                          max_size=len(magnitudes)))
+    bases = draw(st.lists(st.integers(min_value=-10_000, max_value=10_000),
+                          min_size=len(magnitudes), max_size=len(magnitudes)))
+    return [(float(b + s * m), float(b)) for m, s, b in zip(magnitudes, signs, bases)]
+
+
+class TestScipyOracle:
+    """W+ and the two-sided p-value against scipy.stats.wilcoxon."""
+
+    @staticmethod
+    def check(pairs, scipy_method, our_method):
+        x, y = np.array(pairs).T
+        r = wilcoxon_signed_rank(pairs)
+        assert r.method == our_method
+        assert r.n_used == len(pairs)
+        # scipy's statistic is W+ only for a one-sided test.
+        upper = scipy.stats.wilcoxon(
+            x, y, alternative="greater", method=scipy_method, correction=True
+        )
+        assert r.w_plus == upper.statistic
+        both = scipy.stats.wilcoxon(x, y, method=scipy_method, correction=True)
+        assert r.p_value == pytest.approx(both.pvalue, rel=1e-9, abs=1e-15)
+
+    @settings(max_examples=150, deadline=None)
+    @given(tie_free_pairs(1, 25))
+    def test_exact_mode(self, pairs):
+        self.check(pairs, "exact", "exact")
+
+    @settings(max_examples=150, deadline=None)
+    @given(tie_free_pairs(26, 80))
+    def test_normal_approximation_with_continuity_correction(self, pairs):
+        self.check(pairs, "approx", "normal-approximation")
 
 
 class TestBonferroni:

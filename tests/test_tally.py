@@ -1,12 +1,16 @@
-"""SelectionTally against a brute-force oracle on random grids and events."""
+"""SelectionTally and the grid and event-set indexes against brute-force
+oracles on random grids and events."""
 
 import math
+from collections import Counter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridscore import Cell, Event, EventSet, GridSpec
 from gridscore.domain import SelectionTally
+from gridscore.errors import ValidationError
 
 PERIODS = ("p1", "p2", "p3")
 
@@ -59,3 +63,25 @@ def test_tally_matches_brute_force(scenario):
     assert tally.total_area_km2 == grid.total_area_km2
     assert tally.hit_rate == (None if n_events == 0 else hits / n_events)
     assert tally.coverage == area / grid.total_area_km2
+
+
+@settings(max_examples=300, deadline=None)
+@given(scenarios(), st.data())
+def test_indexes_match_a_plain_filter(scenario, data):
+    grid, _, events, _ = scenario
+    # Built from the same events in another input order, the set is the same.
+    shuffled = EventSet(tuple(data.draw(st.permutations(events.events))))
+    assert shuffled == events
+    listed = shuffled.events
+    assert shuffled.periods() == tuple(sorted({e.period for e in listed}))
+    for period in PERIODS:  # p3 never has events
+        scoped = tuple(e for e in listed if e.period == period)
+        assert shuffled.in_period(period) == scoped
+        assert shuffled.count(period) == len(scoped)
+        assert shuffled.counts_by_cell(period) == Counter(e.cell_id for e in scoped)
+    assert shuffled.counts_by_cell() == Counter(e.cell_id for e in listed)
+
+    assert grid.cell_ids == frozenset(c.id for c in grid.cells)
+    assert all(grid.area_of(c.id) == c.area_km2 for c in grid.cells)
+    with pytest.raises(ValidationError, match="unknown cell id 'zz'"):
+        grid.area_of("zz")
