@@ -70,19 +70,49 @@ def order_units(units: Iterable[HotspotUnit]) -> tuple[HotspotUnit, ...]:
     )
 
 
+def _add_exact(partials: list[float], x: float) -> None:
+    """Add ``x`` to Shewchuk partials, keeping their sum exact.
+
+    ``partials`` are non-overlapping floats in increasing magnitude whose
+    exact sum is every value added so far: the two-sum loop inside
+    :func:`math.fsum` (Shewchuk 1997). Finite inputs whose running sums stay
+    finite are assumed.
+    """
+    i = 0
+    for y in partials:
+        if abs(x) < abs(y):
+            x, y = y, x
+        hi = x + y
+        lo = y - (hi - x)
+        if lo:
+            partials[i] = lo
+            i += 1
+        x = hi
+    partials[i:] = [x]
+
+
 def cumulative_levels(
     ordered: Sequence[HotspotUnit],
 ) -> tuple[CumulativeLevel, ...]:
-    """Running (area, crime) totals for every prefix of the ordered units."""
+    """Running (area, crime) totals for every prefix of the ordered units.
+
+    Each level's totals are the correctly rounded sums of its prefix, equal
+    bit for bit to ``math.fsum`` over that prefix. Running exact partials
+    give them in O(U) for U units rather than re-summing every prefix.
+    """
     if not ordered:
         raise ValidationError("cannot build levels from an empty unit sequence")
+    area_partials: list[float] = []
+    crime_partials: list[float] = []
     levels = []
-    for k in range(1, len(ordered) + 1):
+    for k, unit in enumerate(ordered, start=1):
+        _add_exact(area_partials, unit.area_fraction)
+        _add_exact(crime_partials, unit.crime_fraction)
         levels.append(
             CumulativeLevel(
                 prefix_len=k,
-                cum_area=math.fsum(u.area_fraction for u in ordered[:k]),
-                cum_crime=math.fsum(u.crime_fraction for u in ordered[:k]),
+                cum_area=math.fsum(area_partials),
+                cum_crime=math.fsum(crime_partials),
             )
         )
     return tuple(levels)
@@ -150,23 +180,36 @@ def optimal_alpha(
             f"{levels[0].cum_area!r}"
         )
     target = levels[target_idx]
+    alphas = _alpha_grid(grid_step)
+    # ppai's coverage check, made once instead of per (alpha, level): the
+    # call raises ppai's own error for the first level without positive area.
+    for lvl in levels:
+        if lvl.cum_area <= 0:
+            lvl.ppai(alphas[0])
+    crimes = [lvl.cum_crime for lvl in levels]
+    areas = [lvl.cum_area for lvl in levels]
 
     diagnostics = []
     valid = []
     gaps = {}
-    for alpha in _alpha_grid(grid_step):
-        scores = [lvl.ppai(alpha) for lvl in levels]
-        peak_idx = max(range(len(scores)), key=lambda i: (scores[i], -i))
+    for alpha in alphas:
+        # ppai's expression; the grid avoids its special cases at 0 and 1.
+        scores = [c / a**alpha for c, a in zip(crimes, areas)]
+        peak_idx = scores.index(max(scores))
         diagnostics.append((alpha, levels[peak_idx].prefix_len))
-        others = [s for i, s in enumerate(scores) if i != target_idx]
-        if others and not all(scores[target_idx] > s for s in others):
+        top = scores[target_idx]
+        # A target scoring above every other level is the first maximum, so
+        # the full comparison runs only for alphas that peak there.
+        if peak_idx != target_idx or not all(
+            top > s for i, s in enumerate(scores) if i != target_idx
+        ):
             continue
         valid.append(alpha)
         neighbour_gaps = []
         if target_idx > 0:
-            neighbour_gaps.append(scores[target_idx] - scores[target_idx - 1])
+            neighbour_gaps.append(top - scores[target_idx - 1])
         if target_idx + 1 < len(scores):
-            neighbour_gaps.append(scores[target_idx] - scores[target_idx + 1])
+            neighbour_gaps.append(top - scores[target_idx + 1])
         # A single-level input has no neighbours; every alpha then ties at
         # gap +inf and the smallest-alpha rule below settles it.
         gaps[alpha] = min(neighbour_gaps) if neighbour_gaps else math.inf

@@ -1,10 +1,15 @@
 import math
+import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import gridscore.cli
 from gridscore import (
     AlphaSearchError,
+    AlphaSearchResult,
     HotspotUnit,
     ValidationError,
     cumulative_levels,
@@ -12,6 +17,13 @@ from gridscore import (
     order_units,
     ppai,
 )
+from gridscore.alpha_search import (
+    TARGET_TOL,
+    CumulativeLevel,
+    _add_exact,
+    _alpha_grid,
+)
+from gridscore.ingest import load_units
 
 # Cumulative PPAI column at alpha = 0.9, as published for the 15-unit table.
 CUMULATIVE_PPAI_09 = (
@@ -173,3 +185,210 @@ class TestOptimalAlpha:
                 cumulative_levels(order_units(perm)), target_coverage=0.02
             )
             assert shuffled == base
+
+
+# Reference implementations: the quadratic prefix-fsum definition of the
+# levels and the per-(alpha, level) ppai loop of the search. The fast
+# versions must agree with them bit for bit.
+def _reference_cumulative_levels(ordered):
+    if not ordered:
+        raise ValidationError("cannot build levels from an empty unit sequence")
+    levels = []
+    for k in range(1, len(ordered) + 1):
+        levels.append(
+            CumulativeLevel(
+                prefix_len=k,
+                cum_area=math.fsum(u.area_fraction for u in ordered[:k]),
+                cum_crime=math.fsum(u.crime_fraction for u in ordered[:k]),
+            )
+        )
+    return tuple(levels)
+
+
+def _reference_optimal_alpha(levels, target_coverage, grid_step=0.01):
+    if not levels:
+        raise ValidationError("no cumulative levels supplied")
+    if not (0.0 < target_coverage < 1.0):
+        raise ValidationError(
+            f"target_coverage must lie in (0, 1), got {target_coverage!r}"
+        )
+    target_idx = None
+    for i, lvl in enumerate(levels):
+        if lvl.cum_area <= target_coverage + TARGET_TOL:
+            target_idx = i
+    if target_idx is None:
+        raise AlphaSearchError(
+            f"no cumulative level fits under target coverage "
+            f"{target_coverage!r}; the smallest level covers "
+            f"{levels[0].cum_area!r}"
+        )
+    target = levels[target_idx]
+
+    diagnostics = []
+    valid = []
+    gaps = {}
+    for alpha in _alpha_grid(grid_step):
+        scores = [lvl.ppai(alpha) for lvl in levels]
+        peak_idx = max(range(len(scores)), key=lambda i: (scores[i], -i))
+        diagnostics.append((alpha, levels[peak_idx].prefix_len))
+        others = [s for i, s in enumerate(scores) if i != target_idx]
+        if others and not all(scores[target_idx] > s for s in others):
+            continue
+        valid.append(alpha)
+        neighbour_gaps = []
+        if target_idx > 0:
+            neighbour_gaps.append(scores[target_idx] - scores[target_idx - 1])
+        if target_idx + 1 < len(scores):
+            neighbour_gaps.append(scores[target_idx] - scores[target_idx + 1])
+        gaps[alpha] = min(neighbour_gaps) if neighbour_gaps else math.inf
+
+    if not valid:
+        raise AlphaSearchError(
+            f"no alpha on the grid makes level {target.prefix_len} "
+            f"(cumulative coverage {target.cum_area!r}) the unique PPAI "
+            f"peak; see diagnostics for where each alpha peaked",
+            diagnostics=tuple(diagnostics),
+        )
+    best_gap = max(gaps[a] for a in valid)
+    alpha_star = min(a for a in valid if gaps[a] == best_gap)
+    return AlphaSearchResult(
+        alpha_star=alpha_star,
+        valid_range=(min(valid), max(valid)),
+        target_level=target,
+        per_alpha_diagnostics=tuple(diagnostics),
+    )
+
+
+TINY = 5e-324  # the smallest subnormal
+
+# Shares drawn from a few fixed values repeat, so equal units, equal areas
+# and tied PPAI scores (zero crime) are common.
+AREA_SHARES = st.one_of(
+    st.sampled_from([TINY, 1e-16, 1.0, 0.1, 0.25, 1 / 3]),
+    st.floats(min_value=TINY, max_value=1.0),
+)
+CRIME_SHARES = st.one_of(
+    st.sampled_from([0.0, TINY, 1e-16, 1.0, 0.1, 1 / 3]),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+UNITS = st.lists(st.tuples(AREA_SHARES, CRIME_SHARES), min_size=1, max_size=40).map(
+    lambda rows: [HotspotUnit(f"u{i:02d}", a, c) for i, (a, c) in enumerate(rows)]
+)
+
+
+class TestExactPrefixSums:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.floats(
+                min_value=-1e300, max_value=1e300,
+                allow_nan=False, allow_infinity=False,
+            ),
+            max_size=60,
+        )
+    )
+    @example([1e16, 1.0, -1e16])
+    @example([1.0, 1e-16, 1e-16, -1.0, TINY])
+    def test_partials_match_prefix_fsum(self, values):
+        partials = []
+        for k, x in enumerate(values, start=1):
+            _add_exact(partials, x)
+            assert math.fsum(partials).hex() == math.fsum(values[:k]).hex()
+
+    @settings(max_examples=300, deadline=None)
+    @given(UNITS)
+    @example([HotspotUnit("a", 1.0, 1.0), HotspotUnit("b", 1e-16, 1e-16)] * 3)
+    @example([HotspotUnit("a", TINY, TINY), HotspotUnit("b", 1.0, 0.0)] * 2)
+    def test_levels_are_exact_prefix_sums(self, units):
+        levels = cumulative_levels(units)
+        assert [lvl.prefix_len for lvl in levels] == list(range(1, len(units) + 1))
+        for k, lvl in enumerate(levels, start=1):
+            prefix = units[:k]
+            area = math.fsum(u.area_fraction for u in prefix)
+            crime = math.fsum(u.crime_fraction for u in prefix)
+            assert lvl.cum_area.hex() == area.hex()
+            assert lvl.cum_crime.hex() == crime.hex()
+
+
+def _outcome(search, levels, target, step):
+    try:
+        return search(levels, target, grid_step=step)
+    except AlphaSearchError as exc:
+        return ("error", str(exc), exc.diagnostics)
+
+
+class TestReferenceEquivalence:
+    @settings(max_examples=60, deadline=None)
+    @given(UNITS)
+    def test_search_matches_reference_loop(self, units):
+        levels = cumulative_levels(order_units(units))
+        targets = sorted({lvl.cum_area for lvl in levels if lvl.cum_area < 1.0})
+        for target in targets:
+            for step in (0.01, 0.02, 0.05):
+                assert _outcome(optimal_alpha, levels, target, step) == _outcome(
+                    _reference_optimal_alpha, levels, target, step
+                )
+
+    @pytest.mark.parametrize(
+        "areas",
+        [
+            (0.0, 0.01, 0.02),  # first level
+            (0.01, 0.02, 0.0, -0.5),  # later levels; the first bad one is named
+        ],
+    )
+    def test_non_positive_coverage_message(self, areas):
+        # The message ppai gave for the first non-positive level when it was
+        # called for every (alpha, level) pair.
+        levels = [
+            CumulativeLevel(k, area, 0.1 * k) for k, area in enumerate(areas, 1)
+        ]
+        with pytest.raises(ValidationError) as exc:
+            optimal_alpha(levels, target_coverage=0.015)
+        assert str(exc.value) == "PPAI needs positive coverage, got 0.0"
+        # a bad grid step is still reported first
+        with pytest.raises(ValidationError, match="grid_step"):
+            optimal_alpha(levels, target_coverage=0.015, grid_step=1.0)
+
+
+def _alpha_units_csv(n_units, seed):
+    """Units whose smallest 5% carry 10x the crime density, as CSV text."""
+    rng = random.Random(seed)
+    hot = set(rng.sample(range(n_units), n_units // 20))
+    sizes = [
+        rng.uniform(0.5, 1.0) if i in hot else rng.uniform(1.0, 3.0)
+        for i in range(n_units)
+    ]
+    weights = [
+        s * (10.0 if i in hot else 1.0) * rng.uniform(0.5, 1.5)
+        for i, s in enumerate(sizes)
+    ]
+    total_size, total_weight = math.fsum(sizes), math.fsum(weights)
+    rows = "".join(
+        f"u{i:04d},{s / total_size!r},{w / total_weight!r}\n"
+        for i, (s, w) in enumerate(zip(sizes, weights))
+    )
+    return "unit_id,area_fraction,crime_fraction\n" + rows
+
+
+def test_report_bytes_match_reference_at_2000_units(
+    tmp_path, monkeypatch, capsys
+):
+    path = tmp_path / "units.csv"
+    path.write_text(_alpha_units_csv(2000, seed=7), encoding="utf-8")
+    # Target the level where PPAI peaks at alpha = 0.5, so the search succeeds.
+    levels = _reference_cumulative_levels(
+        order_units(load_units(str(path)))
+    )
+    scores = [lvl.ppai(0.5) for lvl in levels]
+    target = levels[scores.index(max(scores))].cum_area
+    argv = ["optimize-alpha", "--units", str(path), "--target", repr(target)]
+
+    assert gridscore.cli.main(argv) == 0
+    fast = capsys.readouterr().out
+    monkeypatch.setattr(gridscore.cli, "cumulative_levels", _reference_cumulative_levels)
+    monkeypatch.setattr(gridscore.cli, "optimal_alpha", _reference_optimal_alpha)
+    assert gridscore.cli.main(argv) == 0
+    reference = capsys.readouterr().out
+    assert "[alpha]" in fast
+    assert fast.count("\n") > 2000
+    assert fast == reference
