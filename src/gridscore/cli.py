@@ -31,7 +31,7 @@ from .alpha_search import (
     optimal_alpha,
     order_units,
 )
-from .domain import EventSet, SelectionTally
+from .domain import EventSet, PeriodId, _PeriodCounts
 from .errors import (
     AlphaSearchError,
     GridscoreError,
@@ -154,7 +154,9 @@ def _measure_rows(
     utilities: Optional[combine.UtilitySpec],
 ) -> None:
     """Score each (model, period) from one tally: the selection measures,
-    the expected utility when ``utilities`` is given, and the ALS."""
+    the expected utility when ``utilities`` is given, and the ALS. A
+    period's events are counted once, on its first use, and that count is
+    shared by every model's tally of the period."""
     if dataset.grid is None:
         if utilities is not None:
             raise ValidationError(
@@ -172,6 +174,7 @@ def _measure_rows(
         raise ValidationError("cell-level evaluation needs an events file")
     scored = [m for m in config.measures if m != "als"]
     floor = config.als_floor_epsilon if config.als_floor_enabled else None
+    period_counts: dict[PeriodId, _PeriodCounts] = {}
     for model in dataset.models():
         selections = dataset.selections.get(model, {})
         surfaces = dataset.surfaces.get(model, {})
@@ -183,8 +186,11 @@ def _measure_rows(
                 tally = _UnitTally(metrics.hit_rate(chosen), metrics.coverage(chosen))
             else:
                 flagged = frozenset() if selection is None else selection.flagged
-                counts = dataset.events.counts_by_cell(period)
-                tally = SelectionTally.of(dataset.grid, flagged, counts)
+                if period not in period_counts:
+                    period_counts[period] = _PeriodCounts.of(
+                        dataset.grid, dataset.events.counts_by_cell(period)
+                    )
+                tally = period_counts[period].tally(flagged)
             rows: list[tuple[str, Optional[float]]] = []
             if selection is not None:
                 if scored and tally.hit_rate is None:

@@ -249,24 +249,7 @@ class SelectionTally:
         count towards N but are no cell of the contingency table; a flagged
         cell outside the grid is an error.
         """
-        known = grid.cell_ids
-        unknown = sorted(flagged - known)
-        if unknown:
-            raise ValidationError(f"selection flags unknown cells: {unknown}")
-        hit = counts.keys() & known
-        caught = hit & flagged
-        return cls(
-            n_events=sum(counts.values()),
-            hits=sum(counts[c] for c in caught),
-            flagged_area_km2=math.fsum(grid.area_of(c) for c in sorted(flagged)),
-            total_area_km2=grid.total_area_km2,
-            table=ContingencyTable(
-                tp=len(caught),
-                fp=len(flagged) - len(caught),
-                tn=len(grid.cells) - len(flagged | hit),
-                fn=len(hit) - len(caught),
-            ),
-        )
+        return _PeriodCounts.of(grid, counts).tally(flagged)
 
     @property
     def hit_rate(self) -> float | None:
@@ -277,6 +260,43 @@ class SelectionTally:
     def coverage(self) -> float:
         """a/A: the flagged share of the grid's area."""
         return self.flagged_area_km2 / self.total_area_km2
+
+
+@dataclass(frozen=True)
+class _PeriodCounts:
+    """What every model's tally of one period shares: the events per cell,
+    N, and the grid cells with events. Built once per period; each
+    :meth:`tally` then does only the work its flagged set needs."""
+
+    grid: GridSpec
+    counts: Mapping[CellId, int]
+    n_events: int
+    hit: frozenset[CellId]
+
+    @classmethod
+    def of(cls, grid: GridSpec, counts: Mapping[CellId, int]) -> "_PeriodCounts":
+        hit = grid.cell_ids.intersection(counts)
+        return cls(grid, counts, sum(counts.values()), hit)
+
+    def tally(self, flagged: frozenset[CellId]) -> SelectionTally:
+        """The :meth:`SelectionTally.of` of ``flagged`` against this period."""
+        grid = self.grid
+        unknown = sorted(flagged - grid.cell_ids)
+        if unknown:
+            raise ValidationError(f"selection flags unknown cells: {unknown}")
+        caught = self.hit & flagged
+        return SelectionTally(
+            n_events=self.n_events,
+            hits=sum(self.counts[c] for c in caught),
+            flagged_area_km2=math.fsum(grid.area_of(c) for c in sorted(flagged)),
+            total_area_km2=grid.total_area_km2,
+            table=ContingencyTable(
+                tp=len(caught),
+                fp=len(flagged) - len(caught),
+                tn=len(grid.cells) - len(flagged) - len(self.hit) + len(caught),
+                fn=len(self.hit) - len(caught),
+            ),
+        )
 
 
 @dataclass(frozen=True)

@@ -260,26 +260,24 @@ def load_selections(
     error, not a data-quality nuisance, so there is no lenient drop here.
     """
     flagged: dict[tuple[str, PeriodId], set[str]] = {}
-    seen: set[tuple[str, str, str]] = set()
     header = ("model_id", "period_id", "cell_id")
     for lineno, (model_id, period_id, cell_id) in _read_table(path, header):
         if not model_id or not period_id or not cell_id:
             raise IngestError(path, "empty field", line=lineno)
-        key = (model_id, period_id, cell_id)
-        if key in seen:
+        per = flagged.setdefault((model_id, period_id), set())
+        if cell_id in per:
             raise IngestError(
                 path,
                 f"duplicate selection {model_id}/{period_id}/{cell_id}",
                 line=lineno,
             )
-        seen.add(key)
         if cell_id not in known_ids:
             raise IngestError(
                 path,
                 f"model {model_id!r} flags unknown {id_kind} {cell_id!r}",
                 line=lineno,
             )
-        flagged.setdefault((model_id, period_id), set()).add(cell_id)
+        per.add(cell_id)
     out: dict[str, dict[PeriodId, HotspotSelection]] = {}
     for (model_id, period_id), cells in sorted(flagged.items()):
         out.setdefault(model_id, {})[period_id] = HotspotSelection(

@@ -10,13 +10,17 @@ The signed-rank test uses the exact null distribution of W+ whenever the
 number of non-zero differences is at most EXACT_LIMIT, computed by a
 subset-sum style dynamic program over the (doubled, hence integer)
 mid-ranks; beyond that it switches to the normal approximation with the
-usual tie-corrected variance and a continuity correction.
+usual tie-corrected variance and a continuity correction. The exact
+distribution depends only on the multiset of ranks, so the DP runs once per
+distinct multiset and later tests with the same ranks reuse its counts.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import statistics
+from array import array
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -93,6 +97,27 @@ def _midranks(abs_diffs: Sequence[float]) -> list[float]:
     return ranks
 
 
+#: Distinct rank multisets whose exact null counts are kept for reuse.
+_NULL_CACHE_SIZE = 256
+
+
+@functools.lru_cache(maxsize=_NULL_CACHE_SIZE)
+def _null_counts(doubled_ranks: tuple[int, ...]) -> array:
+    """Entry w: how many of the 2**n sign assignments give 2·W+ = w.
+
+    The counts depend only on the multiset of doubled ranks, so callers key
+    the cache by the sorted tuple. Each rank r adds the vector to itself
+    shifted by r, new[w] = old[w] + old[w − r]. Every count is below
+    2**EXACT_LIMIT, so the vector is stored as C ints, 4 bytes a count.
+    Every caller shares the cached array: read it, never write to it.
+    """
+    counts = [1]
+    for r in doubled_ranks:
+        pad = [0] * r
+        counts = [a + b for a, b in zip(counts + pad, pad + counts)]
+    return array("i", counts)
+
+
 def _exact_tail_probs(doubled_ranks: list[int], doubled_w: int) -> tuple[float, float]:
     """P(W+ <= w) and P(W+ >= w) under the exact null, via a counting DP.
 
@@ -100,14 +125,9 @@ def _exact_tail_probs(doubled_ranks: list[int], doubled_w: int) -> tuple[float, 
     of 2·W+ is a vector of subset counts. With n ranks there are 2**n
     equally likely sign assignments; the counts are exact integers and the
     final division by 2**n is exact in binary floating point for n <= 25.
+    The DP runs once per distinct rank multiset; repeats read the cache.
     """
-    total = sum(doubled_ranks)
-    counts = [0] * (total + 1)
-    counts[0] = 1
-    for r in doubled_ranks:
-        for w in range(total - r, -1, -1):
-            if counts[w]:
-                counts[w + r] += counts[w]
+    counts = _null_counts(tuple(sorted(doubled_ranks)))
     denom = 2 ** len(doubled_ranks)
     lower = sum(counts[: doubled_w + 1]) / denom
     upper = sum(counts[doubled_w:]) / denom

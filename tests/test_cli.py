@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gridscore.cli import main
+from gridscore.domain import EventSet
 
 from conftest import AREA_FRACTIONS, CRIME_FRACTIONS, MODEL_UNITS
 
@@ -587,6 +588,44 @@ class TestCompare:
         assert rows[("hit_rate", "X", "Y")] == (5, 15.0, "exact", 0.0625, 0.1875)
         assert rows[("hit_rate", "X", "Z")] == (0, 0.0, "exact", 1.0, 1.0)
         assert rows[("hit_rate", "Y", "Z")][3] == 0.0625
+
+    def test_one_event_scan_per_scored_period(self, capsys, tmp_path, monkeypatch):
+        """Every model's tally of a period shares one counts_by_cell scan."""
+        (tmp_path / "cells.csv").write_text(
+            "cell_id,area_km2\n" + "".join(f"c{i},1.0\n" for i in range(1, 5)),
+            encoding="utf-8",
+        )
+        scored = [f"p{i}" for i in range(1, 5)]
+        (tmp_path / "selections.csv").write_text(
+            "model_id,period_id,cell_id\n"
+            + "".join(f"{m},{p},{c}\n" for p in scored
+                      for m, c in (("X", "c1"), ("Y", "c2"), ("Z", "c3"))),
+            encoding="utf-8",
+        )
+        # p5 has events but no selection, so nothing scores it.
+        (tmp_path / "events.csv").write_text(
+            "event_id,cell_id,period_id\n"
+            + "".join(f"e{p}{c},{c},{p}\n" for p in scored + ["p5"]
+                      for c in ("c1", "c2", "c4")),
+            encoding="utf-8",
+        )
+        scans = []
+        counts_by_cell = EventSet.counts_by_cell
+
+        def counted(events, period=None):
+            scans.append(period)
+            return counts_by_cell(events, period)
+
+        monkeypatch.setattr(EventSet, "counts_by_cell", counted)
+        code, _, err = run(
+            capsys,
+            "compare",
+            "--cells", str(tmp_path / "cells.csv"),
+            "--events", str(tmp_path / "events.csv"),
+            "--selections", str(tmp_path / "selections.csv"),
+        )
+        assert code == 0, err
+        assert sorted(scans) == scored
 
 
 class TestOptimizeAlpha:

@@ -189,6 +189,27 @@ class TestLoadSelections:
             load_selections(path, frozenset({"c1"}))
 
     @pytest.mark.parametrize(
+        "rows, kind, message",
+        [
+            # The same cell under another model or period is no duplicate.
+            ("A,p1,c1\nA,p1,c2\nB,p1,c1\nA,p2,c1\nA,p1,c1\n", "cell",
+             "6: duplicate selection A/p1/c1"),
+            ("A,p1,c1\nA,p1,zz\n", "cell", "3: model 'A' flags unknown cell 'zz'"),
+            ("A,p1,c1\nA,p1,c1\nA,p1,zz\n", "cell", "3: duplicate selection A/p1/c1"),
+            ("A,p1,c1\nA,p1,zz\nA,p1,c1\n", "cell",
+             "3: model 'A' flags unknown cell 'zz'"),
+            ("A,p1,zz\nA,p1,zz\n", "cell", "2: model 'A' flags unknown cell 'zz'"),
+            ("A,p1,c1\nA,p1,c9\n", "unit", "3: model 'A' flags unknown unit 'c9'"),
+        ],
+    )
+    def test_first_fault_and_its_line(self, tmp_path, rows, kind, message):
+        """Single and two-fault files: the first faulty row is reported."""
+        path = w(tmp_path / "sel.csv", "model_id,period_id,cell_id\n" + rows)
+        with pytest.raises(IngestError) as info:
+            load_selections(path, frozenset({"c1", "c2"}), id_kind=kind)
+        assert str(info.value) == f"{path}:{message}"
+
+    @pytest.mark.parametrize(
         "row, field",
         [('"m,x",p1,c1', "model_id 'm,x'"), ('m1,"p\n1",c1', "period_id 'p\\n1'")],
     )

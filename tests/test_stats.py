@@ -1,6 +1,7 @@
 import itertools
 import math
 import statistics
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from gridscore import (
     summarize,
     wilcoxon_signed_rank,
 )
+from gridscore import stats
 
 
 def series(values, measure="hit_rate", model="m"):
@@ -260,6 +262,90 @@ class TestScipyOracle:
     @given(tie_free_pairs(26, 80))
     def test_normal_approximation_with_continuity_correction(self, pairs):
         self.check(pairs, "approx", "normal-approximation")
+
+
+def fraction_tails(pairs):
+    """Exact oracle: Fraction mid-ranks and all 2**n sign assignments.
+
+    Returns n_used, W+, P(W+ <= w) and P(W+ >= w), all exact.
+    """
+    diffs = [Fraction(x) - Fraction(y) for x, y in pairs if x != y]
+    mags = [abs(d) for d in diffs]
+    ranks = [
+        sum(m < a for m in mags) + Fraction(sum(m == a for m in mags) + 1, 2)
+        for a in mags
+    ]
+    w = sum((r for r, d in zip(ranks, diffs) if d > 0), Fraction(0))
+    sums = [Fraction(0)]  # W+ of every sign assignment, one entry each
+    for r in ranks:
+        sums += [s + r for s in sums]
+    denom = 2 ** len(ranks)
+    lower = Fraction(sum(s <= w for s in sums), denom)
+    upper = Fraction(sum(s >= w for s in sums), denom)
+    return len(diffs), w, lower, upper
+
+
+#: Paired values on a coarse half-step grid: ties and zero differences abound.
+half_steps = st.integers(min_value=0, max_value=8).map(lambda k: k / 2)
+tied_pairs = st.lists(st.tuples(half_steps, half_steps), min_size=1, max_size=12)
+
+
+class TestExactNullWithTies:
+    """The exact path on tied and zero differences, which the scipy oracle
+    above leaves out: against enumeration with fractions, and against the
+    in-place DP up to n = 25."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(tied_pairs)
+    def test_tails_match_enumeration(self, pairs):
+        n, w, lower, upper = fraction_tails(pairs)
+        two = wilcoxon_signed_rank(pairs)
+        one = wilcoxon_signed_rank(pairs, two_sided=False)
+        assert (two.n_used, two.method) == (n, "exact")
+        assert two.w_plus == float(w)
+        assert two.p_value == float(min(1, 2 * min(lower, upper)))
+        assert one.p_value == float(min(1, upper))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(min_value=1, max_value=52), min_size=1, max_size=25),
+        st.data(),
+    )
+    def test_counts_match_the_in_place_dp(self, doubled, data):
+        """Up to n = 25 with any ties: the cached vector against the
+        in-place subset-count DP it replaced."""
+        total = sum(doubled)
+        expected = [0] * (total + 1)
+        expected[0] = 1
+        for r in doubled:
+            for w in range(total - r, -1, -1):
+                expected[w + r] += expected[w]
+        assert list(stats._null_counts(tuple(sorted(doubled)))) == expected
+        w = data.draw(st.integers(min_value=0, max_value=total))
+        denom = 2 ** len(doubled)
+        assert stats._exact_tail_probs(doubled, w) == (
+            sum(expected[: w + 1]) / denom, sum(expected[w:]) / denom
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(tied_pairs, st.data())
+    def test_pair_order_does_not_matter(self, pairs, data):
+        shuffled = data.draw(st.permutations(pairs))
+        assert wilcoxon_signed_rank(shuffled) == wilcoxon_signed_rank(pairs)
+
+    @settings(max_examples=100, deadline=None)
+    @given(tied_pairs)
+    def test_warm_cache_equals_cold(self, pairs):
+        warm = wilcoxon_signed_rank(pairs)
+        stats._null_counts.cache_clear()
+        cold = wilcoxon_signed_rank(pairs)
+        assert warm == cold
+        if cold.n_used:
+            # The repeat reads the counts the cold call left behind.
+            assert wilcoxon_signed_rank(pairs) == cold
+            info = stats._null_counts.cache_info()
+            assert (info.misses, info.hits) == (1, 1)
+            assert info.maxsize == stats._NULL_CACHE_SIZE
 
 
 class TestBonferroni:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridscore import Cell, Event, EventSet, GridSpec
-from gridscore.domain import SelectionTally
+from gridscore.domain import SelectionTally, _PeriodCounts
 from gridscore.errors import ValidationError
 
 PERIODS = ("p1", "p2", "p3")
@@ -63,6 +63,43 @@ def test_tally_matches_brute_force(scenario):
     assert tally.total_area_km2 == grid.total_area_km2
     assert tally.hit_rate == (None if n_events == 0 else hits / n_events)
     assert tally.coverage == area / grid.total_area_km2
+
+
+@st.composite
+def shared_periods(draw):
+    """A grid, one period's events per cell and several models' flagged sets.
+
+    The counts may name cells outside the grid and may be empty (a period
+    with no events); flagged sets may be empty.
+    """
+    grid, _, _, _ = draw(scenarios())
+    ids = sorted(grid.cell_ids)
+    counts = draw(st.dictionaries(
+        st.sampled_from(ids + ["x1", "x2"]), st.integers(min_value=1, max_value=5)
+    ))
+    flagged = draw(st.lists(st.frozensets(st.sampled_from(ids)), min_size=1, max_size=6))
+    return grid, counts, flagged
+
+
+@settings(max_examples=300, deadline=None)
+@given(shared_periods())
+def test_shared_period_counts_match_a_tally_from_scratch(case):
+    grid, counts, flagged_sets = case
+    events = EventSet(tuple(
+        Event(f"e{cell}-{i}", cell, "p1") for cell, k in counts.items() for i in range(k)
+    ))
+    shared = _PeriodCounts.of(grid, counts)
+    for flagged in flagged_sets:
+        tally = shared.tally(flagged)
+        assert tally == SelectionTally.of(grid, flagged, counts)
+        n_events, hits, area, cells = oracle(grid, flagged, events, "p1")
+        t = tally.table
+        assert (tally.n_events, tally.hits, tally.flagged_area_km2) == (n_events, hits, area)
+        assert (t.tp, t.fp, t.tn, t.fn) == cells
+    # Tallying leaves the shared part as it was built.
+    assert shared == _PeriodCounts.of(grid, counts)
+    with pytest.raises(ValidationError, match=r"selection flags unknown cells: \['x1'\]"):
+        shared.tally(flagged_sets[0] | {"x1"})
 
 
 @settings(max_examples=300, deadline=None)
