@@ -235,127 +235,113 @@ def _measure_rows(
                 report.measure_rows.append((model, period, measure, value))
 
 
-def _collect_series(report: Report) -> dict[str, dict[str, list[tuple[str, float]]]]:
-    """measure → model → [(period, value)] over the defined measure rows."""
-    series: dict[str, dict[str, list[tuple[str, float]]]] = {}
+#: measure → model → period → value, over the defined measure rows.
+_Series = dict[str, dict[str, dict[PeriodId, float]]]
+#: measure → model → mean over periods.
+_Means = dict[str, dict[str, float]]
+
+
+def _collect_series(report: Report) -> _Series:
+    series: _Series = {}
     for model, period, measure, value in report.measure_rows:
-        if value is None:
-            continue
-        series.setdefault(measure, {}).setdefault(model, []).append(
-            (period, value)
-        )
-    for by_model in series.values():
-        for rows in by_model.values():
-            rows.sort()
+        if value is not None:
+            series.setdefault(measure, {}).setdefault(model, {})[period] = value
     return series
 
 
-def _summary_rows(report: Report) -> None:
-    series = _collect_series(report)
+def _summary_rows(report: Report, series: _Series) -> _Means:
+    """Fill [summary] from ``series`` and return the means."""
+    means: _Means = {}
     for measure in sorted(series):
         for model in sorted(series[measure]):
-            ps = stats.PeriodSeries(measure, model, tuple(series[measure][model]))
+            values = tuple(sorted(series[measure][model].items()))
+            ps = stats.PeriodSeries(measure, model, values)
             mean, std = stats.summarize(ps)
             report.summary_rows.append((model, measure, mean, std))
-
-
-def _measure_means(report: Report) -> dict[str, dict[str, float]]:
-    means: dict[str, dict[str, float]] = {}
-    for model, measure, mean, _ in report.summary_rows:
-        means.setdefault(measure, {})[model] = mean
+            means.setdefault(measure, {})[model] = mean
     return means
 
 
-def _combined_rows(dataset: Dataset, config: RunConfig, report: Report) -> None:
-    means = _measure_means(report)
-    if config.utilities is not None:
-        scores = means.get("expected_utility", {})
-        if len(scores) < 2:
-            raise ValidationError(
-                "expected-utility ranking needs at least two models with a "
-                "defined expected utility"
-            )
-        excluded = sorted(set(dataset.models()) - set(scores))
-        for model in excluded:
-            report.warnings.append(
-                f"model {model}: excluded from combined ranking "
-                f"(no expected utility)"
-            )
-        report.combined_rule = "expected_utility(mean over periods)"
-        ranks = combine.rank_models(scores, higher_is_better=True)
-        report.combined_rows = [
-            (model, scores[model], ranks[model]) for model in sorted(scores)
-        ]
-        return
-
-    if config.weights is not None:
-        measures = sorted(config.weights.weights)
-        eligible = None
-        for measure in measures:
-            have = set(means.get(measure, {}))
-            eligible = have if eligible is None else eligible & have
-        eligible = eligible or set()
-        if len(eligible) < 2:
-            raise ValidationError(
-                f"weighted ranking needs at least two models with every "
-                f"weighted measure defined ({', '.join(measures)})"
-            )
-        excluded = sorted(set(dataset.models()) - eligible)
-        for model in excluded:
-            report.warnings.append(
-                f"model {model}: excluded from combined ranking "
-                f"(missing a weighted measure)"
-            )
-        table: dict[str, dict[str, float]] = {}
-        for measure in measures:
-            scores = {m: means[measure][m] for m in sorted(eligible)}
-            orientation = config.orientations.get(measure, "higher")
-            if config.score_transform == "raw":
-                if orientation == "lower":
-                    raise ValidationError(
-                        f"measure {measure!r} is lower-is-better; raw "
-                        f"weighted sums would reward the wrong direction — "
-                        f"use the standardized or rank transform"
-                    )
-                table[measure] = scores
-            elif config.score_transform == "standardized":
-                z = combine.standardize(scores)
-                if orientation == "lower":
-                    z = {m: -v for m, v in z.items()}
-                table[measure] = z
-            else:  # rank
-                table[measure] = combine.rank_models(
-                    scores, higher_is_better=(orientation == "higher")
+def _weighted_sums(
+    config: RunConfig, means: _Means, eligible: list[str]
+) -> dict[str, float]:
+    """Each eligible model's weighted sum of its transformed measure means."""
+    table: dict[str, dict[str, float]] = {}
+    for measure in sorted(config.weights.weights):
+        scores = {m: means[measure][m] for m in eligible}
+        lower = config.orientations.get(measure, "higher") == "lower"
+        if config.score_transform == "raw":
+            if lower:
+                raise ValidationError(
+                    f"measure {measure!r} is lower-is-better; raw "
+                    f"weighted sums would reward the wrong direction — "
+                    f"use the standardized or rank transform"
                 )
-        aggregate = combine.weighted_aggregate(table, config.weights)
-        # Weighted ranks: small is good. Raw/standardized sums: big is good.
-        higher_better = config.score_transform != "rank"
-        ranks = combine.rank_models(aggregate, higher_is_better=higher_better)
-        report.combined_rule = f"weighted_sum({config.score_transform})"
-        report.combined_rows = [
-            (model, aggregate[model], ranks[model]) for model in sorted(aggregate)
-        ]
-        return
+            table[measure] = scores
+        elif config.score_transform == "standardized":
+            z = combine.standardize(scores)
+            table[measure] = {m: -v for m, v in z.items()} if lower else z
+        else:  # rank
+            table[measure] = combine.rank_models(scores, higher_is_better=not lower)
+    return combine.weighted_aggregate(table, config.weights)
 
-    # Neither utilities nor weights: fall back to ranking on the first
-    # requested measure's mean, so compare always states a full ordering.
-    first = config.measures[0]
-    scores = means.get(first, {})
-    if len(scores) < 2:
-        raise ValidationError(
-            f"fallback ranking on {first!r} needs at least two models with "
-            f"a defined value"
+
+def _combined_rows(
+    dataset: Dataset, config: RunConfig, report: Report, means: _Means
+) -> None:
+    """Rank the models into [combined] by the config's rule. A model is
+    eligible when every measure of the rule has a mean for it; every other
+    model is named under [warnings]."""
+    weighted = config.utilities is None and config.weights is not None
+    if config.utilities is not None:
+        measures = ["expected_utility"]
+        rule = "expected_utility(mean over periods)"
+        too_few = (
+            "expected-utility ranking needs at least two models with a "
+            "defined expected utility"
         )
-    orientation = config.orientations.get(first, "higher")
-    ranks = combine.rank_models(scores, higher_is_better=(orientation == "higher"))
-    report.combined_rule = f"rank_by_mean({first})"
-    report.combined_rows = [
-        (model, scores[model], ranks[model]) for model in sorted(scores)
-    ]
+        reason = "no expected utility"
+    elif weighted:
+        measures = sorted(config.weights.weights)
+        rule = f"weighted_sum({config.score_transform})"
+        too_few = (
+            f"weighted ranking needs at least two models with every "
+            f"weighted measure defined ({', '.join(measures)})"
+        )
+        reason = "missing a weighted measure"
+    else:
+        # Neither utilities nor weights: rank on the first requested
+        # measure's mean, so compare always states a full ordering.
+        measures = [config.measures[0]]
+        rule = f"rank_by_mean({measures[0]})"
+        too_few = (
+            f"fallback ranking on {measures[0]!r} needs at least two models "
+            f"with a defined value"
+        )
+        reason = f"no defined {measures[0]}"
+    models = set(dataset.models())
+    eligible = sorted(models.intersection(*(means.get(m, {}) for m in measures)))
+    if len(eligible) < 2:
+        raise ValidationError(too_few)
+    for model in sorted(models.difference(eligible)):
+        report.warnings.append(
+            f"model {model}: excluded from combined ranking ({reason})"
+        )
+    if weighted:
+        scores = _weighted_sums(config, means, eligible)
+        # Weighted ranks: small is good. Raw/standardized sums: big is good.
+        higher_is_better = config.score_transform != "rank"
+    else:
+        scores = {model: means[measures[0]][model] for model in eligible}
+        higher_is_better = config.orientations.get(measures[0], "higher") == "higher"
+    ranks = combine.rank_models(scores, higher_is_better)
+    report.combined_rule = rule
+    report.combined_rows = [(m, scores[m], ranks[m]) for m in sorted(scores)]
 
 
-def _wsr_rows(dataset: Dataset, config: RunConfig, report: Report) -> None:
-    series = _collect_series(report)
+def _wsr_rows(
+    dataset: Dataset, config: RunConfig, report: Report, series: _Series
+) -> None:
     models = dataset.models()
     measures = list(config.measures)
     if config.utilities is not None:
@@ -365,10 +351,10 @@ def _wsr_rows(dataset: Dataset, config: RunConfig, report: Report) -> None:
         by_model = series.get(measure, {})
         tested = []
         for i, model_a in enumerate(models):
+            a = by_model.get(model_a, {})
             for model_b in models[i + 1 :]:
-                a = dict(by_model.get(model_a, ()))
-                b = dict(by_model.get(model_b, ()))
-                shared = sorted(set(a) & set(b))
+                b = by_model.get(model_b, {})
+                shared = sorted(a.keys() & b.keys())
                 if not shared:
                     skipped.add((model_a, model_b))
                     continue
@@ -443,15 +429,16 @@ def cmd_evaluate(args) -> Report:
         raise ValidationError(
             "nothing to compute: no model has inputs for any requested measure"
         )
-    _summary_rows(report)
+    _summary_rows(report, _collect_series(report))
     return report
 
 
 def cmd_compare(args) -> Report:
     dataset, config, report = _scored_report(args, "compare")
-    _summary_rows(report)
-    _combined_rows(dataset, config, report)
-    _wsr_rows(dataset, config, report)
+    series = _collect_series(report)
+    means = _summary_rows(report, series)
+    _combined_rows(dataset, config, report, means)
+    _wsr_rows(dataset, config, report, series)
     return report
 
 

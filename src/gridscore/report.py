@@ -58,89 +58,42 @@ class Report:
     generated_files: list[str] = field(default_factory=list)
 
     def render(self) -> str:
+        """The preamble, then one ``[name]`` block per section: [config] and
+        [inputs] always, every other section only when it has rows. Rows
+        are sorted on their raw values, so numbers sort as numbers; each
+        table's leading columns identify a row, so the sort never gets as
+        far as comparing two values."""
+
+        def pairs(items: list[tuple[str, str]]) -> list[str]:
+            return [f"{key} = {value}" for key, value in sorted(items)]
+
+        def table(rows: Sequence[tuple]) -> list[str]:
+            return [",".join(map(fmt, row)) for row in sorted(rows)]
+
+        sections = [
+            ("config", [], pairs(self.config_pairs)),
+            ("inputs", [], pairs(self.inputs)),
+            ("warnings", [], sorted(self.warnings) or ["none"]),
+            ("alpha", [], pairs(self.alpha_info)),
+            ("levels", ["prefix_len,unit_id,cum_area,cum_crime,ppai_at_alpha_star"],
+             table(self.level_rows)),
+            ("measures", ["model_id,period_id,measure,value"],
+             table(self.measure_rows)),
+            ("summary", ["model_id,measure,mean,std"], table(self.summary_rows)),
+            ("combined", [f"rule = {self.combined_rule}", "model_id,score,rank"],
+             table(self.combined_rows)),
+            ("wsr", ["measure,model_a,model_b,n_used,w_plus,method,p,p_bonferroni"],
+             table(self.wsr_rows)),
+            ("files", [], sorted(self.generated_files)),
+        ]
         lines = [
             "# gridscore report",
             f"format_version = {FORMAT_VERSION}",
             f"tool_version = {__version__}",
             f"command = {self.command}",
             "",
-            "[config]",
         ]
-        for key, value in sorted(self.config_pairs):
-            lines.append(f"{key} = {value}")
-        lines.append("")
-
-        lines.append("[inputs]")
-        for key, value in sorted(self.inputs):
-            lines.append(f"{key} = {value}")
-        lines.append("")
-
-        lines.append("[warnings]")
-        if self.warnings:
-            lines.extend(sorted(self.warnings))
-        else:
-            lines.append("none")
-        lines.append("")
-
-        if self.alpha_info:
-            lines.append("[alpha]")
-            for key, value in sorted(self.alpha_info):
-                lines.append(f"{key} = {value}")
-            lines.append("")
-
-        if self.level_rows:
-            lines.append("[levels]")
-            lines.append("prefix_len,unit_id,cum_area,cum_crime,ppai_at_alpha_star")
-            for row in sorted(self.level_rows):
-                prefix_len, unit_id, cum_area, cum_crime, score = row
-                lines.append(
-                    f"{prefix_len},{unit_id},{fmt(cum_area)},"
-                    f"{fmt(cum_crime)},{fmt(score)}"
-                )
-            lines.append("")
-
-        if self.measure_rows:
-            lines.append("[measures]")
-            lines.append("model_id,period_id,measure,value")
-            for model, period, measure, value in sorted(
-                self.measure_rows, key=lambda r: (r[0], r[1], r[2])
-            ):
-                lines.append(f"{model},{period},{measure},{fmt(value)}")
-            lines.append("")
-
-        if self.summary_rows:
-            lines.append("[summary]")
-            lines.append("model_id,measure,mean,std")
-            for model, measure, mean, std in sorted(
-                self.summary_rows, key=lambda r: (r[0], r[1])
-            ):
-                lines.append(f"{model},{measure},{fmt(mean)},{fmt(std)}")
-            lines.append("")
-
-        if self.combined_rule is not None:
-            lines.append("[combined]")
-            lines.append(f"rule = {self.combined_rule}")
-            lines.append("model_id,score,rank")
-            for model, score, rank in sorted(self.combined_rows):
-                lines.append(f"{model},{fmt(score)},{fmt(rank)}")
-            lines.append("")
-
-        if self.wsr_rows:
-            lines.append("[wsr]")
-            lines.append(
-                "measure,model_a,model_b,n_used,w_plus,method,p,p_bonferroni"
-            )
-            for row in sorted(self.wsr_rows, key=lambda r: (r[0], r[1], r[2])):
-                measure, a, b, n_used, w_plus, method, p, p_adj = row
-                lines.append(
-                    f"{measure},{a},{b},{n_used},{fmt(w_plus)},{method},"
-                    f"{fmt(p)},{fmt(p_adj)}"
-                )
-            lines.append("")
-
-        if self.generated_files:
-            lines.append("[files]")
-            lines.extend(sorted(self.generated_files))
-            lines.append("")
-
+        for name, header, rows in sections:
+            if rows or name in ("config", "inputs"):
+                lines += [f"[{name}]", *header, *rows, ""]
         return "\n".join(lines)

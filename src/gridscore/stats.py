@@ -9,10 +9,11 @@ resulting p-values when several model pairs are tested at once.
 The signed-rank test uses the exact null distribution of W+ whenever the
 number of non-zero differences is at most EXACT_LIMIT, computed by a
 subset-sum style dynamic program over the (doubled, hence integer)
-mid-ranks; beyond that it switches to the normal approximation with the
-usual tie-corrected variance and a continuity correction. The exact
-distribution depends only on the multiset of ranks, so the DP runs once per
-distinct multiset and later tests with the same ranks reuse its counts.
+mid-ranks, which come from `combine.rank_models`; beyond that it switches
+to the normal approximation with the usual tie-corrected variance and a
+continuity correction. The exact distribution depends only on the
+multiset of ranks, so the DP runs once per distinct multiset and later
+tests with the same ranks reuse its counts.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from array import array
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from .combine import rank_models
 from .domain import PeriodId
 from .errors import ValidationError
 
@@ -76,25 +78,6 @@ def summarize(series: PeriodSeries) -> tuple[float, Optional[float]]:
     if len(xs) < 2:
         return mean, None
     return mean, statistics.stdev(xs)
-
-
-def _midranks(abs_diffs: Sequence[float]) -> list[float]:
-    """Ranks of |d| with ties sharing the average of the ranks they span."""
-    order = sorted(range(len(abs_diffs)), key=lambda i: abs_diffs[i])
-    ranks = [0.0] * len(abs_diffs)
-    pos = 0
-    while pos < len(order):
-        tied = [order[pos]]
-        while (
-            pos + len(tied) < len(order)
-            and abs_diffs[order[pos + len(tied)]] == abs_diffs[tied[0]]
-        ):
-            tied.append(order[pos + len(tied)])
-        mid = pos + (len(tied) + 1) / 2
-        for i in tied:
-            ranks[i] = mid
-        pos += len(tied)
-    return ranks
 
 
 #: Distinct rank multisets whose exact null counts are kept for reuse.
@@ -154,7 +137,8 @@ def wilcoxon_signed_rank(
     n = len(diffs)
     if n == 0:
         return WsrResult(n_used=0, w_plus=0.0, p_value=1.0, method="exact")
-    ranks = _midranks([abs(d) for d in diffs])
+    by_index = rank_models(dict(enumerate(map(abs, diffs))), higher_is_better=False)
+    ranks = [by_index[i] for i in range(n)]
     w_plus = math.fsum(r for r, d in zip(ranks, diffs) if d > 0)
 
     if n <= EXACT_LIMIT:

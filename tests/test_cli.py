@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from gridscore import cli
 from gridscore.cli import main
 from gridscore.domain import EventSet
 
@@ -626,6 +627,132 @@ class TestCompare:
         )
         assert code == 0, err
         assert sorted(scans) == scored
+
+
+    def test_series_collected_once(self, capsys, two_model_cell_files, monkeypatch):
+        """[summary], [combined] and [wsr] all read one collected series."""
+        root = two_model_cell_files
+        calls = []
+        collect = cli._collect_series
+        monkeypatch.setattr(
+            cli, "_collect_series", lambda report: calls.append(1) or collect(report)
+        )
+        code, _, err = run(
+            capsys,
+            "compare",
+            "--cells", str(root / "cells.csv"),
+            "--events", str(root / "events.csv"),
+            "--selections", str(root / "selections.csv"),
+        )
+        assert code == 0, err
+        assert len(calls) == 1
+
+
+class TestCombinedRules:
+    """Each ranking rule's refusals, and the models it leaves out.
+
+    Models X, Y and Z flag one cell each of one period (Z the same cell as
+    X, so they tie on every measure); S has only a surface, so no selection
+    measure or expected utility is defined for it.
+    """
+
+    EU = "eu.u_tp = 1\neu.u_fp = -0.5\neu.u_tn = 1\neu.u_fn = -1\n"
+
+    def files(self, root, models, conf):
+        (root / "cells.csv").write_text(
+            "cell_id,area_km2\n" + "".join(f"c{i},1.0\n" for i in range(1, 5)),
+            encoding="utf-8",
+        )
+        (root / "events.csv").write_text(
+            "event_id,cell_id,period_id\n"
+            "e1,c1,p1\ne2,c1,p1\ne3,c2,p1\ne4,c3,p1\n",
+            encoding="utf-8",
+        )
+        flags = {"X": "c1", "Y": "c2", "Z": "c1"}
+        (root / "selections.csv").write_text(
+            "model_id,period_id,cell_id\n"
+            + "".join(f"{m},p1,{flags[m]}\n" for m in models if m in flags),
+            encoding="utf-8",
+        )
+        (root / "surfaces.csv").write_text(
+            "model_id,period_id,cell_id,probability\n"
+            + "".join(f"S,p1,c{i},0.25\n" for i in range(1, 5)),
+            encoding="utf-8",
+        )
+        argv = ["compare", "--config", write_conf(root, "run.conf", conf)]
+        for name in ("cells", "events", "selections", "surfaces"):
+            argv += [f"--{name}", str(root / f"{name}.csv")]
+        return argv
+
+    @pytest.mark.parametrize(
+        "models, conf, message",
+        [
+            pytest.param(
+                "XS", "measures = hit_rate\n" + EU,
+                "expected-utility ranking needs at least two models with a "
+                "defined expected utility",
+                id="eu-too-few",
+            ),
+            pytest.param(
+                "XS", "measures = hit_rate\nweights.hit_rate = 1\n",
+                "weighted ranking needs at least two models with every "
+                "weighted measure defined (hit_rate)",
+                id="weights-too-few",
+            ),
+            pytest.param(
+                "XS", "measures = hit_rate\n",
+                "fallback ranking on 'hit_rate' needs at least two models "
+                "with a defined value",
+                id="fallback-too-few",
+            ),
+            pytest.param(
+                "XY", "measures = hit_rate\nweights.fpr = 0.5\n"
+                "weights.hit_rate = 0.5\n",
+                "measure 'fpr' is lower-is-better; raw weighted sums would "
+                "reward the wrong direction — use the standardized or rank "
+                "transform",
+                id="raw-lower-is-better",
+            ),
+            pytest.param(
+                "XS", "measures = hit_rate\nweights.fpr = 0.5\n"
+                "weights.hit_rate = 0.5\n",
+                "weighted ranking needs at least two models with every "
+                "weighted measure defined (fpr, hit_rate)",
+                id="raw-lower-is-better-too-few",
+            ),
+            pytest.param(
+                "XZ", "measures = hit_rate\nweights.hit_rate = 1\n"
+                "combine.score_transform = standardized\n",
+                "scores are constant across models, standardization is "
+                "undefined; rank the models instead",
+                id="standardized-constant",
+            ),
+        ],
+    )
+    def test_refusal_messages(self, capsys, tmp_path, models, conf, message):
+        code, out, err = run(capsys, *self.files(tmp_path, models, conf))
+        assert (code, out, err) == (1, "", f"gridscore: error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "conf, reason",
+        [
+            ("measures = hit_rate\n" + EU, "no expected utility"),
+            ("measures = hit_rate\nweights.hit_rate = 1\n",
+             "missing a weighted measure"),
+            ("measures = hit_rate\n", "no defined hit_rate"),
+        ],
+        ids=["eu", "weights", "fallback"],
+    )
+    def test_every_rule_names_its_excluded_models(
+        self, capsys, tmp_path, conf, reason
+    ):
+        code, out, err = run(capsys, *self.files(tmp_path, "XYS", conf))
+        assert code == 0, err
+        sections = parse_report(out)
+        assert f"model S: excluded from combined ranking ({reason})" in (
+            sections["warnings"]
+        )
+        assert [row.split(",")[0] for row in sections["combined"][2:]] == ["X", "Y"]
 
 
 class TestOptimizeAlpha:

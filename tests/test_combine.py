@@ -1,7 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridscore import (
     ContingencyTable,
@@ -247,6 +250,23 @@ class TestRankModels:
             np.testing.assert_allclose(
                 sum(ranks.values()), n * (n + 1) / 2, atol=1e-9
             )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        # A handful of distinct values over up to 12 models: ties abound.
+        st.lists(st.sampled_from([-1.5, -0.0, 0.0, 0.25, 2.0, 1e300]),
+                 min_size=1, max_size=12),
+        st.booleans(),
+    )
+    def test_matches_fraction_brute_force(self, values, higher_is_better):
+        """rank = #strictly better + (#tied, itself included, + 1) / 2."""
+        scores = {f"m{i:02d}": v for i, v in enumerate(values)}
+        ranks = rank_models(scores, higher_is_better)
+        sign = 1 if higher_is_better else -1
+        for model, v in scores.items():
+            better = sum(sign * w > sign * v for w in values)
+            tied = sum(w == v for w in values)
+            assert ranks[model] == better + Fraction(tied + 1, 2)
 
 
 class TestWeightVector:

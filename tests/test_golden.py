@@ -16,6 +16,10 @@ against one is a changed number, warning or format, not a refactoring.
 """
 
 import csv
+import os
+import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -52,6 +56,13 @@ CONFIGS = {
         "weights.precision = 0.25\n"
         "weights.ser = 0.75\n" + EU
     ),
+    "compare_weights": (
+        "measures = hit_rate\n"
+        "weights.fpr = 0.4\n"
+        "weights.hit_rate = 0.6\n"
+        "combine.score_transform = standardized\n"
+    ),
+    "compare_fallback": "measures = precision,hit_rate\n",
     "evaluate_units": (
         "measures = hit_rate,coverage,pai,ppai\n"
         "ppai.alpha_mode = grid_search\n"
@@ -155,3 +166,70 @@ def test_goldens_cover_the_scoring_edge_cases():
     assert "model everywhere period p2: expected utility undefined" in compare
     assert "expected_utility" not in text["evaluate_eu"]
     assert "[alpha]" in text["evaluate_units"] and "[levels]" in text["optimize_alpha"]
+
+
+#: Sections rendered as a header row plus comma-separated data rows.
+TABLES = ("levels", "measures", "summary", "combined", "wsr")
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_table_rows_are_as_wide_as_their_header(name):
+    sections, current = {}, None
+    for line in (GOLDEN / f"{name}.txt").read_text(encoding="utf-8").splitlines():
+        if line.startswith("["):
+            current = sections.setdefault(line.strip("[]"), [])
+        elif line and current is not None and " = " not in line:
+            current.append(line.split(","))
+    for table in TABLES:
+        header, *rows = sections.get(table) or [[]]
+        assert all(len(row) == len(header) for row in rows), (name, table)
+
+
+#: Runs whose bytes must not depend on row order or on string hashing.
+INVARIANT_RUNS = {
+    "evaluate": CONFIGS["evaluate_cells"] + EU,
+    "compare_eu": CONFIGS["compare_eu_weights"],
+    "compare_standardized": CONFIGS["compare_weights"],
+    "compare_fallback": CONFIGS["compare_fallback"],
+}
+
+RUN_ALL = """
+import sys
+from gridscore.cli import main
+root = sys.argv[1]
+for name in sys.argv[2:]:
+    command = name.partition("_")[0]
+    argv = [command, "--config", f"{root}/{name}.conf", "--out", f"{root}/{name}.txt"]
+    for kind in ("cells", "events", "selections", "surfaces"):
+        argv += [f"--{kind}", f"{root}/{kind}.csv"]
+    assert main(argv) == 0
+"""
+
+
+def test_reports_ignore_row_order_and_hash_seed(dataset, tmp_path):
+    """Each run, in a fresh interpreter with its own PYTHONHASHSEED, reads
+    the data files with their rows shuffled by that seed."""
+    reports = []
+    for seed in (0, 1, 2):
+        root = tmp_path / f"seed{seed}"
+        root.mkdir()
+        rng = random.Random(seed)
+        for kind in ("cells", "events", "selections", "surfaces"):
+            header, *rows = (dataset / "data" / f"{kind}.csv").read_text(
+                encoding="utf-8").splitlines(keepends=True)
+            rng.shuffle(rows)
+            (root / f"{kind}.csv").write_text(header + "".join(rows), encoding="utf-8")
+        for name, conf in INVARIANT_RUNS.items():
+            (root / f"{name}.conf").write_text(conf, encoding="utf-8")
+        env = dict(os.environ, PYTHONHASHSEED=str(seed),
+                   PYTHONPATH=os.pathsep.join(sys.path))
+        subprocess.run([sys.executable, "-c", RUN_ALL, str(root), *INVARIANT_RUNS],
+                       env=env, check=True)
+        reports.append({name: (root / f"{name}.txt").read_bytes()
+                        for name in INVARIANT_RUNS})
+    assert reports[0] == reports[1] == reports[2]
+    golden = {"compare_eu": "compare_eu_weights",
+              "compare_standardized": "compare_weights",
+              "compare_fallback": "compare_fallback"}
+    for name, case in golden.items():
+        assert reports[0][name] == (GOLDEN / f"{case}.txt").read_bytes()

@@ -2,6 +2,8 @@ import itertools
 import math
 import statistics
 from fractions import Fraction
+from typing import Sequence
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from gridscore import (
     PeriodSeries,
     ValidationError,
     bonferroni,
+    rank_models,
     summarize,
     wilcoxon_signed_rank,
 )
@@ -346,6 +349,56 @@ class TestExactNullWithTies:
             info = stats._null_counts.cache_info()
             assert (info.misses, info.hits) == (1, 1)
             assert info.maxsize == stats._NULL_CACHE_SIZE
+
+
+# The reference for the signed-rank test's ranks: ``stats._midranks``,
+# verbatim, as it was before ``stats`` ranked with ``combine.rank_models``.
+def _midranks(abs_diffs: Sequence[float]) -> list[float]:
+    """Ranks of |d| with ties sharing the average of the ranks they span."""
+    order = sorted(range(len(abs_diffs)), key=lambda i: abs_diffs[i])
+    ranks = [0.0] * len(abs_diffs)
+    pos = 0
+    while pos < len(order):
+        tied = [order[pos]]
+        while (
+            pos + len(tied) < len(order)
+            and abs_diffs[order[pos + len(tied)]] == abs_diffs[tied[0]]
+        ):
+            tied.append(order[pos + len(tied)])
+        mid = pos + (len(tied) + 1) / 2
+        for i in tied:
+            ranks[i] = mid
+        pos += len(tied)
+    return ranks
+
+
+class TestRanksOfDifferences:
+    """The signed-rank test ranks |d| with the shared model ranker; on tied
+    data its ranks are those of the loop it replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(tied_pairs)
+    def test_ranks_equal_the_reference(self, pairs):
+        seen = []
+
+        def spy(scores, higher_is_better=True):
+            ranks = rank_models(scores, higher_is_better)
+            seen.append((dict(scores), ranks))
+            return ranks
+
+        with mock.patch.object(stats, "rank_models", spy):
+            result = wilcoxon_signed_rank(pairs)
+        diffs = [x - y for x, y in pairs if x != y]
+        expected = _midranks([abs(d) for d in diffs])
+        if not diffs:
+            assert seen == []
+            return
+        [(scores, ranks)] = seen
+        assert scores == {i: abs(d) for i, d in enumerate(diffs)}
+        assert [ranks[i] for i in range(len(diffs))] == expected
+        assert result.w_plus == math.fsum(
+            r for r, d in zip(expected, diffs) if d > 0
+        )
 
 
 class TestBonferroni:
