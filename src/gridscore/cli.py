@@ -39,9 +39,11 @@ from .errors import (
     ZeroMassError,
 )
 from .ingest import (
+    HEADERS,
     UNIT_MEASURES,
     Dataset,
     RunConfig,
+    _os_errors,
     atomic_open,
     load_config,
     load_dataset,
@@ -390,11 +392,7 @@ def _load_run(args) -> tuple[Dataset, RunConfig]:
     else:
         config = RunConfig() if cli_strict is None else RunConfig(strict=cli_strict)
     dataset = load_dataset(
-        cells=args.cells,
-        events=args.events,
-        selections=args.selections,
-        surfaces=args.surfaces,
-        units=args.units,
+        **{kind: getattr(args, kind) for kind in HEADERS},
         strict=config.strict,
         renormalize_surfaces=args.renormalize_surfaces,
     )
@@ -496,7 +494,8 @@ def cmd_gen(args) -> Report:
         )
         surfaces["uniform"][period] = synth.uniform_surface(grid, period)
 
-    os.makedirs(args.out_dir, exist_ok=True)
+    with _os_errors(args.out_dir, "write"):
+        os.makedirs(args.out_dir, exist_ok=True)
     paths = {
         "cells.csv": lambda p: write_cells(p, grid),
         "events.csv": lambda p: write_events(p, events),
@@ -535,39 +534,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_io(p, needs_dataset=True):
-        if needs_dataset:
-            p.add_argument("--cells", help="cells file (cell_id,area_km2)")
-            p.add_argument("--events", help="events file (event_id,cell_id,period_id)")
-            p.add_argument(
-                "--selections", help="selections file (model_id,period_id,cell_id)"
-            )
-            p.add_argument(
-                "--surfaces",
-                help="surfaces file (model_id,period_id,cell_id,probability)",
-            )
-            p.add_argument(
-                "--units", help="units file (unit_id,area_fraction,crime_fraction)"
-            )
-            p.add_argument("--config", help="run configuration (key = value lines)")
-            p.add_argument(
-                "--renormalize-surfaces",
-                action="store_true",
-                help="rescale surface masses to sum to 1 instead of erroring",
-            )
-            mode = p.add_mutually_exclusive_group()
-            mode.add_argument(
-                "--strict",
-                action="store_true",
-                help="reject any invalid row (default)",
-            )
-            mode.add_argument(
-                "--lenient",
-                action="store_true",
-                help="drop and count event rows whose cell is not in the grid, "
-                "and ignore unknown config keys (listed under [warnings]), "
-                "instead of failing",
-            )
+    def add_io(p):
+        for kind, header in HEADERS.items():
+            p.add_argument(f"--{kind}", help=f"{kind} file ({','.join(header)})")
+        p.add_argument("--config", help="run configuration (key = value lines)")
+        p.add_argument(
+            "--renormalize-surfaces",
+            action="store_true",
+            help="rescale surface masses to sum to 1 instead of erroring",
+        )
+        mode = p.add_mutually_exclusive_group()
+        mode.add_argument(
+            "--strict",
+            action="store_true",
+            help="reject any invalid row (default)",
+        )
+        mode.add_argument(
+            "--lenient",
+            action="store_true",
+            help="drop and count event rows whose cell is not in the grid, "
+            "and ignore unknown config keys (listed under [warnings]), "
+            "instead of failing",
+        )
         p.add_argument("--out", help="write the report here instead of stdout")
 
     p_eval = sub.add_parser("evaluate", help="score each model per period")
@@ -611,7 +599,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        report = args.func(args)
+        text = args.func(args).render()
+        if args.out:
+            with atomic_open(args.out) as handle:
+                handle.write(text)
+        else:
+            sys.stdout.write(text)
     except AlphaSearchError as exc:
         print(f"gridscore: error: {exc}", file=sys.stderr)
         for alpha, peak in exc.diagnostics[:12]:
@@ -622,12 +615,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except GridscoreError as exc:
         print(f"gridscore: error: {exc}", file=sys.stderr)
         return 1
-    text = report.render()
-    if args.out:
-        with atomic_open(args.out) as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
     return 0
 
 

@@ -65,6 +65,15 @@ UNIT_MEASURES = ("hit_rate", "coverage", "pai", "ppai")
 #: Default orientation: is a larger value better? (fpr is the odd one out.)
 DEFAULT_ORIENTATION = {m: ("lower" if m == "fpr" else "higher") for m in MEASURE_IDS}
 
+#: The header row of each input table, by file kind.
+HEADERS = {
+    "cells": ("cell_id", "area_km2"),
+    "events": ("event_id", "cell_id", "period_id"),
+    "selections": ("model_id", "period_id", "cell_id"),
+    "surfaces": ("model_id", "period_id", "cell_id", "probability"),
+    "units": ("unit_id", "area_fraction", "crime_fraction"),
+}
+
 @dataclass(frozen=True)
 class Dataset:
     """Everything one evaluation run consumes, fully cross-validated.
@@ -147,13 +156,25 @@ class RunConfig:
         return sorted(pairs)
 
 
-def _read_table(path: str, header: Sequence[str]):
-    """Yield (line_number, row) for a CSV file, enforcing the exact header."""
+@contextlib.contextmanager
+def _os_errors(path: str, verb: str) -> Iterator[None]:
+    """Re-raise an OSError from the block as ``<path>: cannot <verb>: <why>``."""
     try:
-        handle = open(path, newline="", encoding="utf-8-sig")
+        yield
     except OSError as exc:
-        raise IngestError(path, f"cannot open: {exc.strerror or exc}") from exc
-    with handle:
+        raise IngestError(path, f"cannot {verb}: {exc.strerror or exc}") from exc
+
+
+def _open(path: str) -> TextIO:
+    """``path`` opened for reading as UTF-8 text, a byte order mark skipped."""
+    with _os_errors(path, "open"):
+        return open(path, newline="", encoding="utf-8-sig")
+
+
+def _read_table(path: str, kind: str):
+    """Yield (line_number, row) for a CSV file, enforcing its kind's header."""
+    header = HEADERS[kind]
+    with _open(path) as handle:
         reader = csv.reader(handle)
         try:
             first = next(reader)
@@ -203,23 +224,32 @@ def _parse_float(path: str, lineno: int, field_name: str, text: str) -> float:
     return value
 
 
-def load_cells(path: str) -> GridSpec:
-    cells = []
+def _load_keyed(path: str, kind: str, make: Callable[..., object]) -> tuple:
+    """An id-keyed table's rows as ``make(id, *numbers)``, in file order."""
+    id_column, *columns = HEADERS[kind]
+    numeric_fields = tuple(enumerate(columns, start=1))
+    out = []
     seen: set[str] = set()
-    for lineno, (cell_id, area_text) in _read_table(path, ("cell_id", "area_km2")):
-        if not cell_id:
-            raise IngestError(path, "empty cell_id", line=lineno)
-        if cell_id in seen:
-            raise IngestError(path, f"duplicate cell_id {cell_id!r}", line=lineno)
-        seen.add(cell_id)
-        area = _parse_float(path, lineno, "area_km2", area_text)
+    for lineno, row in _read_table(path, kind):
+        row_id = row[0]
+        if not row_id:
+            raise IngestError(path, f"empty {id_column}", line=lineno)
+        if row_id in seen:
+            raise IngestError(path, f"duplicate {id_column} {row_id!r}", line=lineno)
+        seen.add(row_id)
+        for i, column in numeric_fields:
+            row[i] = _parse_float(path, lineno, column, row[i])
         try:
-            cells.append(Cell(cell_id, area))
+            out.append(make(*row))
         except ValidationError as exc:
             raise IngestError(path, str(exc), line=lineno) from exc
-    if not cells:
-        raise IngestError(path, "no cells defined")
-    return GridSpec(cells=tuple(cells))
+    if not out:
+        raise IngestError(path, f"no {kind} defined")
+    return tuple(out)
+
+
+def load_cells(path: str) -> GridSpec:
+    return GridSpec(cells=_load_keyed(path, "cells", Cell))
 
 
 def load_events(
@@ -235,8 +265,7 @@ def load_events(
     def rows():
         nonlocal lineno
         seen: set[str] = set()
-        header = ("event_id", "cell_id", "period_id")
-        for lineno, (event_id, cell_id, period_id) in _read_table(path, header):
+        for lineno, (event_id, cell_id, period_id) in _read_table(path, "events"):
             if not event_id or not cell_id or not period_id:
                 raise IngestError(path, "empty field", line=lineno)
             if event_id in seen:
@@ -260,8 +289,7 @@ def load_selections(
     error, not a data-quality nuisance, so there is no lenient drop here.
     """
     flagged: dict[tuple[str, PeriodId], set[str]] = {}
-    header = ("model_id", "period_id", "cell_id")
-    for lineno, (model_id, period_id, cell_id) in _read_table(path, header):
+    for lineno, (model_id, period_id, cell_id) in _read_table(path, "selections"):
         if not model_id or not period_id or not cell_id:
             raise IngestError(path, "empty field", line=lineno)
         per = flagged.setdefault((model_id, period_id), set())
@@ -291,9 +319,8 @@ def load_surfaces(
 ) -> dict[str, dict[PeriodId, ProbabilitySurface]]:
     """Load per-model probability surfaces, one complete grid per period."""
     masses: dict[tuple[str, PeriodId], dict[str, float]] = {}
-    header = ("model_id", "period_id", "cell_id", "probability")
     for lineno, (model_id, period_id, cell_id, prob_text) in _read_table(
-        path, header
+        path, "surfaces"
     ):
         if not model_id or not period_id or not cell_id:
             raise IngestError(path, "empty field", line=lineno)
@@ -339,24 +366,7 @@ def load_surfaces(
 
 
 def load_units(path: str) -> tuple[HotspotUnit, ...]:
-    units = []
-    seen: set[str] = set()
-    header = ("unit_id", "area_fraction", "crime_fraction")
-    for lineno, (unit_id, area_text, crime_text) in _read_table(path, header):
-        if not unit_id:
-            raise IngestError(path, "empty unit_id", line=lineno)
-        if unit_id in seen:
-            raise IngestError(path, f"duplicate unit_id {unit_id!r}", line=lineno)
-        seen.add(unit_id)
-        area = _parse_float(path, lineno, "area_fraction", area_text)
-        crime = _parse_float(path, lineno, "crime_fraction", crime_text)
-        try:
-            units.append(HotspotUnit(unit_id, area, crime))
-        except ValidationError as exc:
-            raise IngestError(path, str(exc), line=lineno) from exc
-    if not units:
-        raise IngestError(path, "no units defined")
-    return tuple(units)
+    return _load_keyed(path, "units", HotspotUnit)
 
 
 def load_dataset(
@@ -563,11 +573,7 @@ _SCHEMA_BY_KEY = {row.key: row for row in CONFIG_SCHEMA}
 def read_config_pairs(path: str) -> dict[str, str]:
     """Raw key → value text from a config file, last assignment winning."""
     pairs: dict[str, str] = {}
-    try:
-        handle = open(path, encoding="utf-8-sig")
-    except OSError as exc:
-        raise IngestError(path, f"cannot open: {exc.strerror or exc}") from exc
-    with handle:
+    with _open(path) as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -695,52 +701,52 @@ def atomic_open(path: str) -> Iterator[TextIO]:
     """A text handle on a temporary file that replaces ``path`` on success.
 
     The file is written completely or not at all: on any exception the
-    temporary file is removed and ``path`` keeps its old contents.
+    temporary file is removed and ``path`` keeps its old contents, and an
+    OSError becomes an :class:`IngestError` naming ``path``.
     """
     tmp = f"{path}.{os.urandom(4).hex()}.tmp"
-    handle = open(tmp, "x", newline="", encoding="utf-8")
-    try:
-        with handle:
-            yield handle
-        os.replace(tmp, path)
-    except BaseException:
-        os.remove(tmp)
-        raise
+    with _os_errors(path, "write"):
+        handle = open(tmp, "x", newline="", encoding="utf-8")
+        try:
+            with handle:
+                yield handle
+            os.replace(tmp, path)
+        except BaseException:
+            os.remove(tmp)
+            raise
 
 
-def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence[str]]):
+def _write_csv(path: str, kind: str, rows: Iterable[Sequence[str]]):
     with atomic_open(path) as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
+        writer.writerow(HEADERS[kind])
         for row in rows:
             writer.writerow(row)
 
 
 def write_cells(path: str, grid: GridSpec) -> None:
-    _write_csv(
-        path,
-        ("cell_id", "area_km2"),
-        ((c.id, repr(c.area_km2)) for c in sorted(grid.cells, key=lambda c: c.id)),
-    )
+    _write_csv(path, "cells", ((c.id, repr(c.area_km2)) for c in grid.cells))
 
 
 def write_events(path: str, events: EventSet) -> None:
     _write_csv(
-        path,
-        ("event_id", "cell_id", "period_id"),
-        ((e.event_id, e.cell_id, e.period) for e in events.events),
+        path, "events", ((e.event_id, e.cell_id, e.period) for e in events.events)
     )
 
 
 def write_selections(
     path: str, selections: Mapping[str, Mapping[PeriodId, HotspotSelection]]
 ) -> None:
+    """Write one row per flagged cell, sorted by model, period and cell.
+
+    An empty selection has no rows, so it does not survive a write.
+    """
     rows = []
     for model_id in sorted(selections):
         for period_id in sorted(selections[model_id]):
             for cell_id in sorted(selections[model_id][period_id].flagged):
                 rows.append((model_id, period_id, cell_id))
-    _write_csv(path, ("model_id", "period_id", "cell_id"), rows)
+    _write_csv(path, "selections", rows)
 
 
 def write_surfaces(
@@ -752,15 +758,12 @@ def write_surfaces(
             mass = surfaces[model_id][period_id].mass
             for cell_id in sorted(mass):
                 rows.append((model_id, period_id, cell_id, repr(mass[cell_id])))
-    _write_csv(path, ("model_id", "period_id", "cell_id", "probability"), rows)
+    _write_csv(path, "surfaces", rows)
 
 
 def write_units(path: str, units: Sequence[HotspotUnit]) -> None:
     _write_csv(
         path,
-        ("unit_id", "area_fraction", "crime_fraction"),
-        (
-            (u.id, repr(u.area_fraction), repr(u.crime_fraction))
-            for u in sorted(units, key=lambda u: u.id)
-        ),
+        "units",
+        ((u.id, repr(u.area_fraction), repr(u.crime_fraction)) for u in units),
     )

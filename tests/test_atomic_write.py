@@ -1,8 +1,9 @@
-"""A write that fails partway leaves the old file and no temporary file."""
+"""A write that fails partway leaves the old file and no temporary file,
+and a target that cannot be written is an error naming it."""
 
 import pytest
 
-from gridscore import Event, EventSet
+from gridscore import Event, EventSet, IngestError
 from gridscore.cli import main
 from gridscore.ingest import write_events
 from gridscore.report import Report
@@ -43,3 +44,54 @@ def test_successful_write_replaces_the_file(tmp_path):
     write_events(str(path), EventSet((Event("e1", "c1", "p1"),)))
     assert path.read_text(encoding="utf-8") == "event_id,cell_id,period_id\ne1,c1,p1\n"
     assert [p.name for p in tmp_path.iterdir()] == ["events.csv"]
+
+
+def units_file(tmp_path):
+    path = tmp_path / "units.csv"
+    path.write_text(
+        "unit_id,area_fraction,crime_fraction\nu1,0.5,0.7\nu2,0.5,0.3\n",
+        encoding="utf-8",
+    )
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "out, reason",
+    [("missing/report.txt", "No such file or directory"), ("taken", "Is a directory")],
+    ids=["missing-directory", "out-is-a-directory"],
+)
+def test_unwritable_out_is_an_error(tmp_path, capsys, out, reason):
+    (tmp_path / "taken").mkdir()
+    (tmp_path / "taken" / "keep.txt").write_text("kept\n", encoding="utf-8")
+    target = str(tmp_path / out)
+    code = main(["optimize-alpha", "--units", units_file(tmp_path), "--target", "0.5",
+                 "--out", target])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"gridscore: error: {target}: cannot write: {reason}\n"
+    # No temporary file is left behind, and the directory keeps its contents.
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken", "units.csv"]
+    assert [p.name for p in (tmp_path / "taken").iterdir()] == ["keep.txt"]
+
+
+def test_out_dir_that_is_a_file_is_an_error(tmp_path, capsys):
+    config = tmp_path / "gen.conf"
+    config.write_text("gen.cells = 4\ngen.periods = 2\n", encoding="utf-8")
+    out_dir = tmp_path / "data"
+    out_dir.write_text("not a directory\n", encoding="utf-8")
+    code = main(["gen", "--config", str(config), "--out-dir", str(out_dir)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"gridscore: error: {out_dir}: cannot write: File exists\n"
+    assert out_dir.read_text(encoding="utf-8") == "not a directory\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "gen.conf"]
+
+
+def test_writer_into_a_missing_directory_is_an_error(tmp_path):
+    path = str(tmp_path / "missing" / "events.csv")
+    with pytest.raises(IngestError) as info:
+        write_events(path, EventSet((Event("e1", "c1", "p1"),)))
+    assert str(info.value) == f"{path}: cannot write: No such file or directory"
+    assert list(tmp_path.iterdir()) == []

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from gridscore.errors import IngestError
-from gridscore.ingest import CONFIG_SCHEMA, MEASURE_IDS, load_config
+from gridscore.ingest import CONFIG_SCHEMA, HEADERS, MEASURE_IDS, load_config
 
 from test_golden import CONFIGS as GOLDEN_CONFIGS
 from test_golden import GEN_CONF
@@ -193,6 +193,17 @@ def test_readme_table_lists_exactly_the_schema_keys():
     assert len(keys) == len(set(keys))
     assert {row.key for row in CONFIG_SCHEMA} == set(keys) - families
     assert families <= set(keys)
+
+
+def test_readme_input_table_lists_exactly_the_headers():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Input files", 1)[1].split("\n## ", 1)[0]
+    rows = []
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) == 2 and cells[1].startswith("`"):
+            rows.append((cells[0], tuple(cells[1].strip("`").split(","))))
+    assert rows == list(HEADERS.items())
 
 
 def test_readme_defaults_are_what_the_report_echoes(tmp_path):

@@ -1,5 +1,11 @@
+import os
+import string
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridscore import (
     Cell,
@@ -99,6 +105,49 @@ class TestLoadCells:
         path = w(tmp_path / "cells.csv", "\ufeff" + CELLS_CSV)
         assert [c.id for c in load_cells(path).cells] == ["c1", "c2", "c3"]
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("c1,1.0\n,2.0\n", "3: empty cell_id"),
+            ("c1,1.0\nc1,2.0\n", "3: duplicate cell_id 'c1'"),
+            ("c1,wide\n", "2: area_km2 is not a number: 'wide'"),
+            ("c1,inf\n", "2: area_km2 must be finite, got 'inf'"),
+            ("c1,nan\n", "2: area_km2 must be finite, got 'nan'"),
+            ("c1,0\n", "2: cell 'c1': area must be a positive finite number, got 0.0"),
+            ("c1,-1.5\n", "2: cell 'c1': area must be a positive finite number, got -1.5"),
+            ("", " no cells defined"),
+            # Two faults: the first bad row wins, and within a row the id
+            # is checked before the number.
+            ("c1,1.0\nc1,wide\n", "3: duplicate cell_id 'c1'"),
+            ("c1,wide\nc1,1.0\n", "2: area_km2 is not a number: 'wide'"),
+            ("c1,0\n,1.0\n", "2: cell 'c1': area must be a positive finite number, got 0.0"),
+            ("c1,1.0\nc2,-1\nc1,1.0\n",
+             "3: cell 'c2': area must be a positive finite number, got -1.0"),
+        ],
+    )
+    def test_first_fault_and_its_line(self, tmp_path, rows, message):
+        path = w(tmp_path / "cells.csv", "cell_id,area_km2\n" + rows)
+        with pytest.raises(IngestError) as info:
+            load_cells(path)
+        assert str(info.value) == f"{path}:{message}"
+
+
+@pytest.mark.parametrize(
+    "loader",
+    [load_cells, load_units, lambda p: load_events(p, GridSpec((Cell("c1", 1.0),)))],
+    ids=["cells", "units", "events"],
+)
+@pytest.mark.parametrize(
+    "target, reason",
+    [("nope.csv", "No such file or directory"), (".", "Is a directory")],
+    ids=["missing", "directory"],
+)
+def test_unopenable_input(tmp_path, loader, target, reason):
+    path = str(tmp_path / target)
+    with pytest.raises(IngestError) as info:
+        loader(path)
+    assert str(info.value) == f"{path}: cannot open: {reason}"
+
 
 class TestLoadEvents:
     def test_good_file(self, tmp_path):
@@ -153,6 +202,34 @@ class TestLoadEvents:
         )
         with pytest.raises(IngestError, match="duplicate event_id"):
             load_events(path, grid)
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("e1,c1,p1\n,c2,p1\n", "3: empty field"),
+            ("e1,,p1\n", "2: empty field"),
+            ("e1,c1,\n", "2: empty field"),
+            ("e1,c1,p1\ne1,c2,p2\n", "3: duplicate event_id 'e1'"),
+            ("e1,zz,p1\n", "2: event 'e1' references unknown cell 'zz'"),
+            ("e1,c1,p1,x\n", "2: expected 3 fields, found 4"),
+            # Two faults: the first bad row wins, and within a row the
+            # duplicate id is found before the unknown cell.
+            ("e1,c1,p1\ne1,zz,p1\n", "3: duplicate event_id 'e1'"),
+            ("e1,zz,p1\ne1,c1,p1\n", "2: event 'e1' references unknown cell 'zz'"),
+            ("e1,c1,p1\ne2,c1,\ne2,zz,p1\n", "3: empty field"),
+        ],
+    )
+    def test_first_fault_and_its_line(self, tmp_path, rows, message):
+        grid = load_cells(w(tmp_path / "cells.csv", CELLS_CSV))
+        path = w(tmp_path / "events.csv", "event_id,cell_id,period_id\n" + rows)
+        with pytest.raises(IngestError) as info:
+            load_events(path, grid)
+        assert str(info.value) == f"{path}:{message}"
+
+    def test_header_only_file_has_no_events(self, tmp_path):
+        grid = load_cells(w(tmp_path / "cells.csv", CELLS_CSV))
+        path = w(tmp_path / "events.csv", "event_id,cell_id,period_id\n")
+        assert load_events(path, grid) == (EventSet(()), ())
 
 
 class TestLoadSelections:
@@ -297,6 +374,36 @@ class TestLoadUnits:
         text = "unit_id,area_fraction,crime_fraction\nu1,1.7,0.2\n"
         with pytest.raises(IngestError):
             load_units(w(tmp_path / "units.csv", text))
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("u1,0.1,0.2\n,0.1,0.2\n", "3: empty unit_id"),
+            ("u1,0.1,0.2\nu1,0.1,0.2\n", "3: duplicate unit_id 'u1'"),
+            ("u1,wide,0.2\n", "2: area_fraction is not a number: 'wide'"),
+            ("u1,0.1,lots\n", "2: crime_fraction is not a number: 'lots'"),
+            ("u1,inf,0.2\n", "2: area_fraction must be finite, got 'inf'"),
+            ("u1,0.1,-inf\n", "2: crime_fraction must be finite, got '-inf'"),
+            ("u1,1.7,0.2\n", "2: unit 'u1': area_fraction must be in (0, 1], got 1.7"),
+            ("u1,0,0.2\n", "2: unit 'u1': area_fraction must be in (0, 1], got 0.0"),
+            ("u1,0.1,-0.1\n",
+             "2: unit 'u1': crime_fraction must be in [0, 1], got -0.1"),
+            ("", " no units defined"),
+            # Two faults: the first bad row wins; within a row the id comes
+            # first, then the fields in header order, then the ranges.
+            ("u1,0.1,0.2\nu1,x,y\n", "3: duplicate unit_id 'u1'"),
+            ("u1,x,y\n", "2: area_fraction is not a number: 'x'"),
+            ("u1,2,nan\n", "2: crime_fraction must be finite, got 'nan'"),
+            ("u1,2,-1\n", "2: unit 'u1': area_fraction must be in (0, 1], got 2.0"),
+            ("u1,0.1,0.2\nu2,0.1,2\n,0.1,0.2\n",
+             "3: unit 'u2': crime_fraction must be in [0, 1], got 2.0"),
+        ],
+    )
+    def test_first_fault_and_its_line(self, tmp_path, rows, message):
+        path = w(tmp_path / "units.csv", "unit_id,area_fraction,crime_fraction\n" + rows)
+        with pytest.raises(IngestError) as info:
+            load_units(path)
+        assert str(info.value) == f"{path}:{message}"
 
 
 class TestLoadDataset:
@@ -568,3 +675,96 @@ class TestWriters:
         path = str(tmp_path / "units.csv")
         write_units(path, units)
         assert load_units(path) == units
+
+
+# Ids the formats carry unchanged: no comma, line break or surrounding space.
+SAFE_IDS = st.text(string.ascii_letters + string.digits + "_-.", min_size=1, max_size=6)
+
+
+def finite_floats(low, high, **bounds):
+    return st.floats(low, high, allow_nan=False, allow_infinity=False,
+                     allow_subnormal=True, **bounds)
+
+
+@st.composite
+def grids(draw):
+    # Areas up to 1e300 keep the grid's summed area finite.
+    ids = draw(st.lists(SAFE_IDS, min_size=1, max_size=8, unique=True))
+    area = finite_floats(0.0, 1e300, exclude_min=True)
+    return GridSpec(tuple(Cell(cell_id, draw(area)) for cell_id in ids))
+
+
+def by_model_and_period(draw, make):
+    """A non-empty model -> period -> make(period) mapping."""
+    periods = st.lists(SAFE_IDS, min_size=1, max_size=3, unique=True)
+    return {
+        model_id: {period: make(period) for period in draw(periods)}
+        for model_id in draw(st.lists(SAFE_IDS, min_size=1, max_size=3, unique=True))
+    }
+
+
+def round_trip(write, load, obj):
+    """``obj`` written to a fresh file and loaded back."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "table.csv")
+        write(path, obj)
+        return load(path)
+
+
+class TestRoundTripProperties:
+    """load(write(x)) == x for every valid object of each file type."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(grids())
+    def test_cells(self, grid):
+        assert round_trip(write_cells, load_cells, grid) == grid
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_events(self, data):
+        grid = data.draw(grids())
+        cell = st.sampled_from([c.id for c in grid.cells])
+        ids = data.draw(st.lists(SAFE_IDS, max_size=10, unique=True))
+        events = EventSet(tuple(
+            Event(event_id, data.draw(cell), data.draw(SAFE_IDS)) for event_id in ids
+        ))
+        loaded = round_trip(write_events, lambda p: load_events(p, grid), events)
+        assert loaded == (events, ())
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_selections(self, data):
+        grid = data.draw(grids())
+        flagged = st.frozensets(st.sampled_from([c.id for c in grid.cells]), min_size=1)
+        selections = by_model_and_period(
+            data.draw, lambda period: HotspotSelection(period, data.draw(flagged))
+        )
+        loaded = round_trip(
+            write_selections, lambda p: load_selections(p, grid.cell_ids), selections
+        )
+        assert loaded == selections
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_surfaces(self, data):
+        grid = data.draw(grids())
+        ids = [c.id for c in grid.cells]
+        weights = st.lists(finite_floats(0.0, 1.0), min_size=len(ids), max_size=len(ids))
+        positive = weights.filter(lambda ws: sum(ws) > 0)
+        surfaces = by_model_and_period(
+            data.draw,
+            lambda period: ProbabilitySurface.renormalized(
+                period, dict(zip(ids, data.draw(positive)))
+            ),
+        )
+        loaded = round_trip(write_surfaces, lambda p: load_surfaces(p, grid), surfaces)
+        assert loaded == surfaces
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_units(self, data):
+        ids = data.draw(st.lists(SAFE_IDS, min_size=1, max_size=8, unique=True))
+        area = finite_floats(0.0, 1.0, exclude_min=True)
+        crime = finite_floats(0.0, 1.0)
+        units = tuple(HotspotUnit(u, data.draw(area), data.draw(crime)) for u in ids)
+        assert round_trip(write_units, load_units, units) == units
