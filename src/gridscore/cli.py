@@ -22,7 +22,7 @@ import argparse
 import dataclasses
 import os
 import sys
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import __version__, combine, metrics, stats, synth
 from .alpha_search import (
@@ -40,7 +40,6 @@ from .errors import (
 )
 from .ingest import (
     HEADERS,
-    UNIT_MEASURES,
     Dataset,
     RunConfig,
     _os_errors,
@@ -48,11 +47,13 @@ from .ingest import (
     load_config,
     load_dataset,
     load_units,
+    staged_files,
     write_cells,
     write_events,
     write_selections,
     write_surfaces,
 )
+from .metrics import MEASURES, UNIT_MEASURES
 from .report import FORMAT_VERSION, Report, fmt
 
 
@@ -127,27 +128,6 @@ class _UnitTally(NamedTuple):
     coverage: float
 
 
-#: Each selection measure as one formula on a (model, period)'s tally and
-#: the PPAI alpha of its row. Units mode has only hit_rate and coverage.
-_FORMULAS: dict[str, Callable[..., Optional[float]]] = {
-    "accuracy": lambda t, _: metrics.rates_from_contingency(t.table).accuracy,
-    "coverage": lambda t, _: t.coverage,
-    "fpr": lambda t, _: metrics.rates_from_contingency(t.table).fpr,
-    "hit_rate": lambda t, _: t.hit_rate,
-    "npv": lambda t, _: metrics.rates_from_contingency(t.table).npv,
-    "pai": lambda t, _: (
-        None if t.hit_rate is None else metrics.pai(t.hit_rate, t.coverage)
-    ),
-    "ppai": lambda t, alpha: (
-        None if t.hit_rate is None else metrics.ppai(t.hit_rate, t.coverage, alpha)
-    ),
-    "precision": lambda t, _: metrics.rates_from_contingency(t.table).ppv,
-    "sensitivity": lambda t, _: metrics.rates_from_contingency(t.table).sensitivity,
-    "ser": lambda t, _: metrics.ser(t.hits, t.coverage * t.total_area_km2),
-    "specificity": lambda t, _: metrics.rates_from_contingency(t.table).specificity,
-}
-
-
 def _measure_rows(
     dataset: Dataset,
     config: RunConfig,
@@ -174,7 +154,7 @@ def _measure_rows(
         units = dataset.units_by_id()
     elif dataset.events is None:
         raise ValidationError("cell-level evaluation needs an events file")
-    scored = [m for m in config.measures if m != "als"]
+    scored = [m for m in config.measures if MEASURES[m].formula is not None]
     floor = config.als_floor_epsilon if config.als_floor_enabled else None
     period_counts: dict[PeriodId, _PeriodCounts] = {}
     for model in dataset.models():
@@ -200,7 +180,7 @@ def _measure_rows(
                         f"{where}: no events, event-level rates undefined"
                     )
                 alpha = tally.hit_rate if global_alpha is None else global_alpha
-                rows += [(m, _FORMULAS[m](tally, alpha)) for m in scored]
+                rows += [(m, MEASURES[m].formula(tally, alpha)) for m in scored]
             if selection is not None and utilities is not None:
                 try:
                     rates = combine.conditional_rates(tally.table)
@@ -415,6 +395,10 @@ def _scored_report(args, command: str) -> tuple[Dataset, RunConfig, Report]:
         report.warnings.append(
             f"{len(dataset.rejected)} event rows dropped (unknown cells)"
         )
+    if args.renormalize_surfaces and dataset.surfaces:
+        report.warnings.append(
+            "surface masses renormalized to sum to 1 (--renormalize-surfaces)"
+        )
     global_alpha = _resolve_global_alpha(config, dataset, report)
     utilities = config.utilities if command == "compare" else None
     _measure_rows(dataset, config, report, global_alpha, utilities)
@@ -496,14 +480,15 @@ def cmd_gen(args) -> Report:
 
     with _os_errors(args.out_dir, "write"):
         os.makedirs(args.out_dir, exist_ok=True)
-    paths = {
+    writers = {
         "cells.csv": lambda p: write_cells(p, grid),
         "events.csv": lambda p: write_events(p, events),
         "selections.csv": lambda p: write_selections(p, selections),
         "surfaces.csv": lambda p: write_surfaces(p, surfaces),
     }
-    for name in sorted(paths):
-        paths[name](os.path.join(args.out_dir, name))
+    with staged_files(args.out_dir, sorted(writers)) as staged:
+        for name, path in staged.items():
+            writers[name](path)
 
     report = Report(command="gen")
     report.config_pairs = [
@@ -518,7 +503,7 @@ def cmd_gen(args) -> Report:
         ("seed", str(spec.seed)),
     ]
     report.warnings += _ignored_keys(config)
-    report.generated_files = sorted(paths)
+    report.generated_files = sorted(writers)
     return report
 
 

@@ -60,6 +60,7 @@ class IngestError(GridscoreError):
 
     def __init__(self, path: str, message: str, line: int | None = None):
         self.path = str(path)
+        self.reason = message
         self.line = line
         where = f"{path}:{line}" if line is not None else str(path)
         super().__init__(f"{where}: {message}")

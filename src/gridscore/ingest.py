@@ -21,8 +21,11 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import errno
 import math
 import os
+import shutil
+import tempfile
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TextIO
 
@@ -39,31 +42,15 @@ from .domain import (
     assign_events,
 )
 from .errors import IngestError, ValidationError
-from .metrics import HotspotUnit
+from .metrics import MEASURES, HotspotUnit
 from .report import fmt
 from .synth import GeneratorSpec
 
 #: Every measure the toolkit can compute, by report/config identifier.
-MEASURE_IDS = (
-    "accuracy",
-    "als",
-    "coverage",
-    "fpr",
-    "hit_rate",
-    "npv",
-    "pai",
-    "ppai",
-    "precision",
-    "sensitivity",
-    "ser",
-    "specificity",
-)
+MEASURE_IDS = tuple(MEASURES)
 
-#: Measures computable from a pre-aggregated units table (no grid needed).
-UNIT_MEASURES = ("hit_rate", "coverage", "pai", "ppai")
-
-#: Default orientation: is a larger value better? (fpr is the odd one out.)
-DEFAULT_ORIENTATION = {m: ("lower" if m == "fpr" else "higher") for m in MEASURE_IDS}
+#: Default orientation: which direction of each measure is better.
+DEFAULT_ORIENTATION = {m: row.better for m, row in MEASURES.items()}
 
 #: The header row of each input table, by file kind.
 HEADERS = {
@@ -714,6 +701,37 @@ def atomic_open(path: str) -> Iterator[TextIO]:
         except BaseException:
             os.remove(tmp)
             raise
+
+
+@contextlib.contextmanager
+def staged_files(directory: str, names: Sequence[str]) -> Iterator[dict[str, str]]:
+    """A staging path for each of the files ``names`` of ``directory``.
+
+    They replace their targets only once the block completes, so on any
+    exception no target changes. A target that is a directory is refused up
+    front, and errors name targets, not staging paths.
+    """
+    targets = [os.path.join(directory, name) for name in names]
+    for path in targets:
+        if os.path.isdir(path):
+            raise IngestError(path, f"cannot write: {os.strerror(errno.EISDIR)}")
+    # A directory that takes no files fails on the first one.
+    with _os_errors(targets[0], "write"):
+        staging = tempfile.mkdtemp(prefix=".staging-", dir=directory)
+    staged = [os.path.join(staging, name) for name in names]
+    try:
+        try:
+            yield dict(zip(names, staged))
+        except IngestError as exc:
+            if exc.path not in staged:
+                raise
+            target = targets[staged.index(exc.path)]
+            raise IngestError(target, exc.reason, exc.line) from exc
+        for source, target in zip(staged, targets):
+            with _os_errors(target, "write"):
+                os.replace(source, target)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
 
 
 def _write_csv(path: str, kind: str, rows: Iterable[Sequence[str]]):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .domain import (
     ContingencyTable,
@@ -247,3 +247,40 @@ def als(
             raise ZeroMassError(e.cell_id, period)
         logs.append(math.log(mass))
     return math.fsum(logs) / len(logs)
+
+
+@dataclass(frozen=True)
+class Measure:
+    """One measure: its formula over a (model, period)'s tally and the row's
+    PPAI alpha, None for ``als``, which is scored from a surface; and which
+    direction is better, "higher" or "lower"."""
+
+    formula: Optional[Callable[..., Optional[float]]]
+    better: str = "higher"
+
+
+#: Every measure by its report and config id. Units mode's tally has only
+#: hit_rate and coverage.
+MEASURES = {
+    "accuracy": Measure(lambda t, _: rates_from_contingency(t.table).accuracy),
+    "als": Measure(None),
+    "coverage": Measure(lambda t, _: t.coverage),
+    "fpr": Measure(lambda t, _: rates_from_contingency(t.table).fpr, "lower"),
+    "hit_rate": Measure(lambda t, _: t.hit_rate),
+    "npv": Measure(lambda t, _: rates_from_contingency(t.table).npv),
+    "pai": Measure(
+        lambda t, _: None if t.hit_rate is None else pai(t.hit_rate, t.coverage)
+    ),
+    "ppai": Measure(
+        lambda t, alpha: (
+            None if t.hit_rate is None else ppai(t.hit_rate, t.coverage, alpha)
+        )
+    ),
+    "precision": Measure(lambda t, _: rates_from_contingency(t.table).ppv),
+    "sensitivity": Measure(lambda t, _: rates_from_contingency(t.table).sensitivity),
+    "ser": Measure(lambda t, _: ser(t.hits, t.flagged_area_km2)),
+    "specificity": Measure(lambda t, _: rates_from_contingency(t.table).specificity),
+}
+
+#: Measures computable from a pre-aggregated units table (no grid needed).
+UNIT_MEASURES = ("hit_rate", "coverage", "pai", "ppai")

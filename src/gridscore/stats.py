@@ -22,6 +22,7 @@ import functools
 import math
 import statistics
 from array import array
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -147,13 +148,8 @@ def wilcoxon_signed_rank(
         method = "exact"
     else:
         mean = n * (n + 1) / 4
-        tie_term = 0.0
-        seen: dict[float, int] = {}
-        for d in diffs:
-            seen[abs(d)] = seen.get(abs(d), 0) + 1
-        for a in sorted(seen):
-            t = seen[a]
-            tie_term += (t**3 - t) / 48
+        # Equal |d| share one mid-rank, so the ranks' counts are the tie sizes.
+        tie_term = sum((t**3 - t) / 48 for _, t in sorted(Counter(ranks).items()))
         var = n * (n + 1) * (2 * n + 1) / 24 - tie_term
         if var <= 0:
             return WsrResult(n, w_plus, 1.0, "normal-approximation")

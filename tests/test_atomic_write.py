@@ -1,9 +1,12 @@
 """A write that fails partway leaves the old file and no temporary file,
 and a target that cannot be written is an error naming it."""
 
+import errno
+import os
+
 import pytest
 
-from gridscore import Event, EventSet, IngestError
+from gridscore import Event, EventSet, IngestError, cli, ingest
 from gridscore.cli import main
 from gridscore.ingest import write_events
 from gridscore.report import Report
@@ -95,3 +98,34 @@ def test_writer_into_a_missing_directory_is_an_error(tmp_path):
         write_events(path, EventSet((Event("e1", "c1", "p1"),)))
     assert str(info.value) == f"{path}: cannot write: No such file or directory"
     assert list(tmp_path.iterdir()) == []
+
+
+def full_disk(path, surfaces):
+    """A surfaces writer that runs out of space partway."""
+    with ingest.atomic_open(path) as handle:
+        handle.write("model_id,")
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("fault", ["surfaces-is-a-directory", "disk-full-on-surfaces"])
+def test_gen_writes_its_files_as_a_set(tmp_path, capsys, monkeypatch, fault):
+    config = tmp_path / "gen.conf"
+    config.write_text("gen.cells = 4\ngen.periods = 2\n", encoding="utf-8")
+    out_dir = tmp_path / "data"
+    out_dir.mkdir()
+    (out_dir / "cells.csv").write_text("old cells\n", encoding="utf-8")
+    if fault == "surfaces-is-a-directory":
+        (out_dir / "surfaces.csv").mkdir()
+        reason = "Is a directory"
+    else:
+        monkeypatch.setattr(cli, "write_surfaces", full_disk)
+        reason = "No space left on device"
+    before = sorted(p.name for p in out_dir.iterdir())
+    code = main(["gen", "--config", str(config), "--out-dir", str(out_dir)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    target = out_dir / "surfaces.csv"
+    assert captured.err == f"gridscore: error: {target}: cannot write: {reason}\n"
+    assert (out_dir / "cells.csv").read_text(encoding="utf-8") == "old cells\n"
+    assert sorted(p.name for p in out_dir.iterdir()) == before

@@ -183,14 +183,17 @@ class TestEvaluateUnitsMode:
         self, capsys, units_files, tmp_path
     ):
         units, sel, _ = units_files
-        conf = write_conf(tmp_path, "run.conf", "measures = precision\n")
+        conf = write_conf(tmp_path, "run.conf", "measures = hit_rate,als,ser\n")
         code, out, err = run(
             capsys,
             "evaluate", "--units", units, "--selections", sel, "--config", conf,
         )
         assert code == 1
         assert out == ""
-        assert "cell-level" in err
+        assert err == (
+            "gridscore: error: measures als, ser need cell-level data; a "
+            "units-only dataset supports hit_rate, coverage, pai, ppai\n"
+        )
 
     def test_report_written_to_file(self, capsys, units_files, tmp_path):
         units, sel, _ = units_files
@@ -340,6 +343,65 @@ class TestEvaluateCellMode:
             values[("m1", "p1", "als")], np.log(0.5), atol=1e-12
         )
 
+    def test_ser_is_hits_per_flagged_km2(self, capsys, tmp_path):
+        # Coverage times total area, 0.7 / 9.1 * 9.1, is 0.7000000000000001.
+        (tmp_path / "cells.csv").write_text(
+            "cell_id,area_km2\na,0.7\nb,8.4\n", encoding="utf-8"
+        )
+        (tmp_path / "events.csv").write_text(
+            "event_id,cell_id,period_id\n"
+            + "".join(f"e{i},a,p1\n" for i in range(5)),
+            encoding="utf-8",
+        )
+        (tmp_path / "selections.csv").write_text(
+            "model_id,period_id,cell_id\nm1,p1,a\n", encoding="utf-8"
+        )
+        conf = write_conf(tmp_path, "run.conf", "measures = ser\n")
+        code, out, _ = run(
+            capsys,
+            "evaluate",
+            "--cells", str(tmp_path / "cells.csv"),
+            "--events", str(tmp_path / "events.csv"),
+            "--selections", str(tmp_path / "selections.csv"),
+            "--config", conf,
+        )
+        assert code == 0
+        assert "m1,p1,ser,7.142857142857143" in parse_report(out)["measures"]
+
+    def test_renormalized_surfaces_are_named_in_the_report(self, capsys, tmp_path):
+        (tmp_path / "cells.csv").write_text(
+            "cell_id,area_km2\nc1,1.0\nc2,1.0\n", encoding="utf-8"
+        )
+        (tmp_path / "events.csv").write_text(
+            "event_id,cell_id,period_id\ne1,c1,p1\n", encoding="utf-8"
+        )
+        conf = write_conf(tmp_path, "run.conf", "measures = als\n")
+        reports = {}
+        for name, masses in (("scaled", (0.6, 0.6)), ("normalized", (0.5, 0.5))):
+            surfaces = tmp_path / f"{name}.csv"
+            surfaces.write_text(
+                "model_id,period_id,cell_id,probability\n"
+                f"m1,p1,c1,{masses[0]}\nm1,p1,c2,{masses[1]}\n",
+                encoding="utf-8",
+            )
+            code, out, _ = run(
+                capsys,
+                "evaluate",
+                "--cells", str(tmp_path / "cells.csv"),
+                "--events", str(tmp_path / "events.csv"),
+                "--surfaces", str(surfaces),
+                "--config", conf,
+                *(["--renormalize-surfaces"] if name == "scaled" else []),
+            )
+            assert code == 0
+            reports[name] = parse_report(out)
+        scaled, normalized = reports["scaled"], reports["normalized"]
+        assert scaled["measures"] == normalized["measures"]
+        assert normalized["warnings"] == ["none"]
+        assert scaled["warnings"] == [
+            "surface masses renormalized to sum to 1 (--renormalize-surfaces)"
+        ]
+
     def test_zero_mass_error_names_the_model(self, capsys, tmp_path):
         (tmp_path / "cells.csv").write_text(
             "cell_id,area_km2\nc1,1.0\nc2,1.0\n", encoding="utf-8"
@@ -383,6 +445,17 @@ class TestEvaluateCellMode:
         )
         assert code == 1
         assert "no models" in err
+
+    def test_cell_mode_needs_events(self, capsys, two_model_cell_files):
+        root = two_model_cell_files
+        code, out, err = run(
+            capsys,
+            "evaluate",
+            "--cells", str(root / "cells.csv"),
+            "--selections", str(root / "selections.csv"),
+        )
+        assert (code, out) == (1, "")
+        assert err == "gridscore: error: cell-level evaluation needs an events file\n"
 
 
 class TestCompare:
@@ -545,7 +618,10 @@ class TestCompare:
             "compare", "--units", units, "--selections", sel, "--config", conf,
         )
         assert code == 1
-        assert "cell-level" in err
+        assert err == (
+            "gridscore: error: expected utility needs cell-level data (a "
+            "contingency table), not a pre-aggregated units table\n"
+        )
 
     def test_wilcoxon_over_shared_periods(self, capsys, tmp_path):
         # X strictly beats Y in all five periods; Z ties X everywhere.

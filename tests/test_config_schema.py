@@ -206,6 +206,17 @@ def test_readme_input_table_lists_exactly_the_headers():
     assert rows == list(HEADERS.items())
 
 
+def test_readme_measure_table_lists_exactly_the_measures():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Measures", 1)[1].split("\n## ", 1)[0]
+    ids = []
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) == 2 and cells[0].startswith("`"):
+            ids.append(cells[0].strip("`"))
+    assert sorted(ids) == sorted(MEASURE_IDS)
+
+
 def test_readme_defaults_are_what_the_report_echoes(tmp_path):
     # gen.* keys are echoed only with a generator; gen.top_k = 1 makes one
     # while leaving every other gen.* key at its default.

@@ -23,6 +23,7 @@ from gridscore import (
 )
 from gridscore.ingest import (
     DEFAULT_ORIENTATION,
+    MEASURE_IDS,
     RunConfig,
     load_cells,
     load_config,
@@ -589,6 +590,14 @@ class TestLoadConfig:
         assert all(
             v == "higher" for k, v in DEFAULT_ORIENTATION.items() if k != "fpr"
         )
+
+    def test_measure_ids_keep_their_order(self):
+        # The "unknown measures ... (known: ...)" error lists them so.
+        assert MEASURE_IDS == (
+            "accuracy", "als", "coverage", "fpr", "hit_rate", "npv",
+            "pai", "ppai", "precision", "sensitivity", "ser", "specificity",
+        )
+        assert tuple(DEFAULT_ORIENTATION) == MEASURE_IDS
 
     def test_bad_transform(self, tmp_path):
         path = w(tmp_path / "run.conf", "combine.score_transform = zscore\n")

@@ -401,6 +401,60 @@ class TestRanksOfDifferences:
         )
 
 
+
+# The reference for the normal approximation's tie correction:
+# ``wilcoxon_signed_rank``'s normal branch, verbatim, as it was when it
+# counted tied |d| in a dict of its own.
+def _old_normal_approximation(pairs):
+    diffs = [x - y for x, y in pairs if x != y]
+    n = len(diffs)
+    ranks = _midranks([abs(d) for d in diffs])
+    w_plus = math.fsum(r for r, d in zip(ranks, diffs) if d > 0)
+    mean = n * (n + 1) / 4
+    tie_term = 0.0
+    seen: dict[float, int] = {}
+    for d in diffs:
+        seen[abs(d)] = seen.get(abs(d), 0) + 1
+    for a in sorted(seen):
+        t = seen[a]
+        tie_term += (t**3 - t) / 48
+    var = n * (n + 1) * (2 * n + 1) / 24 - tie_term
+    if var <= 0:
+        return stats.WsrResult(n, w_plus, 1.0, "normal-approximation")
+    sd = math.sqrt(var)
+    norm = statistics.NormalDist()
+    lower = norm.cdf((w_plus + 0.5 - mean) / sd)
+    upper = 1.0 - norm.cdf((w_plus - 0.5 - mean) / sd)
+    p = min(1.0, 2.0 * min(lower, upper))
+    return stats.WsrResult(n, w_plus, p, "normal-approximation")
+
+
+#: 26 to 90 non-zero differences on six magnitudes: every draw has ties.
+tied_large_pairs = st.lists(
+    st.tuples(
+        st.integers(min_value=1, max_value=6),
+        st.sampled_from((-1, 1)),
+        st.integers(min_value=-5, max_value=5),
+    ),
+    min_size=26,
+    max_size=90,
+).map(lambda rows: [(float(b + s * m), float(b)) for m, s, b in rows])
+
+
+class TestNormalApproximationWithTies:
+    """Tied |d| beyond the exact limit, which the scipy oracle's tie-free
+    draws leave out."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(tied_large_pairs)
+    def test_tie_correction(self, pairs):
+        result = wilcoxon_signed_rank(pairs)
+        assert result == _old_normal_approximation(pairs)
+        np.testing.assert_allclose(
+            result.p_value, normal_approx_p(pairs), rtol=0, atol=1e-12
+        )
+        TestScipyOracle.check(pairs, "approx", "normal-approximation")
+
 class TestBonferroni:
     def test_scales_by_family_size(self):
         assert bonferroni([0.01, 0.04]) == [0.02, 0.08]
