@@ -707,9 +707,10 @@ def atomic_open(path: str) -> Iterator[TextIO]:
 def staged_files(directory: str, names: Sequence[str]) -> Iterator[dict[str, str]]:
     """A staging path for each of the files ``names`` of ``directory``.
 
-    They replace their targets only once the block completes, so on any
-    exception no target changes. A target that is a directory is refused up
-    front, and errors name targets, not staging paths.
+    They replace their targets one by one, and only once the block completes,
+    so no target changes unless every file was written completely. A target
+    that is a directory is refused up front, and errors name targets, not
+    staging paths.
     """
     targets = [os.path.join(directory, name) for name in names]
     for path in targets:

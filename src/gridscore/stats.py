@@ -149,7 +149,7 @@ def wilcoxon_signed_rank(
     else:
         mean = n * (n + 1) / 4
         # Equal |d| share one mid-rank, so the ranks' counts are the tie sizes.
-        tie_term = sum((t**3 - t) / 48 for _, t in sorted(Counter(ranks).items()))
+        tie_term = sum((t**3 - t) / 48 for t in Counter(ranks).values())
         var = n * (n + 1) * (2 * n + 1) / 24 - tie_term
         if var <= 0:
             return WsrResult(n, w_plus, 1.0, "normal-approximation")

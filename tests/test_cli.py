@@ -183,7 +183,28 @@ class TestEvaluateUnitsMode:
         self, capsys, units_files, tmp_path
     ):
         units, sel, _ = units_files
-        conf = write_conf(tmp_path, "run.conf", "measures = hit_rate,als,ser\n")
+        conf = write_conf(tmp_path, "run.conf", "measures = precision\n")
+        code, out, err = run(
+            capsys,
+            "evaluate", "--units", units, "--selections", sel, "--config", conf,
+        )
+        assert code == 1
+        assert out == ""
+        assert "cell-level" in err
+
+    @pytest.mark.parametrize(
+        "measures, refused",
+        [
+            ("precision", "precision"),
+            ("hit_rate,als,ser", "als, ser"),
+            ("hit_rate,precision,als,ser", "precision, als, ser"),
+        ],
+    )
+    def test_units_mode_refusal_names_the_cell_measures(
+        self, capsys, units_files, tmp_path, measures, refused
+    ):
+        units, sel, _ = units_files
+        conf = write_conf(tmp_path, "run.conf", f"measures = {measures}\n")
         code, out, err = run(
             capsys,
             "evaluate", "--units", units, "--selections", sel, "--config", conf,
@@ -191,7 +212,7 @@ class TestEvaluateUnitsMode:
         assert code == 1
         assert out == ""
         assert err == (
-            "gridscore: error: measures als, ser need cell-level data; a "
+            f"gridscore: error: measures {refused} need cell-level data; a "
             "units-only dataset supports hit_rate, coverage, pai, ppai\n"
         )
 
