@@ -34,6 +34,7 @@ from .alpha_search import (
 from .domain import EventSet, PeriodId, _PeriodCounts
 from .errors import (
     AlphaSearchError,
+    DegenerateScoresError,
     GridscoreError,
     ValidationError,
     ZeroMassError,
@@ -164,8 +165,15 @@ def _measure_rows(
             where = f"model {model} period {period}"
             selection = selections.get(period)
             if dataset.grid is None:
-                chosen = [units[uid] for uid in sorted(selection.flagged)]
-                tally = _UnitTally(metrics.hit_rate(chosen), metrics.coverage(chosen))
+                chosen = [units[uid] for uid in selection.flagged]
+                try:
+                    tally = _UnitTally(
+                        metrics.hit_rate(chosen), metrics.coverage(chosen)
+                    )
+                except ValidationError as exc:
+                    raise GridscoreError(
+                        f"model {model!r} period {period!r}: {exc}"
+                    ) from exc
             else:
                 flagged = frozenset() if selection is None else selection.flagged
                 if period not in period_counts:
@@ -261,7 +269,10 @@ def _weighted_sums(
                 )
             table[measure] = scores
         elif config.score_transform == "standardized":
-            z = combine.standardize(scores)
+            try:
+                z = combine.standardize(scores)
+            except DegenerateScoresError as exc:
+                raise GridscoreError(f"measure {measure!r}: {exc}") from exc
             table[measure] = {m: -v for m, v in z.items()} if lower else z
         else:  # rank
             table[measure] = combine.rank_models(scores, higher_is_better=not lower)

@@ -94,7 +94,7 @@ class WeightVector:
                 raise ValidationError(
                     f"weight for {mid!r} must be positive, got {weights[mid]!r}"
                 )
-        total = math.fsum(weights[mid] for mid in sorted(weights))
+        total = math.fsum(weights.values())
         if abs(total - 1.0) > _SUM_TOL:
             raise ValidationError(f"weights sum to {total!r}, not 1")
 

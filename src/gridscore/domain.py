@@ -175,13 +175,13 @@ class ProbabilitySurface:
         object.__setattr__(self, "mass", mass)
         if not mass:
             raise ValidationError("a probability surface needs at least one cell")
-        for cid in sorted(mass):
-            m = mass[cid]
-            if not (math.isfinite(m) and 0.0 <= m <= 1.0):
-                raise ValidationError(
-                    f"surface mass for cell {cid!r} is {m!r}, outside [0, 1]"
-                )
-        total = math.fsum(mass[cid] for cid in sorted(mass))
+        bad = [c for c, m in mass.items() if not (math.isfinite(m) and 0.0 <= m <= 1.0)]
+        if bad:
+            cid = min(bad)
+            raise ValidationError(
+                f"surface mass for cell {cid!r} is {mass[cid]!r}, outside [0, 1]"
+            )
+        total = math.fsum(mass.values())
         if abs(total - 1.0) > MASS_ATOL:
             raise ValidationError(
                 f"surface masses sum to {total!r}, not 1 within {MASS_ATOL}"
@@ -192,7 +192,7 @@ class ProbabilitySurface:
         cls, period: PeriodId, mass: Mapping[CellId, float]
     ) -> "ProbabilitySurface":
         """Build a surface from non-negative weights, scaling them to sum 1."""
-        total = math.fsum(mass[cid] for cid in sorted(mass))
+        total = math.fsum(mass.values())
         if total <= 0:
             raise ValidationError("cannot renormalize: masses sum to zero")
         return cls(period, {cid: m / total for cid, m in mass.items()})
@@ -288,7 +288,7 @@ class _PeriodCounts:
         return SelectionTally(
             n_events=self.n_events,
             hits=sum(self.counts[c] for c in caught),
-            flagged_area_km2=math.fsum(grid.area_of(c) for c in sorted(flagged)),
+            flagged_area_km2=math.fsum(grid.area_of(c) for c in flagged),
             total_area_km2=grid.total_area_km2,
             table=ContingencyTable(
                 tp=len(caught),

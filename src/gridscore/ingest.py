@@ -332,8 +332,9 @@ def load_surfaces(
         per[cell_id] = prob
     out: dict[str, dict[PeriodId, ProbabilitySurface]] = {}
     for (model_id, period_id), mass in sorted(masses.items()):
-        missing = sorted(grid.cell_ids - set(mass))
-        if missing:
+        # Every row names a known cell once: a short surface misses some.
+        if len(mass) < len(grid.cells):
+            missing = sorted(grid.cell_ids.difference(mass))
             raise IngestError(
                 path,
                 f"surface {model_id}/{period_id} misses {len(missing)} cells "
@@ -461,6 +462,9 @@ def _config_measures(path: str, key: str, text: str) -> tuple[str, ...]:
             path,
             f"unknown measures: {', '.join(bad)} (known: {', '.join(MEASURE_IDS)})",
         )
+    repeated = [m for i, m in enumerate(parsed) if m in parsed[:i]]
+    if repeated:
+        raise IngestError(path, f"{key}: {repeated[0]} listed twice")
     return parsed
 
 
@@ -685,32 +689,29 @@ def load_config(path: str, cli_strict: Optional[bool] = None) -> RunConfig:
 
 @contextlib.contextmanager
 def atomic_open(path: str) -> Iterator[TextIO]:
-    """A text handle on a temporary file that replaces ``path`` on success.
-
-    The file is written completely or not at all: on any exception the
-    temporary file is removed and ``path`` keeps its old contents, and an
-    OSError becomes an :class:`IngestError` naming ``path``.
+    """A text handle on a staged copy of ``path``: :func:`staged_files` for
+    one file, so ``path`` is written completely or not at all, by the same
+    target rules. An OSError becomes an :class:`IngestError` naming ``path``.
     """
-    tmp = f"{path}.{os.urandom(4).hex()}.tmp"
-    with _os_errors(path, "write"):
-        handle = open(tmp, "x", newline="", encoding="utf-8")
-        try:
-            with handle:
-                yield handle
-            os.replace(tmp, path)
-        except BaseException:
-            os.remove(tmp)
-            raise
+    name = os.path.basename(path)
+    # The directory part keeps its trailing slashes: errors name ``path``.
+    with staged_files(path[: len(path) - len(name)], [name]) as staged:
+        with _os_errors(path, "write"), open(
+            staged[name], "x", newline="", encoding="utf-8"
+        ) as handle:
+            yield handle
 
 
 @contextlib.contextmanager
 def staged_files(directory: str, names: Sequence[str]) -> Iterator[dict[str, str]]:
     """A staging path for each of the files ``names`` of ``directory``.
 
-    They replace their targets one by one, and only once the block completes,
-    so no target changes unless every file was written completely. A target
-    that is a directory is refused up front, and errors name targets, not
-    staging paths.
+    They are staged in a directory inside ``directory``, removed when the
+    block ends, and replace their targets only once the block completes, so
+    no target changes unless every file was written completely. A target
+    that is a directory, or a link to one, is refused before anything is
+    written; a link to a file is replaced, not written through. Errors name
+    targets, not staging paths.
     """
     targets = [os.path.join(directory, name) for name in names]
     for path in targets:

@@ -106,7 +106,7 @@ def rates_from_contingency(t: ContingencyTable) -> RateSet:
 
 
 def _fraction_sum(units: Iterable[HotspotUnit], attr: str, what: str) -> float:
-    rows = sorted(units, key=lambda u: u.id)
+    rows = list(units)
     if not rows:
         raise ValidationError(f"cannot compute {what} of an empty unit selection")
     total = math.fsum(getattr(u, attr) for u in rows)

@@ -129,3 +129,73 @@ def test_gen_writes_its_files_as_a_set(tmp_path, capsys, monkeypatch, fault):
     assert captured.err == f"gridscore: error: {target}: cannot write: {reason}\n"
     assert (out_dir / "cells.csv").read_text(encoding="utf-8") == "old cells\n"
     assert sorted(p.name for p in out_dir.iterdir()) == before
+
+
+def test_out_as_a_bare_file_name(tmp_path, capsys, monkeypatch):
+    units = units_file(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    code = main(["optimize-alpha", "--units", units, "--target", "0.5",
+                 "--out", "report.txt"])
+    assert (code, capsys.readouterr().err) == (0, "")
+    assert (tmp_path / "report.txt").read_text(encoding="utf-8").startswith(
+        "# gridscore report\n"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.txt", "units.csv"]
+
+
+def test_out_linked_to_a_directory_is_refused(tmp_path, capsys):
+    units = units_file(tmp_path)
+    (tmp_path / "taken").mkdir()
+    (tmp_path / "taken" / "keep.txt").write_text("kept\n", encoding="utf-8")
+    link = tmp_path / "report.txt"
+    link.symlink_to(tmp_path / "taken", target_is_directory=True)
+    code = main(["optimize-alpha", "--units", units, "--target", "0.5",
+                 "--out", str(link)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == f"gridscore: error: {link}: cannot write: Is a directory\n"
+    assert os.readlink(link) == str(tmp_path / "taken")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.txt", "taken", "units.csv"]
+    assert [p.name for p in (tmp_path / "taken").iterdir()] == ["keep.txt"]
+
+
+def test_out_linked_to_a_file_replaces_the_link(tmp_path, capsys):
+    units = units_file(tmp_path)
+    other = tmp_path / "other.txt"
+    other.write_text("other\n", encoding="utf-8")
+    link = tmp_path / "report.txt"
+    link.symlink_to(other)
+    code = main(["optimize-alpha", "--units", units, "--target", "0.5",
+                 "--out", str(link)])
+    assert (code, capsys.readouterr().err) == (0, "")
+    assert not link.is_symlink()
+    assert link.read_text(encoding="utf-8").startswith("# gridscore report\n")
+    assert other.read_text(encoding="utf-8") == "other\n"
+
+
+def test_gen_target_linked_to_a_directory_is_refused(tmp_path, capsys):
+    config = tmp_path / "gen.conf"
+    config.write_text("gen.cells = 4\ngen.periods = 2\n", encoding="utf-8")
+    out_dir = tmp_path / "data"
+    out_dir.mkdir()
+    (tmp_path / "taken").mkdir()
+    (out_dir / "events.csv").symlink_to(tmp_path / "taken", target_is_directory=True)
+    code = main(["gen", "--config", str(config), "--out-dir", str(out_dir)])
+    captured = capsys.readouterr()
+    target = out_dir / "events.csv"
+    assert (code, captured.out) == (1, "")
+    assert captured.err == f"gridscore: error: {target}: cannot write: Is a directory\n"
+    assert [p.name for p in out_dir.iterdir()] == ["events.csv"]
+    assert os.readlink(target) == str(tmp_path / "taken")
+    assert list((tmp_path / "taken").iterdir()) == []
+
+
+def test_a_writer_that_raises_leaves_no_staging_directory(tmp_path):
+    (tmp_path / "a.csv").write_text("old a\n", encoding="utf-8")
+    with pytest.raises(RuntimeError):
+        with ingest.staged_files(str(tmp_path), ["a.csv", "b.csv"]) as staged:
+            with open(staged["a.csv"], "w", encoding="utf-8") as handle:
+                handle.write("new a\n")
+            raise RuntimeError("writer failed")
+    assert [p.name for p in tmp_path.iterdir()] == ["a.csv"]
+    assert (tmp_path / "a.csv").read_text(encoding="utf-8") == "old a\n"

@@ -216,6 +216,25 @@ class TestEvaluateUnitsMode:
             "units-only dataset supports hit_rate, coverage, pai, ppai\n"
         )
 
+    def test_fraction_sum_above_one_names_the_model_and_period(
+        self, capsys, tmp_path
+    ):
+        units = write_conf(
+            tmp_path,
+            "units.csv",
+            "unit_id,area_fraction,crime_fraction\nu1,0.5,0.7\nu2,0.5,0.6\n",
+        )
+        sel = write_conf(
+            tmp_path, "sel.csv", "model_id,period_id,cell_id\nA,p1,u1\nA,p2,u1\nA,p2,u2\n"
+        )
+        code, out, err = run(capsys, "evaluate", "--units", units, "--selections", sel)
+        assert (code, out) == (1, "")
+        assert err == (
+            "gridscore: error: model 'A' period 'p2': hit rate of selected units "
+            "sums to 1.2999999999999998 > 1; the units overlap or their fractions "
+            "are inconsistent\n"
+        )
+
     def test_report_written_to_file(self, capsys, units_files, tmp_path):
         units, sel, _ = units_files
         out_path = tmp_path / "report.txt"
@@ -450,6 +469,21 @@ class TestEvaluateCellMode:
             "gridscore: error: model 'm2': zero probability mass at event cell "
             "'c2' in period 'p1'; enable a floor to score this model anyway\n"
         )
+
+    def test_repeated_measure_is_refused(self, capsys, tmp_path):
+        """A measure listed twice would list its rows twice."""
+        cells = write_conf(tmp_path, "cells.csv", "cell_id,area_km2\na,1\nb,1\nc,1\n")
+        events = write_conf(
+            tmp_path, "events.csv", "event_id,cell_id,period_id\ne1,a,p1\ne2,b,p1\ne3,c,p1\n"
+        )
+        sel = write_conf(tmp_path, "sel.csv", "model_id,period_id,cell_id\nA,p1,a\nB,p1,b\n")
+        conf = write_conf(tmp_path, "run.conf", "measures = hit_rate,hit_rate,als\n")
+        code, out, err = run(
+            capsys, "evaluate", "--cells", cells, "--events", events,
+            "--selections", sel, "--config", conf,
+        )
+        assert (code, out) == (1, "")
+        assert err == f"gridscore: error: {conf}: measures: hit_rate listed twice\n"
 
     def test_no_models_is_an_error(self, capsys, tmp_path):
         (tmp_path / "cells.csv").write_text(
@@ -820,8 +854,8 @@ class TestCombinedRules:
             pytest.param(
                 "XZ", "measures = hit_rate\nweights.hit_rate = 1\n"
                 "combine.score_transform = standardized\n",
-                "scores are constant across models, standardization is "
-                "undefined; rank the models instead",
+                "measure 'hit_rate': scores are constant across models, "
+                "standardization is undefined; rank the models instead",
                 id="standardized-constant",
             ),
         ],

@@ -205,6 +205,12 @@ class TestProbabilitySurface:
         with pytest.raises(ValidationError):
             ProbabilitySurface(period="p1", mass={"a": 1.5, "b": -0.5})
 
+    def test_out_of_range_error_names_the_smallest_cell_id(self):
+        mass = {"d": 0.25, "c": float("nan"), "e": 2.0, "b": -0.5, "a": 0.25}
+        with pytest.raises(ValidationError) as info:
+            ProbabilitySurface(period="p1", mass=mass)
+        assert str(info.value) == "surface mass for cell 'b' is -0.5, outside [0, 1]"
+
     def test_renormalized(self):
         surface = ProbabilitySurface.renormalized("p1", {"a": 2.0, "b": 6.0})
         assert surface.mass["a"] == pytest.approx(0.25)

@@ -354,6 +354,38 @@ class TestLoadSurfaces:
         with pytest.raises(IngestError, match="duplicate surface"):
             load_surfaces(w(tmp_path / "s.csv", text), grid)
 
+    @pytest.mark.parametrize(
+        "rows, renormalize, message",
+        [
+            ("m1,p1,c1,1.0\nm1,p1,,0.5\n", False, "3: empty field"),
+            ("m1,p1,zz,1.0\n", False, "2: model 'm1' assigns mass to unknown cell 'zz'"),
+            ("m1,p1,c1,half\n", False, "2: probability is not a number: 'half'"),
+            ("m1,p1,c1,inf\n", False, "2: probability must be finite, got 'inf'"),
+            ("m1,p1,c1,-0.2\n", False, "2: probability must be non-negative, got -0.2"),
+            ("m1,p1,c1,0.5\nm1,p1,c2,0.5\nm1,p1,c1,0.5\n", False,
+             "4: duplicate surface entry m1/p1/c1"),
+            # Surfaces are checked whole in (model, period) order, after
+            # every row has been read.
+            ("m2,p1,c1,1.0\nm1,p1,c3,1.0\n", False,
+             " surface m1/p1 misses 2 cells (first: 'c1')"),
+            ("m1,p1,c1,0.5\nm1,p1,c2,0.3\nm1,p1,c3,0.3\n", False,
+             " surface m1/p1: surface masses sum to 1.1, not 1 within 1e-06"),
+            ("m1,p1,c1,0\nm1,p1,c2,0\nm1,p1,c3,0\n", True,
+             " surface m1/p1: cannot renormalize: masses sum to zero"),
+            # Two faults in one row: the probability is read before the
+            # duplicate check, and the cell is checked before the probability.
+            ("m1,p1,c1,0.5\nm1,p1,c1,-1\n", False,
+             "3: probability must be non-negative, got -1.0"),
+            ("m1,p1,zz,half\n", False, "2: model 'm1' assigns mass to unknown cell 'zz'"),
+        ],
+    )
+    def test_first_fault_and_its_line(self, tmp_path, rows, renormalize, message):
+        grid = load_cells(w(tmp_path / "cells.csv", CELLS_CSV))
+        path = w(tmp_path / "s.csv", "model_id,period_id,cell_id,probability\n" + rows)
+        with pytest.raises(IngestError) as info:
+            load_surfaces(path, grid, renormalize=renormalize)
+        assert str(info.value) == f"{path}:{message}"
+
 
 class TestLoadUnits:
     def test_fifteen_unit_table(self, tmp_path, fifteen_units):

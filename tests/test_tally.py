@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridscore import Cell, Event, EventSet, GridSpec
+from gridscore import Cell, Event, EventSet, GridSpec, HotspotUnit, coverage, hit_rate
 from gridscore.domain import SelectionTally, _PeriodCounts
 from gridscore.errors import ValidationError
 
@@ -122,3 +122,29 @@ def test_indexes_match_a_plain_filter(scenario, data):
     assert all(grid.area_of(c.id) == c.area_km2 for c in grid.cells)
     with pytest.raises(ValidationError, match="unknown cell id 'zz'"):
         grid.area_of("zz")
+
+
+@st.composite
+def unit_lists(draw):
+    """Units whose fractions, however many are selected, sum to at most 1."""
+    area = st.floats(min_value=1e-300, max_value=1 / 12)
+    crime = st.floats(min_value=0.0, max_value=1 / 12)
+    pairs = draw(st.lists(st.tuples(area, crime), min_size=1, max_size=12))
+    return [HotspotUnit(f"u{i}", a, n) for i, (a, n) in enumerate(pairs)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(unit_lists(), scenarios(), st.data())
+def test_sums_do_not_depend_on_order(units, scenario, data):
+    """Every sum is math.fsum, which is correctly rounded, so the order the
+    terms come in changes no bit."""
+    shuffled = data.draw(st.permutations(units))
+    assert hit_rate(shuffled).hex() == hit_rate(units).hex()
+    assert coverage(shuffled).hex() == coverage(units).hex()
+    grid, flagged, _, _ = scenario
+    area = math.fsum(grid.area_of(c) for c in sorted(flagged))
+    for _ in range(3):
+        # A set's iteration order can depend on the order of its insertions.
+        inserted = frozenset(data.draw(st.permutations(sorted(flagged))))
+        tally = _PeriodCounts.of(grid, {}).tally(inserted)
+        assert tally.flagged_area_km2.hex() == area.hex()
