@@ -23,6 +23,9 @@ TARGET_TOL = 1e-12
 #: Default spacing of the alpha grid (``ppai.grid_step``, ``--grid-step``).
 DEFAULT_GRID_STEP = 0.01
 
+#: Finest spacing accepted: 9,801 alphas, about 9 s over 6,000 units.
+MIN_GRID_STEP = 1e-4
+
 
 @dataclass(frozen=True)
 class CumulativeLevel:
@@ -121,6 +124,10 @@ def cumulative_levels(
 def _alpha_grid(grid_step: float) -> list[float]:
     if not 0 < grid_step < 1:
         raise ValidationError(f"grid_step must be in (0, 1), got {grid_step!r}")
+    if grid_step < MIN_GRID_STEP:
+        raise ValidationError(
+            f"grid_step must be at least {MIN_GRID_STEP!r}, got {grid_step!r}"
+        )
     alphas = []
     k = 0
     while True:
@@ -150,7 +157,8 @@ def optimal_alpha(
         The target level is the longest prefix whose cumulative area still
         fits under this value (with 1e-12 slack).
     grid_step : float
-        Spacing of the alpha grid over [0.01, 0.99].
+        Spacing of the alpha grid over [0.01, 0.99]; at least
+        :data:`MIN_GRID_STEP` and below 1.
 
     Returns
     -------

@@ -55,22 +55,22 @@ from .ingest import (
     write_surfaces,
 )
 from .metrics import MEASURES, UNIT_MEASURES
-from .report import FORMAT_VERSION, Report, fmt
+from .report import FORMAT_VERSION, Report, Value
 
 
-def _dataset_inputs(dataset: Dataset) -> list[tuple[str, str]]:
-    inputs = [
-        ("models", ",".join(dataset.models())),
-        ("periods", ",".join(dataset.periods())),
+def _dataset_inputs(dataset: Dataset) -> list[tuple[str, Value]]:
+    inputs: list[tuple[str, Value]] = [
+        ("models", dataset.models()),
+        ("periods", dataset.periods()),
     ]
     if dataset.grid is not None:
-        inputs.append(("n_cells", str(len(dataset.grid.cells))))
-        inputs.append(("total_area_km2", fmt(dataset.grid.total_area_km2)))
+        inputs.append(("n_cells", len(dataset.grid.cells)))
+        inputs.append(("total_area_km2", dataset.grid.total_area_km2))
     if dataset.events is not None:
-        inputs.append(("n_events", str(len(dataset.events))))
-        inputs.append(("n_rejected_rows", str(len(dataset.rejected))))
+        inputs.append(("n_events", len(dataset.events)))
+        inputs.append(("n_rejected_rows", len(dataset.rejected)))
     if dataset.units is not None:
-        inputs.append(("n_units", str(len(dataset.units))))
+        inputs.append(("n_units", len(dataset.units)))
     return inputs
 
 
@@ -90,12 +90,12 @@ def _alpha_search(
     result = optimal_alpha(levels, target, grid_step=grid_step)
     lo, hi = result.valid_range
     report.alpha_info = [
-        ("alpha_star", fmt(result.alpha_star)),
-        ("valid_range_high", fmt(hi)),
-        ("valid_range_low", fmt(lo)),
-        ("target_prefix_len", str(result.target_level.prefix_len)),
-        ("target_cum_area", fmt(result.target_level.cum_area)),
-        ("target_cum_crime", fmt(result.target_level.cum_crime)),
+        ("alpha_star", result.alpha_star),
+        ("valid_range_high", hi),
+        ("valid_range_low", lo),
+        ("target_prefix_len", result.target_level.prefix_len),
+        ("target_cum_area", result.target_level.cum_area),
+        ("target_cum_crime", result.target_level.cum_crime),
     ]
     return ordered, levels, result
 
@@ -242,9 +242,9 @@ def _collect_series(report: Report) -> _Series:
 def _summary_rows(report: Report, series: _Series) -> _Means:
     """Fill [summary] from ``series`` and return the means."""
     means: _Means = {}
-    for measure in sorted(series):
-        for model in sorted(series[measure]):
-            values = tuple(sorted(series[measure][model].items()))
+    for measure, by_model in series.items():
+        for model, by_period in by_model.items():
+            values = tuple(sorted(by_period.items()))
             ps = stats.PeriodSeries(measure, model, values)
             mean, std = stats.summarize(ps)
             report.summary_rows.append((model, measure, mean, std))
@@ -316,7 +316,7 @@ def _combined_rows(
     eligible = sorted(models.intersection(*(means.get(m, {}) for m in measures)))
     if len(eligible) < 2:
         raise ValidationError(too_few)
-    for model in sorted(models.difference(eligible)):
+    for model in models.difference(eligible):
         report.warnings.append(
             f"model {model}: excluded from combined ranking ({reason})"
         )
@@ -329,7 +329,7 @@ def _combined_rows(
         higher_is_better = config.orientations.get(measures[0], "higher") == "higher"
     ranks = combine.rank_models(scores, higher_is_better)
     report.combined_rule = rule
-    report.combined_rows = [(m, scores[m], ranks[m]) for m in sorted(scores)]
+    report.combined_rows = [(m, score, ranks[m]) for m, score in scores.items()]
 
 
 def _wsr_rows(
@@ -340,7 +340,7 @@ def _wsr_rows(
     if config.utilities is not None:
         measures.append("expected_utility")
     skipped: set[tuple[str, str]] = set()
-    for measure in sorted(set(measures)):
+    for measure in measures:
         by_model = series.get(measure, {})
         tested = []
         for i, model_a in enumerate(models):
@@ -368,7 +368,7 @@ def _wsr_rows(
                     p_adj,
                 )
             )
-    for model_a, model_b in sorted(skipped):
+    for model_a, model_b in skipped:
         report.warnings.append(
             f"wsr skipped for {model_a}/{model_b}: no shared periods with "
             f"defined values"
@@ -442,10 +442,10 @@ def cmd_optimize_alpha(args) -> Report:
         units, args.target, args.grid_step, report
     )
     report.config_pairs = [
-        ("ppai.grid_step", fmt(args.grid_step)),
-        ("ppai.target_coverage", fmt(args.target)),
+        ("ppai.grid_step", args.grid_step),
+        ("ppai.target_coverage", args.target),
     ]
-    report.inputs = [("n_units", str(len(units)))]
+    report.inputs = [("n_units", len(units))]
     for unit, level in zip(ordered, levels):
         report.level_rows.append(
             (
@@ -508,13 +508,13 @@ def cmd_gen(args) -> Report:
         if k.startswith("gen.")
     ]
     report.inputs = [
-        ("n_cells", str(spec.n_cells)),
-        ("n_events", str(len(events))),
-        ("n_periods", str(spec.n_periods)),
-        ("seed", str(spec.seed)),
+        ("n_cells", spec.n_cells),
+        ("n_events", len(events)),
+        ("n_periods", spec.n_periods),
+        ("seed", spec.seed),
     ]
     report.warnings += _ignored_keys(config)
-    report.generated_files = sorted(writers)
+    report.generated_files = list(writers)
     return report
 
 

@@ -97,9 +97,9 @@ class Dataset:
 class RunConfig:
     """A fully materialized run configuration; every default is explicit.
 
-    ``to_pairs`` renders the whole thing as sorted key/value strings, which
-    the report layer echoes verbatim so that no silent default can shape a
-    number without appearing in the output.
+    ``to_pairs`` renders the whole thing as unsorted key/value strings,
+    which the report's [config] section sorts and echoes so that no silent
+    default can shape a number without appearing in the output.
     """
 
     measures: tuple[str, ...] = ("hit_rate", "coverage", "pai")
@@ -133,14 +133,14 @@ class RunConfig:
             # An unset utilities leaves its keys' values None.
             value = getattr(getattr(self, owner) if owner else self, name, None)
             if value is not None:
-                pairs.append((row.key, _echo(value)))
+                pairs.append((row.key, fmt(value)))
         if self.weights is not None:
-            for mid in sorted(self.weights.weights):
-                pairs.append((f"weights.{mid}", _echo(self.weights.weights[mid])))
-        for mid in sorted(self.orientations):
+            for mid, weight in self.weights.weights.items():
+                pairs.append((f"weights.{mid}", fmt(weight)))
+        for mid, orientation in self.orientations.items():
             if mid in self.measures:
-                pairs.append((f"orientation.{mid}", self.orientations[mid]))
-        return sorted(pairs)
+                pairs.append((f"orientation.{mid}", orientation))
+        return pairs
 
 
 @contextlib.contextmanager
@@ -152,6 +152,21 @@ def _os_errors(path: str, verb: str) -> Iterator[None]:
         raise IngestError(path, f"cannot {verb}: {exc.strerror or exc}") from exc
 
 
+@contextlib.contextmanager
+def _read_errors(path: str, reader=None) -> Iterator[None]:
+    """Re-raise bytes that are not UTF-8, or a CSV error of ``reader``, from
+    the block as an :class:`IngestError` naming ``path``. An undecodable
+    file gets no line number: the decoder reads ahead of the parser."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        byte = exc.object[exc.start]
+        reason = f"not UTF-8 text (cannot decode byte {byte:#04x})"
+        raise IngestError(path, reason) from None
+    except csv.Error as exc:
+        raise IngestError(path, str(exc), line=reader.line_num) from None
+
+
 def _open(path: str) -> TextIO:
     """``path`` opened for reading as UTF-8 text, a byte order mark skipped."""
     with _os_errors(path, "open"):
@@ -161,8 +176,7 @@ def _open(path: str) -> TextIO:
 def _read_table(path: str, kind: str):
     """Yield (line_number, row) for a CSV file, enforcing its kind's header."""
     header = HEADERS[kind]
-    with _open(path) as handle:
-        reader = csv.reader(handle)
+    with _open(path) as handle, _read_errors(path, reader := csv.reader(handle)):
         try:
             first = next(reader)
         except StopIteration:
@@ -477,15 +491,6 @@ def _out_of_bound(path: str, key: str, bound: str, value: object) -> IngestError
     return IngestError(path, f"{key} must {bound}, got {value!r}")
 
 
-def _echo(value: object) -> str:
-    """A config value as the [config] section shows it and load_config reads it."""
-    if isinstance(value, bool):
-        return "on" if value else "off"
-    if isinstance(value, tuple):
-        return ",".join(_echo(v) for v in value)
-    return fmt(value)
-
-
 @dataclass(frozen=True)
 class ConfigKey:
     """One config key: how it is parsed, checked and stored.
@@ -564,7 +569,7 @@ _SCHEMA_BY_KEY = {row.key: row for row in CONFIG_SCHEMA}
 def read_config_pairs(path: str) -> dict[str, str]:
     """Raw key → value text from a config file, last assignment winning."""
     pairs: dict[str, str] = {}
-    with _open(path) as handle:
+    with _open(path) as handle, _read_errors(path):
         for lineno, raw in enumerate(handle, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -737,11 +742,18 @@ def staged_files(directory: str, names: Sequence[str]) -> Iterator[dict[str, str
 
 
 def _write_csv(path: str, kind: str, rows: Iterable[Sequence[str]]):
+    """``kind``'s header, then ``rows`` written as they come, one at a time."""
     with atomic_open(path) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(HEADERS[kind])
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
+
+
+def _by_model_period(tables: Mapping[str, Mapping[PeriodId, object]]) -> Iterator:
+    """(model_id, period_id, entry) of a model → period table, sorted."""
+    for model_id in sorted(tables):
+        for period_id in sorted(tables[model_id]):
+            yield model_id, period_id, tables[model_id][period_id]
 
 
 def write_cells(path: str, grid: GridSpec) -> None:
@@ -761,24 +773,22 @@ def write_selections(
 
     An empty selection has no rows, so it does not survive a write.
     """
-    rows = []
-    for model_id in sorted(selections):
-        for period_id in sorted(selections[model_id]):
-            for cell_id in sorted(selections[model_id][period_id].flagged):
-                rows.append((model_id, period_id, cell_id))
-    _write_csv(path, "selections", rows)
+    _write_csv(path, "selections", (
+        (model_id, period_id, cell_id)
+        for model_id, period_id, selection in _by_model_period(selections)
+        for cell_id in sorted(selection.flagged)
+    ))
 
 
 def write_surfaces(
     path: str, surfaces: Mapping[str, Mapping[PeriodId, ProbabilitySurface]]
 ) -> None:
-    rows = []
-    for model_id in sorted(surfaces):
-        for period_id in sorted(surfaces[model_id]):
-            mass = surfaces[model_id][period_id].mass
-            for cell_id in sorted(mass):
-                rows.append((model_id, period_id, cell_id, repr(mass[cell_id])))
-    _write_csv(path, "surfaces", rows)
+    """Write one row per cell, sorted by model, period and cell."""
+    _write_csv(path, "surfaces", (
+        (model_id, period_id, cell_id, repr(surface.mass[cell_id]))
+        for model_id, period_id, surface in _by_model_period(surfaces)
+        for cell_id in sorted(surface.mass)
+    ))
 
 
 def write_units(path: str, units: Sequence[HotspotUnit]) -> None:

@@ -2,9 +2,9 @@
 
 A report is structured text: a preamble, then named ``[sections]`` holding
 either ``key = value`` lines (sorted) or a small DSV table with a header
-row. Rows are sorted before rendering and floats are written with repr()
-(the shortest round-tripping form), so a given input, configuration and
-tool version always renders to the same bytes.
+row. :meth:`Report.render` alone sorts every section and writes every
+value with :func:`fmt` (floats by repr(), the shortest round-tripping form),
+so a given input, configuration and tool version renders to the same bytes.
 
 Rates with a zero denominator appear as the literal token ``undefined`` —
 never 0, never NaN.
@@ -19,16 +19,19 @@ from . import __version__
 
 FORMAT_VERSION = 1
 
-Value = Union[float, int, str, None]
+Value = Union[bool, float, int, str, tuple, None]
 
 
 def fmt(value: Value) -> str:
-    """Render one value: repr for floats, 'undefined' for None."""
+    """One value as reports and config echoes show it: floats by repr, None
+    as 'undefined', booleans as on/off, a tuple's items joined by commas."""
     if value is None:
         return "undefined"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    if isinstance(value, bool):  # before str(), which would give True/False
+        return "on" if value else "off"
+    if isinstance(value, tuple):
+        return ",".join(map(fmt, value))
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 @dataclass
@@ -36,14 +39,14 @@ class Report:
     """Everything a command produced, ready to render deterministically."""
 
     command: str
-    config_pairs: list[tuple[str, str]] = field(default_factory=list)
-    inputs: list[tuple[str, str]] = field(default_factory=list)
+    config_pairs: list[tuple[str, Value]] = field(default_factory=list)
+    inputs: list[tuple[str, Value]] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
     # model_id, period_id, measure, value
     measure_rows: list[tuple[str, str, str, Value]] = field(default_factory=list)
     # model_id, measure, mean, std
     summary_rows: list[tuple[str, str, Value, Value]] = field(default_factory=list)
-    alpha_info: list[tuple[str, str]] = field(default_factory=list)
+    alpha_info: list[tuple[str, Value]] = field(default_factory=list)
     # prefix_len, unit_id, cum_area, cum_crime, ppai_at_alpha_star
     level_rows: list[tuple[int, str, float, float, float]] = field(
         default_factory=list
@@ -59,13 +62,13 @@ class Report:
 
     def render(self) -> str:
         """The preamble, then one ``[name]`` block per section: [config] and
-        [inputs] always, every other section only when it has rows. Rows
-        are sorted on their raw values, so numbers sort as numbers; each
-        table's leading columns identify a row, so the sort never gets as
-        far as comparing two values."""
+        [inputs] always, every other section only when it has rows. Each
+        section is sorted on raw values, so numbers sort as numbers, and
+        each value is written with :func:`fmt`. Keys are unique and a
+        table's leading columns identify a row, so no sort compares values."""
 
-        def pairs(items: list[tuple[str, str]]) -> list[str]:
-            return [f"{key} = {value}" for key, value in sorted(items)]
+        def pairs(items: list[tuple[str, Value]]) -> list[str]:
+            return [f"{key} = {fmt(value)}" for key, value in sorted(items)]
 
         def table(rows: Sequence[tuple]) -> list[str]:
             return [",".join(map(fmt, row)) for row in sorted(rows)]

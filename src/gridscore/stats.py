@@ -150,9 +150,8 @@ def wilcoxon_signed_rank(
         mean = n * (n + 1) / 4
         # Equal |d| share one mid-rank, so the ranks' counts are the tie sizes.
         tie_term = sum((t**3 - t) / 48 for t in Counter(ranks).values())
+        # The tie term peaks at (n³ − n)/48, every |d| tied: var ≥ n(n+1)²/16.
         var = n * (n + 1) * (2 * n + 1) / 24 - tie_term
-        if var <= 0:
-            return WsrResult(n, w_plus, 1.0, "normal-approximation")
         sd = math.sqrt(var)
         norm = statistics.NormalDist()
         # Continuity correction: pull each tail half a step toward the mean.

@@ -6,6 +6,7 @@ import pytest
 from gridscore import cli
 from gridscore.cli import main
 from gridscore.domain import EventSet
+from gridscore.report import fmt
 
 from conftest import AREA_FRACTIONS, CRIME_FRACTIONS, MODEL_UNITS
 
@@ -1040,3 +1041,161 @@ class TestMisc:
         assert lines[1] == "format_version = 1"
         assert lines[2].startswith("tool_version = ")
         assert lines[3] == "command = evaluate"
+
+    def test_fmt_renders_booleans_and_tuples(self):
+        assert (fmt(True), fmt(False)) == ("on", "off")
+        assert fmt(("hit_rate", 0.1 + 0.2, 2, True, None)) == (
+            "hit_rate,0.30000000000000004,2,on,undefined"
+        )
+        assert fmt(()) == ""
+        assert (fmt(None), fmt(1), fmt(1.0), fmt("e")) == ("undefined", "1", "1.0", "e")
+
+
+class TestWholeStderr:
+    """Refusals pinned to their whole stderr: exit 1, no report."""
+
+    def files(self, root, **extra):
+        """A three-cell dataset plus ``extra`` files, written as UTF-8 text
+        or as raw bytes; returns every path by name."""
+        texts = {
+            "cells": "cell_id,area_km2\nc1,1.0\nc2,2.0\nc3,1.5\n",
+            "events": "event_id,cell_id,period_id\ne1,c1,p1\ne2,c2,p1\n",
+            "selections": "model_id,period_id,cell_id\nA,p1,c1\nA,p2,c2\n",
+            "units": "unit_id,area_fraction,crime_fraction\n"
+            "u1,0.1,0.3\nu2,0.2,0.2\nu3,0.7,0.5\n",
+            **extra,
+        }
+        paths = {}
+        for name, body in texts.items():
+            path = root / name
+            if isinstance(body, bytes):
+                path.write_bytes(body)
+            else:
+                path.write_text(body, encoding="utf-8")
+            paths[name] = str(path)
+        return paths
+
+    def refused(self, capsys, *argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        return err
+
+    def test_grid_step_flag_below_minimum(self, capsys, tmp_path):
+        f = self.files(tmp_path)
+        err = self.refused(
+            capsys, "optimize-alpha", "--units", f["units"], "--target", "0.3",
+            "--grid-step", "1e-13",
+        )
+        assert err == "gridscore: error: grid_step must be at least 0.0001, got 1e-13\n"
+
+    def test_grid_step_key_below_minimum(self, capsys, tmp_path):
+        f = self.files(
+            tmp_path,
+            selections="model_id,period_id,cell_id\nM,p1,u1\n",
+            conf="measures = ppai\nppai.alpha_mode = grid_search\n"
+            "ppai.target_coverage = 0.5\nppai.grid_step = 1e-13\n",
+        )
+        err = self.refused(
+            capsys, "evaluate", "--units", f["units"],
+            "--selections", f["selections"], "--config", f["conf"],
+        )
+        assert err == "gridscore: error: grid_step must be at least 0.0001, got 1e-13\n"
+
+    def test_grid_step_at_minimum_is_accepted(self, capsys, tmp_path):
+        f = self.files(tmp_path)
+        code, out, _ = run(
+            capsys, "optimize-alpha", "--units", f["units"], "--target", "0.1",
+            "--grid-step", "0.0001",
+        )
+        assert code == 0
+        assert "ppai.grid_step = 0.0001" in out.splitlines()
+
+    def test_undecodable_data_file(self, capsys, tmp_path):
+        f = self.files(tmp_path, events=b"event_id,cell_id,period_id\ne1,c\xff1,p1\n")
+        err = self.refused(
+            capsys, "evaluate", "--cells", f["cells"], "--events", f["events"],
+            "--selections", f["selections"],
+        )
+        assert err == (
+            f"gridscore: error: {f['events']}: not UTF-8 text "
+            f"(cannot decode byte 0xff)\n"
+        )
+
+    def test_undecodable_config_file(self, capsys, tmp_path):
+        f = self.files(tmp_path, conf=b"measures = p\xffai\n")
+        err = self.refused(
+            capsys, "evaluate", "--cells", f["cells"], "--events", f["events"],
+            "--selections", f["selections"], "--config", f["conf"],
+        )
+        assert err == (
+            f"gridscore: error: {f['conf']}: not UTF-8 text "
+            f"(cannot decode byte 0xff)\n"
+        )
+
+    def test_field_over_the_csv_limit(self, capsys, tmp_path):
+        long_id = "x" * 131_073
+        f = self.files(
+            tmp_path,
+            events=f"event_id,cell_id,period_id\ne1,c1,p1\ne2,{long_id},p1\n",
+        )
+        err = self.refused(
+            capsys, "evaluate", "--cells", f["cells"], "--events", f["events"],
+            "--selections", f["selections"],
+        )
+        assert err == (
+            f"gridscore: error: {f['events']}:3: field larger than field limit "
+            f"(131072)\n"
+        )
+
+    def test_grid_search_needs_units(self, capsys, tmp_path):
+        f = self.files(
+            tmp_path,
+            conf="measures = ppai\nppai.alpha_mode = grid_search\n"
+            "ppai.target_coverage = 0.5\n",
+        )
+        err = self.refused(
+            capsys, "evaluate", "--cells", f["cells"], "--events", f["events"],
+            "--selections", f["selections"], "--config", f["conf"],
+        )
+        assert err == (
+            "gridscore: error: ppai.alpha_mode = grid_search needs a units file "
+            "to define the cumulative levels\n"
+        )
+
+    def test_surfaces_only_with_default_measures(self, capsys, tmp_path):
+        f = self.files(
+            tmp_path,
+            surfaces="model_id,period_id,cell_id,probability\n"
+            "A,p1,c1,0.5\nA,p1,c2,0.25\nA,p1,c3,0.25\n",
+        )
+        err = self.refused(
+            capsys, "evaluate", "--cells", f["cells"], "--events", f["events"],
+            "--surfaces", f["surfaces"],
+        )
+        assert err == (
+            "gridscore: error: nothing to compute: no model has inputs for any "
+            "requested measure\n"
+        )
+
+    def test_selection_with_empty_period(self, capsys, tmp_path):
+        f = self.files(
+            tmp_path, selections="model_id,period_id,cell_id\nA,p1,c1\nA,,c2\n"
+        )
+        err = self.refused(
+            capsys, "evaluate", "--cells", f["cells"], "--events", f["events"],
+            "--selections", f["selections"],
+        )
+        assert err == f"gridscore: error: {f['selections']}:3: empty field\n"
+
+    def test_units_with_surfaces(self, capsys, tmp_path):
+        f = self.files(
+            tmp_path,
+            surfaces="model_id,period_id,cell_id,probability\nA,p1,u1,1.0\n",
+        )
+        err = self.refused(
+            capsys, "evaluate", "--units", f["units"], "--surfaces", f["surfaces"],
+        )
+        assert err == (
+            "gridscore: error: a surfaces file needs a cells file to resolve "
+            "against\n"
+        )

@@ -1,6 +1,7 @@
 import os
 import string
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -709,6 +710,32 @@ class TestWriters:
         write_surfaces(a, surfaces)
         write_surfaces(b, surfaces)
         assert open(a, "rb").read() == open(b, "rb").read()
+
+    def test_writers_hold_no_table_whole(self, tmp_path):
+        """100k surface rows, then 50k selection rows, each written within
+        1 MiB of traced memory: the rows are streamed, not listed."""
+        cells = [f"c{i:04d}" for i in range(5000)]
+        mass = dict.fromkeys(cells, 1 / len(cells))
+        periods = [f"p{k:02d}" for k in range(10)]
+        surfaces = {
+            m: {p: ProbabilitySurface(period=p, mass=mass) for p in periods}
+            for m in ("m1", "m2")
+        }
+        selections = {
+            m: {
+                p: HotspotSelection(period=p, flagged=frozenset(cells[:2500]))
+                for p in periods
+            }
+            for m in ("m1", "m2")
+        }
+        for write, tables in ((write_surfaces, surfaces), (write_selections, selections)):
+            tracemalloc.start()
+            try:
+                write(str(tmp_path / "out.csv"), tables)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20, (write.__name__, peak)
 
     def test_float_fields_round_trip_exactly(self, tmp_path):
         # repr() emits the shortest string that parses back to the same float

@@ -8,7 +8,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridscore import (
@@ -447,6 +447,9 @@ class TestNormalApproximationWithTies:
 
     @settings(max_examples=150, deadline=None)
     @given(tied_large_pairs)
+    # Every |d| tied, the largest tie term: var is still n(n+1)²/16 > 0.
+    @example([(1.0, 0.0)] * 13 + [(0.0, 1.0)] * 13)
+    @example([(2.0, 0.0)] * 90)
     def test_tie_correction(self, pairs):
         result = wilcoxon_signed_rank(pairs)
         assert result == _old_normal_approximation(pairs)
@@ -454,6 +457,7 @@ class TestNormalApproximationWithTies:
             result.p_value, normal_approx_p(pairs), rtol=0, atol=1e-12
         )
         TestScipyOracle.check(pairs, "approx", "normal-approximation")
+
 
 class TestBonferroni:
     def test_scales_by_family_size(self):
