@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
@@ -131,11 +132,10 @@ class EventSet:
     )
 
     def __post_init__(self):
-        ordered = tuple(
-            sorted(self.events, key=lambda e: (e.period, e.event_id, e.cell_id))
-        )
+        canonical = operator.attrgetter("period", "event_id", "cell_id")
+        ordered = tuple(sorted(self.events, key=canonical))
         object.__setattr__(self, "events", ordered)
-        groups = itertools.groupby(ordered, lambda e: e.period)
+        groups = itertools.groupby(ordered, operator.attrgetter("period"))
         object.__setattr__(self, "_by_period", {p: tuple(g) for p, g in groups})
 
     def __len__(self) -> int:
@@ -284,11 +284,12 @@ class _PeriodCounts:
         unknown = sorted(flagged - grid.cell_ids)
         if unknown:
             raise ValidationError(f"selection flags unknown cells: {unknown}")
+        # Every flagged cell is known from here on, so its area is a lookup.
         caught = self.hit & flagged
         return SelectionTally(
             n_events=self.n_events,
             hits=sum(self.counts[c] for c in caught),
-            flagged_area_km2=math.fsum(grid.area_of(c) for c in flagged),
+            flagged_area_km2=math.fsum(map(grid._areas.__getitem__, flagged)),
             total_area_km2=grid.total_area_km2,
             table=ContingencyTable(
                 tp=len(caught),

@@ -29,7 +29,7 @@ import tempfile
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TextIO
 
-from .alpha_search import DEFAULT_GRID_STEP
+from .alpha_search import DEFAULT_GRID_STEP, check_grid_step
 from .combine import UtilitySpec, WeightVector
 from .domain import (
     Cell,
@@ -187,14 +187,13 @@ def _read_table(path: str, kind: str):
                 f"bad header {','.join(first)!r}, expected {','.join(header)!r}",
                 line=1,
             )
+        width = len(header)
         for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue  # blank line
-            if len(row) != len(header):
+            if len(row) != width:
+                if not row:
+                    continue  # blank line
                 raise IngestError(
-                    path,
-                    f"expected {len(header)} fields, found {len(row)}",
-                    line=lineno,
+                    path, f"expected {width} fields, found {len(row)}", line=lineno
                 )
             if _unsafe("".join(row)):
                 name, text = next((h, f) for h, f in zip(header, row) if _unsafe(f))
@@ -204,7 +203,7 @@ def _read_table(path: str, kind: str):
                     f"report rows cannot carry",
                     line=lineno,
                 )
-            yield lineno, [f.strip() for f in row]
+            yield lineno, list(map(str.strip, row))
 
 
 def _unsafe(text: str) -> bool:
@@ -625,6 +624,8 @@ def load_config(path: str, cli_strict: Optional[bool] = None) -> RunConfig:
     config = RunConfig(**values[""], orientations=orientations)
     if unknown and config.strict:
         raise IngestError(path, f"unknown config keys: {', '.join(unknown)}")
+    # Every alpha mode, not only grid_search, refuses a step the search would.
+    check_grid_step(config.grid_step)
 
     needed = {"fixed": "ppai.alpha", "grid_search": "ppai.target_coverage"}
     need = needed.get(config.alpha_mode)
@@ -707,6 +708,10 @@ def atomic_open(path: str) -> Iterator[TextIO]:
             yield handle
 
 
+#: The staging directories of the :func:`staged_files` blocks now open.
+_open_staging: set[str] = set()
+
+
 @contextlib.contextmanager
 def staged_files(directory: str, names: Sequence[str]) -> Iterator[dict[str, str]]:
     """A staging path for each of the files ``names`` of ``directory``.
@@ -717,15 +722,23 @@ def staged_files(directory: str, names: Sequence[str]) -> Iterator[dict[str, str
     that is a directory, or a link to one, is refused before anything is
     written; a link to a file is replaced, not written through. Errors name
     targets, not staging paths.
+
+    Files of a staging directory that an enclosing block has open are its
+    staging paths already: they are written in place, and the enclosing
+    block replaces their targets.
     """
+    if os.path.abspath(directory) in _open_staging:
+        yield {name: os.path.join(directory, name) for name in names}
+        return
     targets = [os.path.join(directory, name) for name in names]
     for path in targets:
         if os.path.isdir(path):
             raise IngestError(path, f"cannot write: {os.strerror(errno.EISDIR)}")
     # A directory that takes no files fails on the first one.
     with _os_errors(targets[0], "write"):
-        staging = tempfile.mkdtemp(prefix=".staging-", dir=directory)
+        staging = os.path.abspath(tempfile.mkdtemp(prefix=".staging-", dir=directory))
     staged = [os.path.join(staging, name) for name in names]
+    _open_staging.add(staging)
     try:
         try:
             yield dict(zip(names, staged))
@@ -738,6 +751,7 @@ def staged_files(directory: str, names: Sequence[str]) -> Iterator[dict[str, str
             with _os_errors(target, "write"):
                 os.replace(source, target)
     finally:
+        _open_staging.discard(staging)
         shutil.rmtree(staging, ignore_errors=True)
 
 

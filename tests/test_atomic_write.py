@@ -199,3 +199,25 @@ def test_a_writer_that_raises_leaves_no_staging_directory(tmp_path):
             raise RuntimeError("writer failed")
     assert [p.name for p in tmp_path.iterdir()] == ["a.csv"]
     assert (tmp_path / "a.csv").read_text(encoding="utf-8") == "old a\n"
+
+
+def test_gen_stages_its_files_once(tmp_path, capsys, monkeypatch):
+    config = tmp_path / "gen.conf"
+    config.write_text("gen.cells = 4\ngen.periods = 2\n", encoding="utf-8")
+    made = []
+    mkdtemp = ingest.tempfile.mkdtemp
+
+    def counted(*args, **kwargs):
+        made.append(kwargs["dir"])
+        return mkdtemp(*args, **kwargs)
+
+    monkeypatch.setattr(ingest.tempfile, "mkdtemp", counted)
+    out_dir = tmp_path / "data"
+    code = main(["gen", "--config", str(config), "--out-dir", str(out_dir),
+                 "--out", str(tmp_path / "report.txt")])
+    assert (code, capsys.readouterr().err) == (0, "")
+    # One staging directory for the four data files, one for the report.
+    assert made == [str(out_dir), str(tmp_path) + os.sep]
+    assert sorted(p.name for p in out_dir.iterdir()) == [
+        "cells.csv", "events.csv", "selections.csv", "surfaces.csv"
+    ]

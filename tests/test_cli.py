@@ -1101,6 +1101,18 @@ class TestWholeStderr:
         )
         assert err == "gridscore: error: grid_step must be at least 0.0001, got 1e-13\n"
 
+    def test_grid_step_key_below_minimum_in_the_default_mode(self, capsys, tmp_path):
+        f = self.files(
+            tmp_path,
+            selections="model_id,period_id,cell_id\nM,p1,u1\n",
+            conf="measures = ppai\nppai.grid_step = 1e-13\n",
+        )
+        err = self.refused(
+            capsys, "evaluate", "--units", f["units"],
+            "--selections", f["selections"], "--config", f["conf"],
+        )
+        assert err == "gridscore: error: grid_step must be at least 0.0001, got 1e-13\n"
+
     def test_grid_step_at_minimum_is_accepted(self, capsys, tmp_path):
         f = self.files(tmp_path)
         code, out, _ = run(
