@@ -32,7 +32,7 @@ from .alpha_search import (
     optimal_alpha,
     order_units,
 )
-from .domain import EventSet, PeriodId, _PeriodCounts
+from .domain import PeriodId, _PeriodCounts
 from .errors import (
     AlphaSearchError,
     DegenerateScoresError,
@@ -481,7 +481,7 @@ def cmd_gen(args) -> Report:
     surfaces: dict[str, dict[str, object]] = {"empirical": {}, "uniform": {}}
     periods = spec.period_ids()
     for prev, period in zip(periods, periods[1:]):
-        train = EventSet(events.in_period(prev))
+        train = events._only(prev)
         selections["top_k"][period] = synth.top_k_baseline(
             train, grid, config.gen_top_k, period
         )

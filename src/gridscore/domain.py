@@ -6,17 +6,20 @@ lexicographically, so ordinal period labels should be zero-padded
 (``p00 < p01 < ... < p10``).
 
 Everything is immutable after construction and safe to share across threads;
-the two operations at the bottom are pure functions.
+the two operations at the bottom are pure functions. An :class:`EventSet`
+holds its events as per-period columns of ids, which is all the measures
+read; it builds :class:`Event` objects only for a caller that asks for them.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from dataclasses import FrozenInstanceError, dataclass, field
+from typing import Iterable, Iterator, Mapping
 
 from .errors import PeriodMismatchError, ValidationError
 
@@ -114,47 +117,138 @@ class Event:
     period: PeriodId
 
 
-@dataclass(frozen=True)
+#: period -> (event ids, cell ids): the events of each period as two columns.
+_Columns = Mapping[PeriodId, tuple[tuple[EventId, ...], tuple[CellId, ...]]]
+
+
 class EventSet:
-    """Observed events, held in a canonical (period, event id) order.
+    """Observed events, held once as per-period columns of event ids and
+    cell ids, in a canonical (period, event id, cell id) order.
 
     The canonical order makes every downstream aggregate independent of the
-    order rows appeared in the source file. The events are grouped by period
-    once, here, and every per-period query reads that grouping. Events are
-    cross-validated against a grid in one place, :func:`assign_events`,
-    because the event set does not hold a grid reference.
+    order rows appeared in the source file. Every per-period query reads a
+    period's columns; :class:`Event` objects are built only when
+    :attr:`events` or :meth:`in_period` is asked for them, once, and kept.
+    Events are cross-validated against a grid in one place,
+    :func:`assign_events`, because the event set does not hold a grid
+    reference. An event set is immutable, and compares, hashes and prints
+    as the tuple of its events.
     """
 
-    events: tuple[Event, ...]
-    # Built once from ``events``: period -> its events, periods in order.
-    _by_period: Mapping[PeriodId, tuple[Event, ...]] = field(
-        init=False, repr=False, compare=False
-    )
+    # period -> its Event objects built so far, and (once asked for) all of
+    # them in canonical order.
+    _by_period: dict[PeriodId, tuple[Event, ...]]
+    _events: tuple[Event, ...] | None
 
-    def __post_init__(self):
+    def __init__(self, events: Iterable[Event]):
         canonical = operator.attrgetter("period", "event_id", "cell_id")
-        ordered = tuple(sorted(self.events, key=canonical))
-        object.__setattr__(self, "events", ordered)
+        ordered = tuple(sorted(events, key=canonical))
         groups = itertools.groupby(ordered, operator.attrgetter("period"))
-        object.__setattr__(self, "_by_period", {p: tuple(g) for p, g in groups})
+        by_period = {p: tuple(g) for p, g in groups}
+        object.__setattr__(self, "_by_period", by_period)
+        object.__setattr__(self, "_events", ordered)
+
+    @functools.cached_property
+    def _columns(self) -> _Columns:
+        """Each period's event ids and cell ids, in canonical order. A set
+        made from Event objects reads them off its events when first asked,
+        so that building it costs no more than sorting and grouping."""
+        event_id = operator.attrgetter("event_id")
+        cell_id = operator.attrgetter("cell_id")
+        return {
+            p: (tuple(map(event_id, group)), tuple(map(cell_id, group)))
+            for p, group in self._by_period.items()
+        }
+
+    @classmethod
+    def _of_columns(cls, columns: _Columns) -> "EventSet":
+        """The set of ``columns``, which must be in canonical order."""
+        self = cls.__new__(cls)
+        object.__setattr__(self, "_columns", columns)
+        object.__setattr__(self, "_by_period", {})
+        object.__setattr__(self, "_events", None)
+        return self
+
+    @classmethod
+    def _of_rows(cls, rows: list[tuple[PeriodId, EventId, CellId]]) -> "EventSet":
+        """The set of plain (period, event id, cell id) ``rows``, which are
+        sorted in place: a native tuple sort is the canonical order."""
+        rows.sort()
+        columns = {}
+        for period, group in itertools.groupby(rows, operator.itemgetter(0)):
+            _, ids, cells = zip(*group)
+            columns[period] = (ids, cells)
+        return cls._of_columns(columns)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    @property
+    def events(self) -> tuple[Event, ...]:
+        """Every event, in canonical order."""
+        if self._events is None:
+            by_period = map(self._events_of, self._columns)
+            events = tuple(itertools.chain.from_iterable(by_period))
+            object.__setattr__(self, "_events", events)
+        return self._events
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._columns == other._columns
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._columns.items()))
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}(events={self.events!r})"
 
     def __len__(self) -> int:
-        return len(self.events)
+        return sum(len(ids) for ids, _ in self._columns.values())
 
     def periods(self) -> tuple[PeriodId, ...]:
-        return tuple(self._by_period)
+        return tuple(self._columns)
 
     def in_period(self, period: PeriodId) -> tuple[Event, ...]:
-        return self._by_period.get(period, ())
+        return self._by_period.get(period) or self._events_of(period)
+
+    def _events_of(self, period: PeriodId) -> tuple[Event, ...]:
+        """The kept events of ``period``, or those built from its columns and
+        kept. :attr:`events` reads this, not :meth:`in_period`, which a
+        profiler may wrap with code that reads :attr:`events`."""
+        if period in self._by_period or period not in self._columns:
+            return self._by_period.get(period, ())
+        ids, cells = self._columns[period]
+        events = tuple(map(Event, ids, cells, itertools.repeat(period)))
+        self._by_period[period] = events
+        return events
 
     def count(self, period: PeriodId) -> int:
         """N: the total number of events observed in ``period``."""
-        return len(self._by_period.get(period, ()))
+        return len(self._columns.get(period, ((), ()))[1])
 
     def counts_by_cell(self, period: PeriodId | None = None) -> dict[CellId, int]:
         """Events per cell, over one period or over the whole set."""
-        scoped = self.events if period is None else self._by_period.get(period, ())
-        return dict(Counter(e.cell_id for e in scoped))
+        if period is not None:
+            return dict(Counter(self._cells(period)))
+        cells = (column for _, column in self._columns.values())
+        return dict(Counter(itertools.chain.from_iterable(cells)))
+
+    def _cells(self, period: PeriodId) -> tuple[CellId, ...]:
+        """The cell id of each of ``period``'s events, in canonical order."""
+        return self._columns.get(period, ((), ()))[1]
+
+    def _only(self, period: PeriodId) -> "EventSet":
+        """The events of ``period``, sharing this set's columns."""
+        return self._of_columns({period: self._columns[period]})
+
+    def _rows(self) -> Iterator[tuple[EventId, CellId, PeriodId]]:
+        """(event id, cell id, period) of every event, in canonical order."""
+        for period, (ids, cells) in self._columns.items():
+            yield from zip(ids, cells, itertools.repeat(period))
 
 
 @dataclass(frozen=True)
@@ -323,21 +417,23 @@ def assign_events(
     caller can count and report them; silent dropping would hide upstream
     geocoding mistakes. ``raw`` is read lazily, one row at a time, so a
     caller streaming it from a file stands on the offending row when the
-    strict-mode error is raised.
+    strict-mode error is raised. The kept rows are collected as plain
+    (period, event id, cell id) tuples, sorted natively into the canonical
+    order and stored as the set's columns; no :class:`Event` is built.
     """
     known = grid.cell_ids
-    kept: list[Event] = []
+    kept: list[tuple[PeriodId, EventId, CellId]] = []
     rejected: list[RejectedRow] = []
     for event_id, cell_id, period in raw:
         if cell_id in known:
-            kept.append(Event(event_id, cell_id, period))
+            kept.append((period, event_id, cell_id))
         elif strict:
             raise ValidationError(
                 f"event {event_id!r} references unknown cell {cell_id!r}"
             )
         else:
             rejected.append(RejectedRow(event_id, cell_id, period, "unknown cell"))
-    return EventSet(tuple(kept)), tuple(rejected)
+    return EventSet._of_rows(kept), tuple(rejected)
 
 
 def contingency(

@@ -22,14 +22,16 @@ from __future__ import annotations
 import contextlib
 import csv
 import errno
+import itertools
 import math
 import os
+import re
 import shutil
 import tempfile
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TextIO
 
-from .alpha_search import DEFAULT_GRID_STEP, check_grid_step
+from .alpha_search import DEFAULT_GRID_STEP, MIN_GRID_STEP
 from .combine import UtilitySpec, WeightVector
 from .domain import (
     Cell,
@@ -173,8 +175,24 @@ def _open(path: str) -> TextIO:
         return open(path, newline="", encoding="utf-8-sig")
 
 
+#: Rows :func:`_read_table` reads, and checks, at a time.
+_CHUNK_ROWS = 1024
+
+#: Matches exactly the characters ``str.strip()`` removes.
+_SPACE = re.compile(r"\s")
+
+
 def _read_table(path: str, kind: str):
-    """Yield (line_number, row) for a CSV file, enforcing its kind's header."""
+    """Yield (line_number, row) for a CSV file, enforcing its kind's header.
+
+    Fields are stripped of surrounding whitespace and blank lines skipped.
+    Rows are read and checked a chunk at a time: a chunk whose every row has
+    the header's width and which holds no comma, line break or whitespace
+    in any field is handed out as read, and any other chunk goes through the
+    per-row checks of :func:`_checked_rows`. A read error is raised after
+    the rows read before it are handed out, so the first fault of the file
+    is the one reported.
+    """
     header = HEADERS[kind]
     with _open(path) as handle, _read_errors(path, reader := csv.reader(handle)):
         try:
@@ -187,23 +205,47 @@ def _read_table(path: str, kind: str):
                 f"bad header {','.join(first)!r}, expected {','.join(header)!r}",
                 line=1,
             )
-        width = len(header)
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != width:
-                if not row:
-                    continue  # blank line
-                raise IngestError(
-                    path, f"expected {width} fields, found {len(row)}", line=lineno
-                )
-            if _unsafe("".join(row)):
-                name, text = next((h, f) for h, f in zip(header, row) if _unsafe(f))
-                raise IngestError(
-                    path,
-                    f"{name} {text!r} contains a comma or line break, which "
-                    f"report rows cannot carry",
-                    line=lineno,
-                )
-            yield lineno, list(map(str.strip, row))
+        lineno = 2
+        while True:
+            chunk: list[list[str]] = []
+            failure = None
+            try:
+                chunk.extend(itertools.islice(reader, _CHUNK_ROWS))
+            except (csv.Error, UnicodeDecodeError) as exc:
+                failure = exc
+            widths = set(map(len, chunk))
+            text = "".join(itertools.chain.from_iterable(chunk))
+            if widths - {len(header)} or _unsafe(text) or _SPACE.search(text):
+                yield from _checked_rows(path, header, chunk, lineno)
+            else:
+                yield from zip(itertools.count(lineno), chunk)
+            if failure is not None:
+                raise failure
+            if len(chunk) < _CHUNK_ROWS:
+                return
+            lineno += len(chunk)
+
+
+def _checked_rows(path: str, header: Sequence[str], rows: list[list[str]], lineno: int):
+    """Yield (line_number, stripped row) for ``rows`` from line ``lineno`` on,
+    skipping blank lines and refusing the first row of the wrong width or
+    with a comma or line break in a field."""
+    for lineno, row in enumerate(rows, start=lineno):
+        if len(row) != len(header):
+            if not row:
+                continue  # blank line
+            raise IngestError(
+                path, f"expected {len(header)} fields, found {len(row)}", line=lineno
+            )
+        if _unsafe("".join(row)):
+            name, text = next((h, f) for h, f in zip(header, row) if _unsafe(f))
+            raise IngestError(
+                path,
+                f"{name} {text!r} contains a comma or line break, which "
+                f"report rows cannot carry",
+                line=lineno,
+            )
+        yield lineno, list(map(str.strip, row))
 
 
 def _unsafe(text: str) -> bool:
@@ -625,7 +667,10 @@ def load_config(path: str, cli_strict: Optional[bool] = None) -> RunConfig:
     if unknown and config.strict:
         raise IngestError(path, f"unknown config keys: {', '.join(unknown)}")
     # Every alpha mode, not only grid_search, refuses a step the search would.
-    check_grid_step(config.grid_step)
+    if config.grid_step < MIN_GRID_STEP:
+        raise _out_of_bound(
+            path, "ppai.grid_step", f"be at least {MIN_GRID_STEP!r}", config.grid_step
+        )
 
     needed = {"fixed": "ppai.alpha", "grid_search": "ppai.target_coverage"}
     need = needed.get(config.alpha_mode)
@@ -775,9 +820,7 @@ def write_cells(path: str, grid: GridSpec) -> None:
 
 
 def write_events(path: str, events: EventSet) -> None:
-    _write_csv(
-        path, "events", ((e.event_id, e.cell_id, e.period) for e in events.events)
-    )
+    _write_csv(path, "events", events._rows())
 
 
 def write_selections(

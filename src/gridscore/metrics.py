@@ -14,6 +14,7 @@ A rate whose denominator is zero is returned as ``None`` — a deliberate
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
@@ -231,22 +232,23 @@ def als(
         )
     if floor is not None and not floor > 0:
         raise ValidationError(f"floor must be positive when given, got {floor!r}")
-    scoped = events.in_period(period)
+    # The cell of each event in canonical order, so the first zero-mass
+    # cell found is the first event's.
+    cells = events._cells(period)
     if restrict_to is not None:
-        scoped = tuple(e for e in scoped if e.cell_id in restrict_to.flagged)
-    if not scoped:
+        flagged = restrict_to.flagged
+        cells = [c for c in cells if c in flagged]
+    if not cells:
         raise ValidationError(
             f"no events in scope for period {period!r}; ALS is undefined"
         )
-    logs = []
-    for e in scoped:
-        mass = surface.mass.get(e.cell_id, 0.0)
-        if floor is not None:
-            mass = max(mass, floor)
-        if mass <= 0.0:
-            raise ZeroMassError(e.cell_id, period)
-        logs.append(math.log(mass))
-    return math.fsum(logs) / len(logs)
+    masses = list(map(surface.mass.get, cells, itertools.repeat(0.0)))
+    if floor is not None:
+        masses = [max(mass, floor) for mass in masses]
+    if min(masses) <= 0.0:
+        cell = next(c for c, mass in zip(cells, masses) if mass <= 0.0)
+        raise ZeroMassError(cell, period)
+    return math.fsum(map(math.log, masses)) / len(masses)
 
 
 @dataclass(frozen=True)

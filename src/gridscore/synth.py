@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 from .domain import (
     Cell,
-    Event,
     EventSet,
     GridSpec,
     HotspotSelection,
@@ -105,7 +104,7 @@ def generate_events(spec: GeneratorSpec) -> EventSet:
         running += w
         cumulative.append(running)
     total = cumulative[-1]
-    events = []
+    rows = []
     counter = 0
     width = len(str(max(1, spec.n_periods * spec.events_per_period)))
     for period in spec.period_ids():
@@ -114,8 +113,8 @@ def generate_events(spec: GeneratorSpec) -> EventSet:
             u = rng.random()
             idx = bisect_right(cumulative, u * total)
             idx = min(idx, len(cells) - 1)  # guards u*total == total edge
-            events.append(Event(f"e{counter:0{width}d}", cells[idx], period))
-    return EventSet(tuple(events))
+            rows.append((period, f"e{counter:0{width}d}", cells[idx]))
+    return EventSet._of_rows(rows)
 
 
 def top_k_baseline(

@@ -5,7 +5,7 @@ import pytest
 
 from gridscore import cli
 from gridscore.cli import main
-from gridscore.domain import EventSet
+from gridscore.domain import Event, EventSet
 from gridscore.report import fmt
 
 from conftest import AREA_FRACTIONS, CRIME_FRACTIONS, MODEL_UNITS
@@ -760,6 +760,47 @@ class TestCompare:
         assert code == 0, err
         assert sorted(scans) == scored
 
+    @pytest.mark.parametrize("command", ["compare", "evaluate", "gen"])
+    def test_no_event_objects_are_built(self, capsys, tmp_path, monkeypatch, command):
+        """Events stay columns from the file to the report, ALS included,
+        and from gen's draws to its files."""
+        cells = [f"c{i}" for i in range(1, 5)]
+        periods = ["p1", "p2", "p3"]
+        files = {
+            "cells": "cell_id,area_km2\n" + "".join(f"{c},1.0\n" for c in cells),
+            "events": "event_id,cell_id,period_id\n"
+            + "".join(f"e{p}{c},{c},{p}\n" for p in periods for c in cells[:3]),
+            "selections": "model_id,period_id,cell_id\n"
+            + "".join(f"{m},{p},{c}\n" for p in periods
+                      for m, c in (("X", "c1"), ("Y", "c2"))),
+            "surfaces": "model_id,period_id,cell_id,probability\n"
+            + "".join(f"{m},{p},{c},0.25\n" for m in ("X", "Y")
+                      for p in periods for c in cells),
+        }
+        argv = [command, "--config", write_conf(
+            tmp_path, "run.conf", "measures = hit_rate,pai,ser,als\n"
+        )]
+        for kind, text in files.items():
+            argv.append(f"--{kind}={write_conf(tmp_path, f'{kind}.csv', text)}")
+        if command == "gen":
+            argv = [command, "--out-dir", str(tmp_path / "gen"), "--config", write_conf(
+                tmp_path, "gen.conf", "gen.cells = 20\ngen.periods = 3\n"
+            )]
+        built = []
+        init = Event.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Event, "__init__", counted)
+        Event("e", "c1", "p1")
+        assert len(built) == 1
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        assert ("als" in out) is (command != "gen")
+        assert len(built) == 1
+
 
     def test_series_collected_once(self, capsys, two_model_cell_files, monkeypatch):
         """[summary], [combined] and [wsr] all read one collected series."""
@@ -1099,7 +1140,10 @@ class TestWholeStderr:
             capsys, "evaluate", "--units", f["units"],
             "--selections", f["selections"], "--config", f["conf"],
         )
-        assert err == "gridscore: error: grid_step must be at least 0.0001, got 1e-13\n"
+        assert err == (
+            f"gridscore: error: {f['conf']}: ppai.grid_step must be at least 0.0001, "
+            "got 1e-13\n"
+        )
 
     def test_grid_step_key_below_minimum_in_the_default_mode(self, capsys, tmp_path):
         f = self.files(
@@ -1111,7 +1155,10 @@ class TestWholeStderr:
             capsys, "evaluate", "--units", f["units"],
             "--selections", f["selections"], "--config", f["conf"],
         )
-        assert err == "gridscore: error: grid_step must be at least 0.0001, got 1e-13\n"
+        assert err == (
+            f"gridscore: error: {f['conf']}: ppai.grid_step must be at least 0.0001, "
+            "got 1e-13\n"
+        )
 
     def test_grid_step_at_minimum_is_accepted(self, capsys, tmp_path):
         f = self.files(tmp_path)

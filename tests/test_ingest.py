@@ -1,5 +1,6 @@
 import os
 import string
+import sys
 import tempfile
 import tracemalloc
 
@@ -21,6 +22,7 @@ from gridscore import (
     assign_events,
     coverage,
     hit_rate,
+    ingest,
 )
 from gridscore.ingest import (
     DEFAULT_ORIENTATION,
@@ -232,6 +234,51 @@ class TestLoadEvents:
         grid = load_cells(w(tmp_path / "cells.csv", CELLS_CSV))
         path = w(tmp_path / "events.csv", "event_id,cell_id,period_id\n")
         assert load_events(path, grid) == (EventSet(()), ())
+
+
+class TestReaderOrderOfErrors:
+    """Rows are read a chunk at a time, but faults are reported in file order."""
+
+    HEADER = "event_id,cell_id,period_id\n"
+    OVERLONG = "e9," + "x" * 200_000 + ",p1\n"
+
+    @pytest.mark.parametrize(
+        "later",
+        [OVERLONG, "e9,c\xff1,p1\n"],
+        ids=["csv-error", "undecodable-byte"],
+    )
+    def test_a_loader_fault_before_a_read_error_in_the_same_chunk(
+        self, tmp_path, monkeypatch, later
+    ):
+        # 1500 rows of 22 bytes keep the bad bytes well past the decoder's
+        # 8 KiB read-ahead from row 3, and all in the first chunk.
+        monkeypatch.setattr(ingest, "_CHUNK_ROWS", 2048)
+        good = "".join(f"event{i:010d},c1,p1\n" for i in range(1500))
+        path = tmp_path / "events.csv"
+        path.write_bytes(
+            (self.HEADER + "e1,c1,p1\n,c2,p1\n" + good).encode()
+            + later.encode("latin-1")
+        )
+        grid = load_cells(w(tmp_path / "cells.csv", CELLS_CSV))
+        with pytest.raises(IngestError) as info:
+            load_events(str(path), grid)
+        assert str(info.value) == f"{path}:3: empty field"
+
+    def test_rows_before_a_csv_error_are_handed_out_first(self, tmp_path):
+        path = w(tmp_path / "events.csv",
+                 self.HEADER + "e1,c1,p1\n\n e2,c2,p1\n" + self.OVERLONG + "e3,c3,p1\n")
+        seen = []
+        with pytest.raises(IngestError) as info:
+            for row in ingest._read_table(path, "events"):
+                seen.append(row)
+        assert seen == [(2, ["e1", "c1", "p1"]), (4, ["e2", "c2", "p1"])]
+        assert str(info.value) == f"{path}:5: field larger than field limit (131072)"
+
+    def test_the_whitespace_test_matches_what_strip_removes(self):
+        text = "".join(map(chr, range(sys.maxunicode + 1)))
+        matched = [m.start() for m in ingest._SPACE.finditer(text)]
+        assert matched == [i for i, ch in enumerate(text) if ch.isspace()]
+        assert all(ch.strip() == "" for ch in map(chr, matched))
 
 
 class TestLoadSelections:

@@ -299,3 +299,12 @@ class TestAls:
         events = EventSet(events=(Event("e1", "c9", "p1"),))
         with pytest.raises(ZeroMassError, match="c9"):
             als(surface, events, "p1")
+
+    def test_the_first_zero_mass_event_in_canonical_order_is_named(self):
+        surface = ProbabilitySurface(period="p1", mass={"c0": 1.0, "c1": 0.0, "c2": 0.0})
+        events = EventSet(events=(
+            Event("e3", "c1", "p1"), Event("e1", "c0", "p1"), Event("e2", "c2", "p1"),
+        ))
+        with pytest.raises(ZeroMassError) as info:
+            als(surface, events, "p1")
+        assert info.value.cell_id == "c2"
