@@ -121,18 +121,13 @@ def cumulative_levels(
     return tuple(levels)
 
 
-def check_grid_step(grid_step: float) -> None:
-    """Refuse an alpha grid spacing outside (0, 1) or below :data:`MIN_GRID_STEP`."""
+def _alpha_grid(grid_step: float) -> list[float]:
     if not 0 < grid_step < 1:
         raise ValidationError(f"grid_step must be in (0, 1), got {grid_step!r}")
     if grid_step < MIN_GRID_STEP:
         raise ValidationError(
             f"grid_step must be at least {MIN_GRID_STEP!r}, got {grid_step!r}"
         )
-
-
-def _alpha_grid(grid_step: float) -> list[float]:
-    check_grid_step(grid_step)
     alphas = []
     k = 0
     while True:

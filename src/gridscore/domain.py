@@ -13,7 +13,6 @@ read; it builds :class:`Event` objects only for a caller that asks for them.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -135,6 +134,7 @@ class EventSet:
     as the tuple of its events.
     """
 
+    _columns: _Columns
     # period -> its Event objects built so far, and (once asked for) all of
     # them in canonical order.
     _by_period: dict[PeriodId, tuple[Event, ...]]
@@ -142,31 +142,22 @@ class EventSet:
 
     def __init__(self, events: Iterable[Event]):
         canonical = operator.attrgetter("period", "event_id", "cell_id")
-        ordered = tuple(sorted(events, key=canonical))
+        ordered = sorted(events, key=canonical)
         groups = itertools.groupby(ordered, operator.attrgetter("period"))
         by_period = {p: tuple(g) for p, g in groups}
-        object.__setattr__(self, "_by_period", by_period)
-        object.__setattr__(self, "_events", ordered)
-
-    @functools.cached_property
-    def _columns(self) -> _Columns:
-        """Each period's event ids and cell ids, in canonical order. A set
-        made from Event objects reads them off its events when first asked,
-        so that building it costs no more than sorting and grouping."""
-        event_id = operator.attrgetter("event_id")
-        cell_id = operator.attrgetter("cell_id")
-        return {
+        event_id, cell_id = operator.attrgetter("event_id"), operator.attrgetter("cell_id")
+        self._hold({
             p: (tuple(map(event_id, group)), tuple(map(cell_id, group)))
-            for p, group in self._by_period.items()
-        }
+            for p, group in by_period.items()
+        })
+        # The caller's events are the ones in_period would build: keep them.
+        self._by_period.update(by_period)
 
     @classmethod
     def _of_columns(cls, columns: _Columns) -> "EventSet":
         """The set of ``columns``, which must be in canonical order."""
         self = cls.__new__(cls)
-        object.__setattr__(self, "_columns", columns)
-        object.__setattr__(self, "_by_period", {})
-        object.__setattr__(self, "_events", None)
+        self._hold(columns)
         return self
 
     @classmethod
@@ -179,6 +170,11 @@ class EventSet:
             _, ids, cells = zip(*group)
             columns[period] = (ids, cells)
         return cls._of_columns(columns)
+
+    def _hold(self, columns: _Columns) -> None:
+        object.__setattr__(self, "_columns", columns)
+        object.__setattr__(self, "_by_period", {})
+        object.__setattr__(self, "_events", None)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -213,7 +209,7 @@ class EventSet:
         return tuple(self._columns)
 
     def in_period(self, period: PeriodId) -> tuple[Event, ...]:
-        return self._by_period.get(period) or self._events_of(period)
+        return self._events_of(period)
 
     def _events_of(self, period: PeriodId) -> tuple[Event, ...]:
         """The kept events of ``period``, or those built from its columns and
@@ -242,8 +238,10 @@ class EventSet:
         return self._columns.get(period, ((), ()))[1]
 
     def _only(self, period: PeriodId) -> "EventSet":
-        """The events of ``period``, sharing this set's columns."""
-        return self._of_columns({period: self._columns[period]})
+        """The events of ``period``, sharing this set's columns; empty if
+        the set has none in ``period``."""
+        columns = self._columns.get(period)
+        return self._of_columns({period: columns} if columns else {})
 
     def _rows(self) -> Iterator[tuple[EventId, CellId, PeriodId]]:
         """(event id, cell id, period) of every event, in canonical order."""

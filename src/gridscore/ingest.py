@@ -666,7 +666,8 @@ def load_config(path: str, cli_strict: Optional[bool] = None) -> RunConfig:
     config = RunConfig(**values[""], orientations=orientations)
     if unknown and config.strict:
         raise IngestError(path, f"unknown config keys: {', '.join(unknown)}")
-    # Every alpha mode, not only grid_search, refuses a step the search would.
+    # Every alpha mode, not only grid_search, refuses a step the search
+    # would: this mirrors the floor of alpha_search._alpha_grid.
     if config.grid_step < MIN_GRID_STEP:
         raise _out_of_bound(
             path, "ppai.grid_step", f"be at least {MIN_GRID_STEP!r}", config.grid_step

@@ -992,6 +992,19 @@ class TestGen:
             assert (out_dir / name).exists()
         assert kv(sections["inputs"])["n_events"] == "100"
 
+    def test_zero_events_per_period(self, capsys, tmp_path):
+        conf = write_conf(
+            tmp_path, "gen.conf",
+            self.CONF.replace("events_per_period = 25", "events_per_period = 0"),
+        )
+        out_dir = tmp_path / "data"
+        code, out, err = run(
+            capsys, "gen", "--config", conf, "--out-dir", str(out_dir)
+        )
+        assert (code, err) == (0, "")
+        assert kv(parse_report(out)["inputs"])["n_events"] == "0"
+        assert (out_dir / "events.csv").read_text() == "event_id,cell_id,period_id\n"
+
     def test_generated_dataset_evaluates(self, capsys, tmp_path):
         conf = write_conf(tmp_path, "gen.conf", self.CONF)
         out_dir = tmp_path / "data"
