@@ -1,9 +1,10 @@
 import math
 import random
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import gridscore.cli
@@ -18,10 +19,12 @@ from gridscore import (
     ppai,
 )
 from gridscore.alpha_search import (
+    DEFAULT_GRID_STEP,
     TARGET_TOL,
     CumulativeLevel,
     _add_exact,
     _alpha_grid,
+    _peak_candidates,
 )
 from gridscore.ingest import load_units
 
@@ -317,14 +320,98 @@ def _outcome(search, levels, target, step):
         return ("error", str(exc), exc.diagnostics)
 
 
+GRID = _alpha_grid(DEFAULT_GRID_STEP)
+
+
+@st.composite
+def collinear_levels(draw):
+    """Levels whose crime is ``f * area**alpha`` for one grid alpha and a few
+    fixed factors f: the points (ln a, ln c) lie on parallel lines, so many
+    levels are collinear on the hull and tie, up to rounding, at that alpha.
+    Areas may repeat, and the levels may come out of area order."""
+    alpha = draw(st.sampled_from(GRID))
+    rows = draw(
+        st.lists(
+            st.tuples(
+                st.one_of(
+                    st.sampled_from([0.1, 0.25, 0.5, 1.0]),
+                    st.floats(min_value=1e-6, max_value=1.0),
+                ),
+                st.sampled_from([1.0, 1.0, 0.5, 2.0, 1 / 3]),
+            ),
+            min_size=1,
+            max_size=25,
+        )
+    )
+    rows.sort()
+    if draw(st.booleans()):
+        rows = draw(st.permutations(rows))
+    return [
+        CumulativeLevel(k, area, f * area**alpha)
+        for k, (area, f) in enumerate(rows, start=1)
+    ]
+
+
 class TestReferenceEquivalence:
     @settings(max_examples=60, deadline=None)
     @given(UNITS)
+    @example([HotspotUnit("a", 0.1, 0.0), HotspotUnit("b", 0.2, 0.0)])  # no crime
+    @example([HotspotUnit("only", 0.3, 0.2)])  # a single level
+    @example(  # equal areas, different crimes
+        [
+            HotspotUnit("a", 0.1, 0.05),
+            HotspotUnit("b", 0.1, 0.3),
+            HotspotUnit("c", 0.1, 0.1),
+        ]
+    )
+    @example(  # subnormal scores: rounding ties levels below the hull
+        [
+            HotspotUnit("a", 0.1, TINY),
+            HotspotUnit("b", 0.25, TINY),
+            HotspotUnit("c", 0.25, TINY),
+        ]
+    )
+    @example(  # alpha * ln a in the guard's range
+        [HotspotUnit("a", TINY, 0.5), HotspotUnit("b", 0.2, 0.1)]
+    )
     def test_search_matches_reference_loop(self, units):
         levels = cumulative_levels(order_units(units))
         targets = sorted({lvl.cum_area for lvl in levels if lvl.cum_area < 1.0})
         for target in targets:
             for step in (0.01, 0.02, 0.05):
+                assert _outcome(optimal_alpha, levels, target, step) == _outcome(
+                    _reference_optimal_alpha, levels, target, step
+                )
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(AREA_SHARES, CRIME_SHARES), min_size=1, max_size=200))
+    def test_up_to_200_units_match_reference_loop(self, rows):
+        units = [HotspotUnit(f"u{i:03d}", a, c) for i, (a, c) in enumerate(rows)]
+        levels = cumulative_levels(order_units(units))
+        targets = sorted({lvl.cum_area for lvl in levels if lvl.cum_area < 1.0})
+        # the first, last and a few levels between, to bound the reference's cost
+        for target in targets[:: max(1, len(targets) // 3)] + targets[-1:]:
+            assert _outcome(optimal_alpha, levels, target, 0.01) == _outcome(
+                _reference_optimal_alpha, levels, target, 0.01
+            )
+
+    @settings(max_examples=80, deadline=None)
+    @given(collinear_levels())
+    @example(  # equal areas with different crimes: one x, several y
+        [
+            CumulativeLevel(1, 0.1, 0.2),
+            CumulativeLevel(2, 0.1, 0.3),
+            CumulativeLevel(3, 0.4, 0.5),
+            CumulativeLevel(4, 0.4, 0.5),
+        ]
+    )
+    @example(  # exact ties: the same level twice
+        [CumulativeLevel(1, 0.25, 0.5), CumulativeLevel(2, 0.25, 0.5)]
+    )
+    def test_collinear_levels_match_reference_loop(self, levels):
+        targets = sorted({lvl.cum_area for lvl in levels if lvl.cum_area < 1.0})
+        for target in targets:
+            for step in (0.01, 0.02):
                 assert _outcome(optimal_alpha, levels, target, step) == _outcome(
                     _reference_optimal_alpha, levels, target, step
                 )
@@ -392,3 +479,149 @@ def test_report_bytes_match_reference_at_2000_units(
     assert "[alpha]" in fast
     assert fast.count("\n") > 2000
     assert fast == reference
+
+
+class TestPeakCandidates:
+    # Level 2 sits far below the chord from level 1 to level 3 in log space.
+    CRIMES = [0.5, 0.1, 0.9]
+    AREAS = [0.1, 0.2, 0.4]
+
+    def test_levels_below_the_hull_are_dropped(self):
+        assert _peak_candidates(self.CRIMES, self.AREAS, GRID) == [0, 2]
+
+    def test_levels_out_of_area_order(self):
+        crimes, areas = self.CRIMES[::-1], self.AREAS[::-1]
+        assert _peak_candidates(crimes, areas, GRID) == [0, 2]
+
+    @pytest.mark.parametrize(
+        "crimes, areas",
+        [
+            ([0.0, 0.0, 0.0], AREAS),  # no positive crime
+            ([0.5, math.nan, 0.9], AREAS),  # not finite
+            ([0.5, 0.1, math.inf], AREAS),
+            ([0.5, TINY, 0.9], AREAS),  # a log score below the limit
+            (CRIMES, [TINY, 0.2, 0.4]),  # alpha * ln a below the limit
+        ],
+    )
+    def test_guard_keeps_every_level(self, crimes, areas):
+        assert _peak_candidates(crimes, areas, GRID) == [0, 1, 2]
+
+    def test_candidates_are_under_one_percent_of_the_levels(self, tmp_path):
+        # A bound on the work that does not depend on timing: a silent fall
+        # back to scoring every level fails here.
+        path = tmp_path / "units.csv"
+        path.write_text(_alpha_units_csv(2000, seed=7), encoding="utf-8")
+        levels = cumulative_levels(order_units(load_units(str(path))))
+        candidates = _peak_candidates(
+            [lvl.cum_crime for lvl in levels], [lvl.cum_area for lvl in levels], GRID
+        )
+        assert 0 < len(candidates) < len(levels) / 100
+
+
+# Units whose shares keep every score a normal float, so the float search
+# and exact arithmetic can disagree only next to a breakpoint. Ordered units
+# have strictly increasing cumulative areas, each at least 1 + 1/k times the
+# one before, so no two levels share an x.
+ORACLE_UNITS = st.lists(
+    st.tuples(
+        st.one_of(
+            st.sampled_from([1e-9, 0.1, 0.25, 1 / 3, 1.0]),
+            st.floats(min_value=1e-9, max_value=1.0),
+        ),
+        st.one_of(
+            st.sampled_from([0.0, 1e-9, 0.1, 1 / 3, 1.0]),
+            st.floats(min_value=1e-9, max_value=1.0),
+        ),
+    ),
+    min_size=1,
+    max_size=40,
+).map(lambda rows: [HotspotUnit(f"u{i:02d}", a, c) for i, (a, c) in enumerate(rows)])
+
+#: Grid points this close to an exact breakpoint may fall either way.
+ORACLE_SLACK = Decimal("1e-9")
+
+
+def _log_points(levels):
+    """(ln a, ln c) at 50 digits for every level with positive crime."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        return {
+            k: (Decimal(lvl.cum_area).ln(), Decimal(lvl.cum_crime).ln())
+            for k, lvl in enumerate(levels)
+            if lvl.cum_crime > 0
+        }
+
+
+def _exact_interval(levels, t):
+    """The open interval (L, R) of alphas at which level ``t`` is the unique
+    PPAI peak, at 50 digits; None when it is the peak at no alpha."""
+    points = _log_points(levels)
+    if t not in points:  # zero crime: tied with or below every other level
+        return None if len(levels) > 1 else (Decimal("-Inf"), Decimal("Inf"))
+    xt, yt = points[t]
+    lo, hi = Decimal("-Inf"), Decimal("Inf")
+    with localcontext() as ctx:
+        ctx.prec = 50
+        for j, (xj, yj) in points.items():
+            if j < t:
+                hi = min(hi, (yt - yj) / (xt - xj))
+            elif j > t:
+                lo = max(lo, (yj - yt) / (xj - xt))
+    return lo, hi
+
+
+class TestDecimalOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(ORACLE_UNITS)
+    @example([HotspotUnit("a", 0.01, 0.5), HotspotUnit("b", 0.01, 0.1)])
+    @example([HotspotUnit("a", 0.1, 0.0), HotspotUnit("b", 0.2, 0.3)])
+    def test_valid_alphas_are_the_grid_inside_the_exact_interval(self, units):
+        levels = cumulative_levels(order_units(units))
+        for t, level in enumerate(levels):
+            if level.cum_area >= 1.0:
+                continue
+            interval = _exact_interval(levels, t)
+            inner, outer = [], []
+            if interval is not None:
+                lo, hi = interval
+                inner = [a for a in GRID if lo + ORACLE_SLACK < a < hi - ORACLE_SLACK]
+                outer = [a for a in GRID if lo - ORACLE_SLACK < a < hi + ORACLE_SLACK]
+            outcome = _outcome(optimal_alpha, levels, level.cum_area, 0.01)
+            if not outer:
+                assert isinstance(outcome, tuple), (t, interval)
+                continue
+            if not inner and isinstance(outcome, tuple):
+                continue
+            assert not isinstance(outcome, tuple), (t, interval)
+            assert outcome.target_level == level
+            low, high = outcome.valid_range
+            assert low in outer and high in outer
+            if inner:
+                assert low <= inner[0] and inner[-1] <= high
+            peaks = dict(outcome.per_alpha_diagnostics)
+            assert all(peaks[a] == level.prefix_len for a in inner)
+
+    @settings(max_examples=100, deadline=None)
+    @given(ORACLE_UNITS)
+    def test_each_alpha_peaks_at_the_envelope_level(self, units):
+        levels = cumulative_levels(order_units(units))
+        assume(levels[0].cum_area < 1.0)
+        points = _log_points(levels)
+        # The diagnostics do not depend on the target.
+        outcome = _outcome(optimal_alpha, levels, levels[0].cum_area, 0.01)
+        diagnostics = (
+            outcome[2] if isinstance(outcome, tuple) else outcome.per_alpha_diagnostics
+        )
+        with localcontext() as ctx:
+            ctx.prec = 50
+            for alpha, peak in diagnostics:
+                if not points:  # every score is 0: the first level peaks
+                    assert peak == 1
+                    continue
+                a = Decimal(alpha)
+                ranked = sorted(
+                    ((y - a * x, -k) for k, (x, y) in points.items()), reverse=True
+                )
+                if len(ranked) > 1 and ranked[0][0] - ranked[1][0] <= ORACLE_SLACK:
+                    continue  # a near tie, which rounding may decide either way
+                assert peak == levels[-ranked[0][1]].prefix_len, alpha

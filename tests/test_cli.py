@@ -1271,3 +1271,53 @@ class TestWholeStderr:
             "gridscore: error: a surfaces file needs a cells file to resolve "
             "against\n"
         )
+
+    # Shares of one region cannot sum above 1: areas 1.8 and crimes 2.0 here.
+    OVERFULL_UNITS = (
+        "unit_id,area_fraction,crime_fraction\na,0.3,0.9\nb,0.6,0.9\nc,0.9,0.2\n"
+    )
+
+    def test_optimize_alpha_refuses_units_summing_above_one(self, capsys, tmp_path):
+        f = self.files(tmp_path, units=self.OVERFULL_UNITS)
+        err = self.refused(
+            capsys, "optimize-alpha", "--units", f["units"], "--target", "0.3",
+        )
+        assert err == (
+            f"gridscore: error: {f['units']}: area_fraction sums to 1.8 > 1; the "
+            f"units overlap or their fractions are inconsistent\n"
+        )
+
+    def test_grid_search_refuses_crime_summing_above_one(self, capsys, tmp_path):
+        f = self.files(
+            tmp_path,
+            units="unit_id,area_fraction,crime_fraction\n"
+            "a,0.3,0.9\nb,0.6,0.9\nc,0.1,0.2\n",
+            selections="model_id,period_id,cell_id\nM,p1,a\n",
+            conf="measures = ppai\nppai.alpha_mode = grid_search\n"
+            "ppai.target_coverage = 0.5\n",
+        )
+        err = self.refused(
+            capsys, "evaluate", "--units", f["units"],
+            "--selections", f["selections"], "--config", f["conf"],
+        )
+        assert err == (
+            f"gridscore: error: {f['units']}: crime_fraction sums to 2.0 > 1; the "
+            f"units overlap or their fractions are inconsistent\n"
+        )
+
+    def test_grid_search_refuses_area_summing_above_one(self, capsys, tmp_path):
+        f = self.files(
+            tmp_path,
+            units=self.OVERFULL_UNITS,
+            selections="model_id,period_id,cell_id\nM,p1,a\nN,p1,b\n",
+            conf="measures = ppai\nppai.alpha_mode = grid_search\n"
+            "ppai.target_coverage = 0.5\n",
+        )
+        err = self.refused(
+            capsys, "compare", "--units", f["units"],
+            "--selections", f["selections"], "--config", f["conf"],
+        )
+        assert err == (
+            f"gridscore: error: {f['units']}: area_fraction sums to 1.8 > 1; the "
+            f"units overlap or their fractions are inconsistent\n"
+        )
