@@ -81,27 +81,16 @@ def _ignored_keys(config: RunConfig) -> list[str]:
 
 def _alpha_search(
     units: Sequence[metrics.HotspotUnit],
-    units_path: str,
     target: float,
     grid_step: float,
     report: Report,
 ):
     """Run the PPAI alpha grid search over ``units``; fill the [alpha] section.
 
-    The units must be shares of one region: a table whose area or crime
-    fractions sum above 1 is refused, naming ``units_path``.
+    The units are shares of one region, as :func:`load_units` checks.
     """
     ordered = order_units(units)
     levels = cumulative_levels(ordered)
-    for column, total in (
-        ("area_fraction", levels[-1].cum_area),
-        ("crime_fraction", levels[-1].cum_crime),
-    ):
-        if total > 1.0 + metrics.FRACTION_TOL:
-            raise ValidationError(
-                f"{units_path}: {column} sums to {total!r} > 1; the units "
-                f"overlap or their fractions are inconsistent"
-            )
     result = optimal_alpha(levels, target, grid_step=grid_step)
     lo, hi = result.valid_range
     report.alpha_info = [
@@ -116,7 +105,7 @@ def _alpha_search(
 
 
 def _resolve_global_alpha(
-    config: RunConfig, dataset: Dataset, units_path: Optional[str], report: Report
+    config: RunConfig, dataset: Dataset, report: Report
 ) -> Optional[float]:
     """The alpha applying to every PPAI row, or None for per-row n/N."""
     if "ppai" not in config.measures:
@@ -132,7 +121,7 @@ def _resolve_global_alpha(
             "the cumulative levels"
         )
     _, _, result = _alpha_search(
-        dataset.units, units_path, config.target_coverage, config.grid_step, report
+        dataset.units, config.target_coverage, config.grid_step, report
     )
     return result.alpha_star
 
@@ -425,7 +414,7 @@ def _scored_report(args, command: str) -> tuple[Dataset, RunConfig, Report]:
         report.warnings.append(
             "surface masses renormalized to sum to 1 (--renormalize-surfaces)"
         )
-    global_alpha = _resolve_global_alpha(config, dataset, args.units, report)
+    global_alpha = _resolve_global_alpha(config, dataset, report)
     utilities = config.utilities if command == "compare" else None
     _measure_rows(dataset, config, report, global_alpha, utilities)
     return dataset, config, report
@@ -454,7 +443,7 @@ def cmd_optimize_alpha(args) -> Report:
     units = load_units(args.units)
     report = Report(command="optimize-alpha")
     ordered, levels, result = _alpha_search(
-        units, args.units, args.target, args.grid_step, report
+        units, args.target, args.grid_step, report
     )
     report.config_pairs = [
         ("ppai.grid_step", args.grid_step),

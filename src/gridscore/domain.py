@@ -245,8 +245,10 @@ class EventSet:
 
     def _rows(self) -> Iterator[tuple[EventId, CellId, PeriodId]]:
         """(event id, cell id, period) of every event, in canonical order."""
-        for period, (ids, cells) in self._columns.items():
-            yield from zip(ids, cells, itertools.repeat(period))
+        return itertools.chain.from_iterable(
+            zip(ids, cells, itertools.repeat(period))
+            for period, (ids, cells) in self._columns.items()
+        )
 
 
 @dataclass(frozen=True)
@@ -267,13 +269,16 @@ class ProbabilitySurface:
         object.__setattr__(self, "mass", mass)
         if not mass:
             raise ValidationError("a probability surface needs at least one cell")
-        bad = [c for c, m in mass.items() if not (math.isfinite(m) and 0.0 <= m <= 1.0)]
-        if bad:
-            cid = min(bad)
+        masses = mass.values()
+        # One C-level pass each; the bad cells are listed only on failure.
+        if not (all(map(math.isfinite, masses)) and 0.0 <= min(masses)
+                and max(masses) <= 1.0):
+            cid = min(c for c, m in mass.items()
+                      if not (math.isfinite(m) and 0.0 <= m <= 1.0))
             raise ValidationError(
                 f"surface mass for cell {cid!r} is {mass[cid]!r}, outside [0, 1]"
             )
-        total = math.fsum(mass.values())
+        total = math.fsum(masses)
         if abs(total - 1.0) > MASS_ATOL:
             raise ValidationError(
                 f"surface masses sum to {total!r}, not 1 within {MASS_ATOL}"
@@ -287,7 +292,8 @@ class ProbabilitySurface:
         total = math.fsum(mass.values())
         if total <= 0:
             raise ValidationError("cannot renormalize: masses sum to zero")
-        return cls(period, {cid: m / total for cid, m in mass.items()})
+        scaled = map(operator.truediv, mass.values(), itertools.repeat(total))
+        return cls(period, dict(zip(mass, scaled)))
 
 
 @dataclass(frozen=True)

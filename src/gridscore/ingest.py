@@ -24,6 +24,7 @@ import csv
 import errno
 import itertools
 import math
+import operator
 import os
 import re
 import shutil
@@ -44,7 +45,7 @@ from .domain import (
     assign_events,
 )
 from .errors import IngestError, ValidationError
-from .metrics import MEASURES, HotspotUnit
+from .metrics import FRACTION_TOL, MEASURES, HotspotUnit
 from .report import fmt
 from .synth import GeneratorSpec
 
@@ -409,7 +410,18 @@ def load_surfaces(
 
 
 def load_units(path: str) -> tuple[HotspotUnit, ...]:
-    return _load_keyed(path, "units", HotspotUnit)
+    """The units of ``path``, in file order. They are shares of one region,
+    so a table whose area or crime fractions sum above 1 is refused."""
+    units = _load_keyed(path, "units", HotspotUnit)
+    for column in ("area_fraction", "crime_fraction"):
+        total = math.fsum(map(operator.attrgetter(column), units))
+        if total > 1.0 + FRACTION_TOL:
+            raise IngestError(
+                path,
+                f"{column} sums to {total!r} > 1; the units overlap or their "
+                f"fractions are inconsistent",
+            )
+    return units
 
 
 def load_dataset(
@@ -802,11 +814,23 @@ def staged_files(directory: str, names: Sequence[str]) -> Iterator[dict[str, str
 
 
 def _write_csv(path: str, kind: str, rows: Iterable[Sequence[str]]):
-    """``kind``'s header, then ``rows`` written as they come, one at a time."""
+    """``kind``'s header, then ``rows`` of strings, as wide as the header,
+    written a chunk of rows at a time, byte-identical to ``csv.writer``.
+
+    A chunk none of whose fields holds a comma, quote or line break needs no
+    quoting: it is written as one ``",".join`` per row. Any other chunk goes
+    through the ``csv.writer``. Only one chunk is held at a time.
+    """
+    rows = iter(rows)
     with atomic_open(path) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(HEADERS[kind])
-        writer.writerows(rows)
+        while chunk := list(itertools.islice(rows, _CHUNK_ROWS)):
+            text = "".join(itertools.chain.from_iterable(chunk))
+            if _unsafe(text) or '"' in text:
+                writer.writerows(chunk)
+            else:
+                handle.write("\n".join(map(",".join, chunk)) + "\n")
 
 
 def _by_model_period(tables: Mapping[str, Mapping[PeriodId, object]]) -> Iterator:
@@ -814,6 +838,11 @@ def _by_model_period(tables: Mapping[str, Mapping[PeriodId, object]]) -> Iterato
     for model_id in sorted(tables):
         for period_id in sorted(tables[model_id]):
             yield model_id, period_id, tables[model_id][period_id]
+
+
+def _prefixed(model_id: str, period_id: str, *columns: Iterable[str]) -> Iterator:
+    """Rows of ``model_id``, ``period_id`` and the items of ``columns``."""
+    return zip(itertools.repeat(model_id), itertools.repeat(period_id), *columns)
 
 
 def write_cells(path: str, grid: GridSpec) -> None:
@@ -831,22 +860,32 @@ def write_selections(
 
     An empty selection has no rows, so it does not survive a write.
     """
-    _write_csv(path, "selections", (
-        (model_id, period_id, cell_id)
+    _write_csv(path, "selections", itertools.chain.from_iterable(
+        _prefixed(model_id, period_id, sorted(selection.flagged))
         for model_id, period_id, selection in _by_model_period(selections)
-        for cell_id in sorted(selection.flagged)
     ))
+
+
+def _surface_rows(model_id: str, period_id: str, surface: ProbabilitySurface):
+    """The rows of one surface, sorted by cell. Each distinct mass gets one
+    ``repr``, except on a surface that holds a zero: ``0.0 == -0.0``, but
+    their reprs differ, so there every row gets its own."""
+    cells = sorted(surface.mass)
+    masses = map(surface.mass.__getitem__, cells)
+    distinct = set(surface.mass.values())
+    if 0.0 in distinct:
+        texts = map(repr, masses)
+    else:
+        texts = map(dict(zip(distinct, map(repr, distinct))).__getitem__, masses)
+    return _prefixed(model_id, period_id, cells, texts)
 
 
 def write_surfaces(
     path: str, surfaces: Mapping[str, Mapping[PeriodId, ProbabilitySurface]]
 ) -> None:
     """Write one row per cell, sorted by model, period and cell."""
-    _write_csv(path, "surfaces", (
-        (model_id, period_id, cell_id, repr(surface.mass[cell_id]))
-        for model_id, period_id, surface in _by_model_period(surfaces)
-        for cell_id in sorted(surface.mass)
-    ))
+    rows = itertools.starmap(_surface_rows, _by_model_period(surfaces))
+    _write_csv(path, "surfaces", itertools.chain.from_iterable(rows))
 
 
 def write_units(path: str, units: Sequence[HotspotUnit]) -> None:

@@ -15,7 +15,10 @@ instruments, not serious predictive models.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import operator
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -29,6 +32,9 @@ from .domain import (
     ProbabilitySurface,
 )
 from .errors import ValidationError
+
+#: A cell's id.
+_ID = operator.attrgetter("id")
 
 
 @dataclass(frozen=True)
@@ -67,14 +73,14 @@ class GeneratorSpec:
             raise ValidationError(
                 f"{self.n_cells} cells but {len(self.weights)} weights"
             )
-        if any(w < 0 or not math.isfinite(w) for w in self.weights):
+        if not all(map(math.isfinite, self.weights)) or min(self.weights) < 0:
             raise ValidationError("weights must be finite and non-negative")
-        if not any(w > 0 for w in self.weights):
+        if not max(self.weights) > 0:
             raise ValidationError("at least one weight must be positive")
 
     def cell_ids(self) -> tuple[str, ...]:
-        width = len(str(self.n_cells))
-        return tuple(f"c{i:0{width}d}" for i in range(1, self.n_cells + 1))
+        cell_id = f"c{{:0{len(str(self.n_cells))}d}}".format
+        return tuple(map(cell_id, range(1, self.n_cells + 1)))
 
     def period_ids(self) -> tuple[PeriodId, ...]:
         width = len(str(self.n_periods))
@@ -83,38 +89,45 @@ class GeneratorSpec:
 
 def make_grid(spec: GeneratorSpec) -> GridSpec:
     """The equal-area grid the generated events live on."""
-    return GridSpec(
-        cells=tuple(Cell(cid, spec.cell_area_km2) for cid in spec.cell_ids())
-    )
+    area = itertools.repeat(spec.cell_area_km2)
+    return GridSpec(cells=tuple(map(Cell, spec.cell_ids(), area)))
 
 
 def generate_events(spec: GeneratorSpec) -> EventSet:
     """Draw the spec'd number of events per period from the weight profile.
 
-    Each draw takes one uniform variate u from MT19937 and picks the first
-    cell whose cumulative weight exceeds u·total — a plain inverse-CDF
-    lookup, chosen over library helpers so the mapping from random stream
-    to cells is spelled out here and cannot drift.
+    Events are drawn one uniform variate u from MT19937 each, in order:
+    period by period, and within a period in event-id order. Each u picks
+    the first cell whose cumulative weight exceeds u·total — a plain
+    inverse-CDF lookup with ``bisect_right``, chosen over library helpers so
+    the mapping from random stream to cells is spelled out here and cannot
+    drift. The draws run as one chain of C-level ``map`` passes, and event
+    ids as one ``str.format``; the ids come out in canonical order, so each
+    period's columns are built as drawn.
     """
     rng = random.Random(spec.seed)
     cells = spec.cell_ids()
-    cumulative = []
-    running = 0.0
-    for w in spec.weights:
-        running += w
-        cumulative.append(running)
+    # The running sum from 0.0, one weight at a time: its last entry is the total.
+    cumulative = list(itertools.accumulate(spec.weights, initial=0.0))[1:]
     total = cumulative[-1]
-    rows = []
-    counter = 0
-    width = len(str(max(1, spec.n_periods * spec.events_per_period)))
-    for period in spec.period_ids():
-        for _ in range(spec.events_per_period):
-            counter += 1
-            u = rng.random()
-            idx = bisect_right(cumulative, u * total)
-            idx = min(idx, len(cells) - 1)  # guards u*total == total edge
-            rows.append((period, f"e{counter:0{width}d}", cells[idx]))
-    return EventSet._of_rows(rows)
+    # u*total == total (u just below 1) lands past the end: it picks the last cell.
+    cell_at = (*cells, cells[-1]).__getitem__
+    per_period = spec.events_per_period
+    n_events = spec.n_periods * per_period
+    draws = itertools.starmap(rng.random, itertools.repeat((), n_events))
+    picks = map(
+        cell_at,
+        map(functools.partial(bisect_right, cumulative), map(total.__mul__, draws)),
+    )
+    event_id = f"e{{:0{len(str(max(1, n_events)))}d}}".format
+    columns = {}
+    if per_period:  # a period without events has no columns
+        for start, period in zip(
+            itertools.count(1, per_period), spec.period_ids()
+        ):
+            ids = tuple(map(event_id, range(start, start + per_period)))
+            columns[period] = (ids, tuple(itertools.islice(picks, per_period)))
+    return EventSet._of_columns(columns)
 
 
 def top_k_baseline(
@@ -124,16 +137,20 @@ def top_k_baseline(
 
     Ties break toward the lexicographically smaller cell id; cells with no
     training events count as zero and can be drawn in when k is large.
+    Only the grid cells with training events are ranked (sorted by id, then
+    stably by count, descending); zero-count cells are added, in id order,
+    only when fewer than k cells have events. Training events on cells
+    outside the grid are ignored.
     """
     if not 0 < k <= len(grid.cells):
         raise ValidationError(
             f"k must be in [1, {len(grid.cells)}], got {k!r}"
         )
     counts = train.counts_by_cell()
-    ranked = sorted(
-        (c.id for c in grid.cells),
-        key=lambda cid: (-counts.get(cid, 0), cid),
-    )
+    ranked = sorted(grid.cell_ids.intersection(counts))
+    ranked.sort(key=counts.__getitem__, reverse=True)
+    if len(ranked) < k:
+        ranked += sorted(grid.cell_ids.difference(counts))[: k - len(ranked)]
     return HotspotSelection(period=period, flagged=frozenset(ranked[:k]))
 
 
@@ -152,10 +169,14 @@ def empirical_surface(
     if smoothing < 0:
         raise ValidationError(f"smoothing must be >= 0, got {smoothing!r}")
     counts = train.counts_by_cell()
-    mass = {c.id: counts.get(c.id, 0) + smoothing for c in grid.cells}
-    return ProbabilitySurface.renormalized(period, mass)
+    ids = tuple(map(_ID, grid.cells))
+    weights = map(operator.add, map(counts.get, ids, itertools.repeat(0)),
+                  itertools.repeat(smoothing))
+    return ProbabilitySurface.renormalized(period, dict(zip(ids, weights)))
 
 
 def uniform_surface(grid: GridSpec, period: PeriodId) -> ProbabilitySurface:
     """The no-information model: equal mass on every cell."""
-    return ProbabilitySurface.renormalized(period, {c.id: 1.0 for c in grid.cells})
+    return ProbabilitySurface.renormalized(
+        period, dict.fromkeys(map(_ID, grid.cells), 1.0)
+    )

@@ -217,9 +217,9 @@ class TestEvaluateUnitsMode:
             "units-only dataset supports hit_rate, coverage, pai, ppai\n"
         )
 
-    def test_fraction_sum_above_one_names_the_model_and_period(
-        self, capsys, tmp_path
-    ):
+    def test_fraction_sum_above_one_is_refused_at_load(self, capsys, tmp_path):
+        # Model A's p2 selection is the whole table, so the loader refuses
+        # the file before any model's hit rate could exceed 1.
         units = write_conf(
             tmp_path,
             "units.csv",
@@ -231,9 +231,8 @@ class TestEvaluateUnitsMode:
         code, out, err = run(capsys, "evaluate", "--units", units, "--selections", sel)
         assert (code, out) == (1, "")
         assert err == (
-            "gridscore: error: model 'A' period 'p2': hit rate of selected units "
-            "sums to 1.2999999999999998 > 1; the units overlap or their fractions "
-            "are inconsistent\n"
+            f"gridscore: error: {units}: crime_fraction sums to 1.2999999999999998 "
+            "> 1; the units overlap or their fractions are inconsistent\n"
         )
 
     def test_report_written_to_file(self, capsys, units_files, tmp_path):
@@ -1281,6 +1280,23 @@ class TestWholeStderr:
         f = self.files(tmp_path, units=self.OVERFULL_UNITS)
         err = self.refused(
             capsys, "optimize-alpha", "--units", f["units"], "--target", "0.3",
+        )
+        assert err == (
+            f"gridscore: error: {f['units']}: area_fraction sums to 1.8 > 1; the "
+            f"units overlap or their fractions are inconsistent\n"
+        )
+
+    @pytest.mark.parametrize("command", ["evaluate", "compare"])
+    def test_every_command_refuses_units_summing_above_one(
+        self, capsys, tmp_path, command
+    ):
+        f = self.files(
+            tmp_path,
+            units=self.OVERFULL_UNITS,
+            selections="model_id,period_id,cell_id\nM,p1,a\nN,p1,b\n",
+        )
+        err = self.refused(
+            capsys, command, "--units", f["units"], "--selections", f["selections"],
         )
         assert err == (
             f"gridscore: error: {f['units']}: area_fraction sums to 1.8 > 1; the "

@@ -211,6 +211,18 @@ class TestProbabilitySurface:
             ProbabilitySurface(period="p1", mass=mass)
         assert str(info.value) == "surface mass for cell 'b' is -0.5, outside [0, 1]"
 
+    @pytest.mark.parametrize(
+        "value, shown",
+        [(float("nan"), "nan"), (float("inf"), "inf"), (float("-inf"), "-inf"),
+         (-0.5, "-0.5"), (1.5, "1.5")],
+    )
+    def test_several_bad_cells_name_the_smallest(self, value, shown):
+        mass = {"f": float("inf"), "e": float("nan"), "d": 0.5, "c": -1.0,
+                "g": 2.0, "b": value, "a": 0.5}
+        with pytest.raises(ValidationError) as info:
+            ProbabilitySurface(period="p1", mass=mass)
+        assert str(info.value) == f"surface mass for cell 'b' is {shown}, outside [0, 1]"
+
     def test_renormalized(self):
         surface = ProbabilitySurface.renormalized("p1", {"a": 2.0, "b": 6.0})
         assert surface.mass["a"] == pytest.approx(0.25)

@@ -16,6 +16,7 @@ against one is a changed number, warning or format, not a refactoring.
 """
 
 import csv
+import hashlib
 import os
 import random
 import subprocess
@@ -154,6 +155,55 @@ def dataset(tmp_path_factory):
 def test_report_matches_golden(dataset, name):
     expected = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
     assert render(dataset, name) == expected
+
+
+#: ``gridscore gen`` configs whose output is pinned by sha256 below.
+GEN_VARIANTS = {
+    "golden": GEN_CONF,
+    "no_events": GEN_CONF.replace(
+        "gen.events_per_period = 12\n", "gen.events_per_period = 0\n"
+    ),
+    # 12 events a period reach at most 12 of the 20 cells: the top 15 take
+    # in quiet cells.
+    "top_k_above_busy_cells": GEN_CONF + "gen.top_k = 15\n",
+}
+
+#: sha256 of each file gen writes, and of its report, per config.
+GEN_SHA256 = {
+    "golden": {
+        "cells.csv": "62c5ef0104afdf01c873d9b6aab5de574ff17dcae80c33f86d68c605ca4e5491",
+        "events.csv": "0407ae51c70e213f4048db8f75f3e059046068e2d8280b1bc35af29839c15f26",
+        "selections.csv": "e37172aafec0dd1c98a76f0ff2afd2f46a9372ec88b492bb46cd0aa5af0af45b",
+        "surfaces.csv": "32b68ad5a8a576834f9ff232cdf01affb29f3839a3a997280c3f37072c781e34",
+        "report": "2727aae37eddb56a3bfd14801b0c0ffb890fc7cced4c38a68966653afc69eae1",
+    },
+    "no_events": {
+        "cells.csv": "62c5ef0104afdf01c873d9b6aab5de574ff17dcae80c33f86d68c605ca4e5491",
+        "events.csv": "d84ccb30c6866216f58c0a4d5789b4ee41130a3ba258c8a824ba5a8366c19c18",
+        "selections.csv": "bb5bfa32f6ab28e38e6a46e4be0d0614f8e9c70c727ea3db224f12aba1150700",
+        "surfaces.csv": "62010a8ee4b00d296938884f0930d457d8d97e0a05e1e8e793885af0d1040ce2",
+        "report": "22c9534030437250710a8961b4b60100f59429f134fe8a1ec8572942a6f86a74",
+    },
+    "top_k_above_busy_cells": {
+        "cells.csv": "62c5ef0104afdf01c873d9b6aab5de574ff17dcae80c33f86d68c605ca4e5491",
+        "events.csv": "0407ae51c70e213f4048db8f75f3e059046068e2d8280b1bc35af29839c15f26",
+        "selections.csv": "fa3e1a4b87d52006cbebf3a5a7545424f1ad37e1cb644359425545d0ce2b509c",
+        "surfaces.csv": "32b68ad5a8a576834f9ff232cdf01affb29f3839a3a997280c3f37072c781e34",
+        "report": "2d06a27139b8fcf975d0b49533f0c2a7cc1f08f961647f58d8cdb07c87bb58df",
+    },
+}
+
+
+@pytest.mark.parametrize("name", GEN_VARIANTS)
+def test_gen_output_is_pinned(tmp_path, name):
+    (tmp_path / "gen.conf").write_text(GEN_VARIANTS[name], encoding="utf-8")
+    data, report = tmp_path / "data", tmp_path / "gen.txt"
+    assert main(["gen", "--config", str(tmp_path / "gen.conf"), "--out-dir", str(data),
+                 "--out", str(report)]) == 0
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in data.iterdir()}
+    digests["report"] = hashlib.sha256(report.read_bytes()).hexdigest()
+    assert digests == GEN_SHA256[name]
 
 
 def test_goldens_cover_the_scoring_edge_cases():

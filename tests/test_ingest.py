@@ -1,3 +1,5 @@
+import csv
+import io
 import os
 import string
 import sys
@@ -42,6 +44,8 @@ from gridscore.ingest import (
     write_surfaces,
     write_units,
 )
+from gridscore.alpha_search import cumulative_levels, order_units
+from gridscore.metrics import FRACTION_TOL
 
 from conftest import AREA_FRACTIONS, CRIME_FRACTIONS
 
@@ -478,6 +482,15 @@ class TestLoadUnits:
             ("u1,2,-1\n", "2: unit 'u1': area_fraction must be in (0, 1], got 2.0"),
             ("u1,0.1,0.2\nu2,0.1,2\n,0.1,0.2\n",
              "3: unit 'u2': crime_fraction must be in [0, 1], got 2.0"),
+            # Shares of one region: a column summing above 1 is refused after
+            # the rows, area first.
+            ("a,0.3,0.9\nb,0.6,0.9\nc,0.9,0.2\n",
+             " area_fraction sums to 1.8 > 1; the units overlap or their "
+             "fractions are inconsistent"),
+            ("a,0.5,0.7\nb,0.5,0.6\n",
+             " crime_fraction sums to 1.2999999999999998 > 1; the units overlap "
+             "or their fractions are inconsistent"),
+            ("a,0.9,0.2\nb,0.9,x\n", "3: crime_fraction is not a number: 'x'"),
         ],
     )
     def test_first_fault_and_its_line(self, tmp_path, rows, message):
@@ -485,6 +498,37 @@ class TestLoadUnits:
         with pytest.raises(IngestError) as info:
             load_units(path)
         assert str(info.value) == f"{path}:{message}"
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.floats(0.0, 0.2, exclude_min=True),
+                              st.floats(0.0, 0.2)), min_size=1, max_size=12))
+    def test_refused_exactly_when_the_last_level_exceeds_one(
+        self, tmp_path_factory, rows
+    ):
+        """The loader's one ``fsum`` per column is the alpha search's last
+        level, bit for bit: the table is refused exactly when that level
+        exceeds 1, and the message names its total."""
+        units = tuple(HotspotUnit(f"u{i}", a, c) for i, (a, c) in enumerate(rows))
+        path = str(tmp_path_factory.mktemp("units") / "units.csv")
+        write_units(path, units)
+        last = cumulative_levels(order_units(units))[-1]
+        over = [
+            (column, total)
+            for column, total in (
+                ("area_fraction", last.cum_area), ("crime_fraction", last.cum_crime)
+            )
+            if total > 1.0 + FRACTION_TOL
+        ]
+        if not over:
+            assert load_units(path) == units
+            return
+        column, total = over[0]
+        with pytest.raises(IngestError) as info:
+            load_units(path)
+        assert info.value.reason == (
+            f"{column} sums to {total!r} > 1; the units overlap or their "
+            f"fractions are inconsistent"
+        )
 
 
 class TestLoadDataset:
@@ -879,7 +923,74 @@ class TestRoundTripProperties:
     @given(st.data())
     def test_units(self, data):
         ids = data.draw(st.lists(SAFE_IDS, min_size=1, max_size=8, unique=True))
-        area = finite_floats(0.0, 1.0, exclude_min=True)
-        crime = finite_floats(0.0, 1.0)
+        # Shares of one region: neither column may sum above 1.
+        area = finite_floats(0.0, 1.0 / len(ids), exclude_min=True)
+        crime = finite_floats(0.0, 1.0 / len(ids))
         units = tuple(HotspotUnit(u, data.draw(area), data.draw(crime)) for u in ids)
         assert round_trip(write_units, load_units, units) == units
+
+
+def csv_writer_text(header, rows):
+    """What ``csv.writer`` writes for ``header`` and ``rows``."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
+# Fields the writer must quote, or may leave bare, beside plain ones.
+AWKWARD_FIELDS = st.text(
+    st.sampled_from([",", '"', "\r", "\n", " ", "a", "7", "é", "€"])
+    | st.characters(blacklist_categories=("Cs",)),
+    max_size=4,
+)
+
+
+class TestChunkedCsvWriter:
+    """``_write_csv`` writes a clean chunk with ``str.join`` and any other
+    through ``csv.writer``; the file is the real writer's, byte for byte."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_rows=st.sampled_from([1023, 1024, 1025]),
+        filler=st.tuples(*[st.text(" aé€0", max_size=3)] * 4),
+        placed=st.lists(
+            st.tuples(st.integers(0, 1024), st.tuples(*[AWKWARD_FIELDS] * 4)),
+            max_size=4,
+        ),
+    )
+    def test_matches_csv_writer(self, n_rows, filler, placed):
+        rows = [(f"m{i}", *filler[1:]) if i % 3 else filler for i in range(n_rows)]
+        for at, row in placed:
+            rows[at % n_rows] = row
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "surfaces.csv")
+            ingest._write_csv(path, "surfaces", iter(rows))
+            with open(path, "rb") as handle:
+                written = handle.read()
+        expected = csv_writer_text(ingest.HEADERS["surfaces"], rows)
+        assert written == expected.encode("utf-8")
+
+    def test_carriage_return_follows_the_writer(self, tmp_path):
+        # Under a "\n" terminator Python 3.11's writer leaves "\r" unquoted;
+        # whatever it does, the file follows it.
+        rows = [("m", "p", "c\rd", "0.5")] * 3
+        path = str(tmp_path / "surfaces.csv")
+        ingest._write_csv(path, "surfaces", rows)
+        expected = csv_writer_text(ingest.HEADERS["surfaces"], rows)
+        assert open(path, "rb").read() == expected.encode("utf-8")
+
+    def test_surface_with_signed_zeros(self, tmp_path):
+        # 0.0 == -0.0, but each keeps its own repr in the file.
+        zeros = ProbabilitySurface("p1", {"a": 0.0, "b": -0.0, "c": 0.5, "d": 0.5})
+        halves = ProbabilitySurface("p1", {"a": 0.25, "b": 0.25, "c": 0.25, "d": 0.25})
+        path = str(tmp_path / "surfaces.csv")
+        write_surfaces(path, {"z": {"p1": zeros}, "h": {"p1": halves}})
+        expected = csv_writer_text(ingest.HEADERS["surfaces"], [
+            (model, "p1", cell, repr(surface.mass[cell]))
+            for model, surface in (("h", halves), ("z", zeros))
+            for cell in "abcd"
+        ])
+        assert open(path, encoding="utf-8").read() == expected
+        assert "z,p1,b,-0.0\n" in expected and "z,p1,a,0.0\n" in expected

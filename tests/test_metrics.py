@@ -98,6 +98,16 @@ class TestHitRateCoverage:
         with pytest.raises(ValidationError):
             coverage(units)
 
+    def test_hit_rate_above_one_message(self):
+        # The CLI refuses such a table at load; a library caller gets this.
+        units = (HotspotUnit("u1", 0.5, 0.7), HotspotUnit("u2", 0.5, 0.6))
+        with pytest.raises(ValidationError) as info:
+            hit_rate(units)
+        assert str(info.value) == (
+            "hit rate of selected units sums to 1.2999999999999998 > 1; the "
+            "units overlap or their fractions are inconsistent"
+        )
+
     def test_additive_over_disjoint_unit_sets(self, fifteen_units):
         left, right = fifteen_units[:7], fifteen_units[7:]
         np.testing.assert_allclose(

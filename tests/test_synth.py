@@ -1,9 +1,17 @@
+import bisect
+import random
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridscore import (
+    Cell,
+    Event,
     EventSet,
     GeneratorSpec,
+    GridSpec,
     ValidationError,
     empirical_surface,
     generate_events,
@@ -150,6 +158,69 @@ class TestTopKBaseline:
         grid, train = self.grid_and_train()
         sel = top_k_baseline(train, grid, 4, "p2")
         assert "c4" in sel.flagged
+
+
+def row_loop_events(spec):
+    """The reference draw: one variate per event in a Python loop, with the
+    index clamped to the last cell, collected as rows and sorted."""
+    rng = random.Random(spec.seed)
+    cells = spec.cell_ids()
+    cumulative, running = [], 0.0
+    for w in spec.weights:
+        running += w
+        cumulative.append(running)
+    rows, counter = [], 0
+    width = len(str(max(1, spec.n_periods * spec.events_per_period)))
+    for period in spec.period_ids():
+        for _ in range(spec.events_per_period):
+            counter += 1
+            idx = bisect.bisect_right(cumulative, rng.random() * cumulative[-1])
+            rows.append((period, f"e{counter:0{width}d}", cells[min(idx, len(cells) - 1)]))
+    return EventSet._of_rows(rows)
+
+
+class TestGenerateEventsAgainstRowLoop:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_same_events_as_the_row_loop(self, data):
+        # Zero weights, trailing ones included, and integer weights too.
+        weight = st.sampled_from([0, 0.0, 1, 2.5, 1e-300, 7.0, 1e300])
+        weights = data.draw(st.lists(weight, min_size=1, max_size=12).filter(any))
+        s = spec(
+            n_cells=len(weights),
+            weights=tuple(weights),
+            n_periods=data.draw(st.integers(1, 11)),
+            events_per_period=data.draw(st.integers(0, 30)),
+            seed=data.draw(st.integers(0, 2**32)),
+        )
+        assert generate_events(s) == row_loop_events(s)
+
+
+def whole_grid_top_k(train, grid, k):
+    """The reference ranking: every grid cell sorted by (-count, id)."""
+    counts = train.counts_by_cell()
+    ranked = sorted(
+        (c.id for c in grid.cells),
+        key=lambda cid: (-counts.get(cid, 0), cid),
+    )
+    return frozenset(ranked[:k])
+
+
+class TestTopKAgainstWholeGridSort:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_same_cells_as_the_whole_grid_sort(self, data):
+        # Few short ids and few events: counts tie often, ids sort in an
+        # order of their own, and some events fall on cells off the grid.
+        ids = data.draw(st.lists(st.text("ab1", min_size=1, max_size=3),
+                                 min_size=1, max_size=25, unique=True))
+        grid = GridSpec(tuple(Cell(i, 1.0) for i in ids))
+        cells = data.draw(st.lists(st.sampled_from([*ids, "off", "zz"]), max_size=40))
+        train = EventSet(tuple(Event(f"t{j}", c, "p1") for j, c in enumerate(cells)))
+        k = data.draw(st.integers(1, len(ids)))
+        selection = top_k_baseline(train, grid, k, "p2")
+        assert selection.flagged == whole_grid_top_k(train, grid, k)
+        assert selection.period == "p2"
 
 
 class TestEmpiricalSurface:
