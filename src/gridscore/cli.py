@@ -169,15 +169,10 @@ def _measure_rows(
             where = f"model {model} period {period}"
             selection = selections.get(period)
             if dataset.grid is None:
+                # load_units refused a table summing above 1, and a loaded
+                # selection is a non-empty subset of it: neither call raises.
                 chosen = [units[uid] for uid in selection.flagged]
-                try:
-                    tally = _UnitTally(
-                        metrics.hit_rate(chosen), metrics.coverage(chosen)
-                    )
-                except ValidationError as exc:
-                    raise GridscoreError(
-                        f"model {model!r} period {period!r}: {exc}"
-                    ) from exc
+                tally = _UnitTally(metrics.hit_rate(chosen), metrics.coverage(chosen))
             else:
                 flagged = frozenset() if selection is None else selection.flagged
                 if period not in period_counts:

@@ -128,10 +128,11 @@ class EventSet:
     order rows appeared in the source file. Every per-period query reads a
     period's columns; :class:`Event` objects are built only when
     :attr:`events` or :meth:`in_period` is asked for them, once, and kept.
-    Events are cross-validated against a grid in one place,
-    :func:`assign_events`, because the event set does not hold a grid
-    reference. An event set is immutable, and compares, hashes and prints
-    as the tuple of its events.
+    Events are cross-validated against a grid where a set is built from
+    rows, by :func:`assign_events` (or, for a clean file, by
+    :func:`gridscore.ingest.load_events` in column passes), because the
+    event set does not hold a grid reference. An event set is immutable,
+    and compares, hashes and prints as the tuple of its events.
     """
 
     _columns: _Columns
@@ -379,14 +380,14 @@ class _PeriodCounts:
     def tally(self, flagged: frozenset[CellId]) -> SelectionTally:
         """The :meth:`SelectionTally.of` of ``flagged`` against this period."""
         grid = self.grid
-        unknown = sorted(flagged - grid.cell_ids)
-        if unknown:
+        if not grid.cell_ids.issuperset(flagged):
+            unknown = sorted(flagged - grid.cell_ids)
             raise ValidationError(f"selection flags unknown cells: {unknown}")
         # Every flagged cell is known from here on, so its area is a lookup.
         caught = self.hit & flagged
         return SelectionTally(
             n_events=self.n_events,
-            hits=sum(self.counts[c] for c in caught),
+            hits=sum(map(self.counts.__getitem__, caught)),
             flagged_area_km2=math.fsum(map(grid._areas.__getitem__, flagged)),
             total_area_km2=grid.total_area_km2,
             table=ContingencyTable(

@@ -26,7 +26,6 @@ import itertools
 import math
 import operator
 import os
-import re
 import shutil
 import tempfile
 from dataclasses import dataclass, field, replace
@@ -176,23 +175,22 @@ def _open(path: str) -> TextIO:
         return open(path, newline="", encoding="utf-8-sig")
 
 
-#: Rows :func:`_read_table` reads, and checks, at a time.
+#: Rows a table is read, checked and written in at a time.
 _CHUNK_ROWS = 1024
 
-#: Matches exactly the characters ``str.strip()`` removes.
-_SPACE = re.compile(r"\s")
 
+def _read_chunks(path: str, kind: str):
+    """Yield (line_number, rows, columns) for each chunk of a CSV file,
+    enforcing its kind's header.
 
-def _read_table(path: str, kind: str):
-    """Yield (line_number, row) for a CSV file, enforcing its kind's header.
-
-    Fields are stripped of surrounding whitespace and blank lines skipped.
-    Rows are read and checked a chunk at a time: a chunk whose every row has
-    the header's width and which holds no comma, line break or whitespace
-    in any field is handed out as read, and any other chunk goes through the
-    per-row checks of :func:`_checked_rows`. A read error is raised after
-    the rows read before it are handed out, so the first fault of the file
-    is the one reported.
+    A chunk is up to ``_CHUNK_ROWS`` rows as read, and ``line_number`` is
+    the line of its first row. ``columns`` is the chunk as one tuple per
+    header field if the chunk is clean: every row has the header's width
+    and no field is empty or holds a comma, a line break or whitespace, so
+    no field needs stripping. Otherwise it is None, and the rows must go
+    through the per-row checks of :func:`_checked_rows` and of the loader.
+    A read error is raised after the chunk of rows read before it, so the
+    first fault of the file is the one reported.
     """
     header = HEADERS[kind]
     with _open(path) as handle, _read_errors(path, reader := csv.reader(handle)):
@@ -208,23 +206,52 @@ def _read_table(path: str, kind: str):
             )
         lineno = 2
         while True:
-            chunk: list[list[str]] = []
+            rows: list[list[str]] = []
             failure = None
             try:
-                chunk.extend(itertools.islice(reader, _CHUNK_ROWS))
+                rows.extend(itertools.islice(reader, _CHUNK_ROWS))
             except (csv.Error, UnicodeDecodeError) as exc:
                 failure = exc
-            widths = set(map(len, chunk))
-            text = "".join(itertools.chain.from_iterable(chunk))
-            if widths - {len(header)} or _unsafe(text) or _SPACE.search(text):
-                yield from _checked_rows(path, header, chunk, lineno)
-            else:
-                yield from zip(itertools.count(lineno), chunk)
+            if rows:
+                yield lineno, rows, _clean_columns(rows, len(header))
             if failure is not None:
                 raise failure
-            if len(chunk) < _CHUNK_ROWS:
+            if len(rows) < _CHUNK_ROWS:
                 return
-            lineno += len(chunk)
+            lineno += len(rows)
+
+
+def _clean_columns(rows: list[list[str]], width: int) -> Optional[tuple]:
+    """``rows`` as columns if every row is ``width`` fields wide and no
+    field is empty or holds a comma, a line break or whitespace; else None."""
+    if set(map(len, rows)) != {width}:
+        return None
+    columns = tuple(zip(*rows))
+    text = "".join(map("".join, columns))
+    if not all(map(all, columns)) or _unsafe(text) or _has_space(text):
+        return None
+    return columns
+
+
+def _has_space(text: str) -> bool:
+    """Whether ``text`` holds a character that ``str.strip()`` removes:
+    exactly the characters ``str.split()`` splits at."""
+    return bool(text) and text.split(None, 1) != [text]
+
+
+def _read_table(path: str, kind: str):
+    """Yield (line_number, row) for every row of a CSV file, its fields
+    stripped and blank lines skipped: a table read one row at a time.
+
+    A clean chunk of :func:`_read_chunks` is handed out as read, and any
+    other chunk goes through the per-row checks of :func:`_checked_rows`.
+    """
+    header = HEADERS[kind]
+    for lineno, rows, columns in _read_chunks(path, kind):
+        if columns is None:
+            yield from _checked_rows(path, header, rows, lineno)
+        else:
+            yield from zip(itertools.count(lineno), rows)
 
 
 def _checked_rows(path: str, header: Sequence[str], rows: list[list[str]], lineno: int):
@@ -251,6 +278,61 @@ def _checked_rows(path: str, header: Sequence[str], rows: list[list[str]], linen
 
 def _unsafe(text: str) -> bool:
     return "," in text or "\n" in text or "\r" in text
+
+
+def _load_chunks(path: str, kind: str, add_chunk: Callable, add_rows: Callable) -> None:
+    """Load ``path`` a chunk at a time into a loader's state.
+
+    ``add_chunk(*columns)`` checks a clean chunk with passes over its
+    columns and, only if every row passes, adds the chunk and answers True.
+    Any other chunk goes to ``add_rows``, the loader's per-row checks, which
+    adds its (line_number, row) pairs up to the first fault and raises that.
+    So each fault is reported in file order, with its own line.
+    """
+    header = HEADERS[kind]
+    for lineno, rows, columns in _read_chunks(path, kind):
+        if columns is None or not add_chunk(*columns):
+            add_rows(_checked_rows(path, header, rows, lineno))
+
+
+def _floats(texts: Sequence[str]) -> Optional[list[float]]:
+    """The numbers of ``texts``, or None if one is not a finite number."""
+    try:
+        values = list(map(float, texts))
+    except ValueError:
+        return None
+    return values if all(map(math.isfinite, values)) else None
+
+
+def _runs(keys: Iterable) -> Iterator[tuple[object, int, int]]:
+    """(key, start, stop) of each run of equal consecutive ``keys``."""
+    stop = 0
+    for key, run in itertools.groupby(keys):
+        start, stop = stop, stop + len(list(run))
+        yield key, start, stop
+
+
+def _add_runs(
+    held: dict[tuple[str, PeriodId], dict],
+    keys: Iterable[tuple[str, PeriodId]],
+    part: Callable[[int, int], dict],
+) -> bool:
+    """Add each run of equal consecutive ``keys``, rows ``start`` to
+    ``stop`` of a chunk, to ``held[key]`` as the dict ``part(start, stop)``
+    keyed by cell, and answer True; or, if a cell repeats within a key, add
+    nothing and answer False."""
+    staged: dict[tuple[str, PeriodId], dict] = {}
+    for key, start, stop in _runs(keys):
+        cells = part(start, stop)
+        if len(cells) != stop - start or not (
+            held.get(key, {}).keys().isdisjoint(cells)
+            and staged.get(key, {}).keys().isdisjoint(cells)
+        ):
+            return False
+        staged.setdefault(key, {}).update(cells)
+    for key, cells in staged.items():
+        held.setdefault(key, {}).update(cells)
+    return True
 
 
 def _parse_float(path: str, lineno: int, field_name: str, text: str) -> float:
@@ -302,7 +384,20 @@ def load_events(
 
     In lenient mode the offending rows are returned as rejects so the
     caller can count and report them instead of silently losing data.
+
+    The file is read a chunk at a time straight into per-period columns.
+    If a check fails anywhere, or the file has a read error, the whole file
+    is replayed one row at a time through :func:`assign_events`, so the
+    first fault of the file is the one reported, and lenient mode's rejects
+    are those of :func:`assign_events`.
     """
+    try:
+        columns = _event_columns(path, grid.cell_ids)
+    except IngestError:
+        columns = None  # a read error: the replay reports the file's first fault
+    if columns is not None:
+        return EventSet._of_columns(columns), ()
+
     lineno = 0
 
     def rows():
@@ -323,6 +418,40 @@ def load_events(
         raise IngestError(path, str(exc), line=lineno) from exc
 
 
+def _event_columns(path: str, known: frozenset[str]) -> Optional[dict]:
+    """The events of ``path`` as canonical per-period (ids, cells) columns,
+    or None if a chunk is not clean or holds a cell not in ``known``, or an
+    event id repeats."""
+    by_period: dict[PeriodId, tuple[list[str], list[str]]] = {}
+    with contextlib.closing(_read_chunks(path, "events")) as chunks:
+        for _, _, columns in chunks:
+            if columns is None:
+                return None
+            ids, cells, periods = columns
+            if not known.issuperset(cells):
+                return None
+            for period, start, stop in _runs(periods):
+                period_ids, period_cells = by_period.setdefault(period, ([], []))
+                period_ids.extend(ids[start:stop])
+                period_cells.extend(cells[start:stop])
+    columns = {p: tuple(map(tuple, by_period[p])) for p in sorted(by_period)}
+    for period, (ids, cells) in columns.items():
+        if not _ascending(ids):
+            # Sorting the pairs sorts by id; a repeated id is refused below.
+            columns[period] = tuple(zip(*sorted(zip(ids, cells))))
+    id_columns = [ids for ids, _ in columns.values()]
+    if len(set(itertools.chain.from_iterable(id_columns))) != sum(map(len, id_columns)):
+        return None
+    return columns
+
+
+def _ascending(items: Iterable[str]) -> bool:
+    """Whether each of ``items`` is above the one before it."""
+    items, after = itertools.tee(items)
+    next(after, None)
+    return all(map(operator.lt, items, after))
+
+
 def load_selections(
     path: str, known_ids: frozenset[str], id_kind: str = "cell"
 ) -> dict[str, dict[PeriodId, HotspotSelection]]:
@@ -331,24 +460,33 @@ def load_selections(
     Always strict: a model flagging an id that does not exist is a modelling
     error, not a data-quality nuisance, so there is no lenient drop here.
     """
-    flagged: dict[tuple[str, PeriodId], set[str]] = {}
-    for lineno, (model_id, period_id, cell_id) in _read_table(path, "selections"):
-        if not model_id or not period_id or not cell_id:
-            raise IngestError(path, "empty field", line=lineno)
-        per = flagged.setdefault((model_id, period_id), set())
-        if cell_id in per:
-            raise IngestError(
-                path,
-                f"duplicate selection {model_id}/{period_id}/{cell_id}",
-                line=lineno,
-            )
-        if cell_id not in known_ids:
-            raise IngestError(
-                path,
-                f"model {model_id!r} flags unknown {id_kind} {cell_id!r}",
-                line=lineno,
-            )
-        per.add(cell_id)
+    flagged: dict[tuple[str, PeriodId], dict[str, None]] = {}
+
+    def add_chunk(models, periods, cells):
+        return known_ids.issuperset(cells) and _add_runs(
+            flagged, zip(models, periods), lambda i, j: dict.fromkeys(cells[i:j])
+        )
+
+    def add_rows(rows):
+        for lineno, (model_id, period_id, cell_id) in rows:
+            if not model_id or not period_id or not cell_id:
+                raise IngestError(path, "empty field", line=lineno)
+            per = flagged.setdefault((model_id, period_id), {})
+            if cell_id in per:
+                raise IngestError(
+                    path,
+                    f"duplicate selection {model_id}/{period_id}/{cell_id}",
+                    line=lineno,
+                )
+            if cell_id not in known_ids:
+                raise IngestError(
+                    path,
+                    f"model {model_id!r} flags unknown {id_kind} {cell_id!r}",
+                    line=lineno,
+                )
+            per[cell_id] = None
+
+    _load_chunks(path, "selections", add_chunk, add_rows)
     out: dict[str, dict[PeriodId, HotspotSelection]] = {}
     for (model_id, period_id), cells in sorted(flagged.items()):
         out.setdefault(model_id, {})[period_id] = HotspotSelection(
@@ -362,30 +500,40 @@ def load_surfaces(
 ) -> dict[str, dict[PeriodId, ProbabilitySurface]]:
     """Load per-model probability surfaces, one complete grid per period."""
     masses: dict[tuple[str, PeriodId], dict[str, float]] = {}
-    for lineno, (model_id, period_id, cell_id, prob_text) in _read_table(
-        path, "surfaces"
-    ):
-        if not model_id or not period_id or not cell_id:
-            raise IngestError(path, "empty field", line=lineno)
-        if cell_id not in grid.cell_ids:
-            raise IngestError(
-                path,
-                f"model {model_id!r} assigns mass to unknown cell {cell_id!r}",
-                line=lineno,
-            )
-        prob = _parse_float(path, lineno, "probability", prob_text)
-        if prob < 0:
-            raise IngestError(
-                path, f"probability must be non-negative, got {prob!r}", line=lineno
-            )
-        per = masses.setdefault((model_id, period_id), {})
-        if cell_id in per:
-            raise IngestError(
-                path,
-                f"duplicate surface entry {model_id}/{period_id}/{cell_id}",
-                line=lineno,
-            )
-        per[cell_id] = prob
+
+    def add_chunk(models, periods, cells, texts):
+        values = _floats(texts)
+        if values is None or min(values) < 0 or not grid.cell_ids.issuperset(cells):
+            return False
+        return _add_runs(
+            masses, zip(models, periods), lambda i, j: dict(zip(cells[i:j], values[i:j]))
+        )
+
+    def add_rows(rows):
+        for lineno, (model_id, period_id, cell_id, prob_text) in rows:
+            if not model_id or not period_id or not cell_id:
+                raise IngestError(path, "empty field", line=lineno)
+            if cell_id not in grid.cell_ids:
+                raise IngestError(
+                    path,
+                    f"model {model_id!r} assigns mass to unknown cell {cell_id!r}",
+                    line=lineno,
+                )
+            prob = _parse_float(path, lineno, "probability", prob_text)
+            if prob < 0:
+                raise IngestError(
+                    path, f"probability must be non-negative, got {prob!r}", line=lineno
+                )
+            per = masses.setdefault((model_id, period_id), {})
+            if cell_id in per:
+                raise IngestError(
+                    path,
+                    f"duplicate surface entry {model_id}/{period_id}/{cell_id}",
+                    line=lineno,
+                )
+            per[cell_id] = prob
+
+    _load_chunks(path, "surfaces", add_chunk, add_rows)
     out: dict[str, dict[PeriodId, ProbabilitySurface]] = {}
     for (model_id, period_id), mass in sorted(masses.items()):
         # Every row names a known cell once: a short surface misses some.

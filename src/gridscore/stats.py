@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import math
 import statistics
+import sys
 from array import array
 from collections import Counter
 from dataclasses import dataclass
@@ -92,14 +93,19 @@ def _null_counts(doubled_ranks: tuple[int, ...]) -> array:
     The counts depend only on the multiset of doubled ranks, so callers key
     the cache by the sorted tuple. Each rank r adds the vector to itself
     shifted by r, new[w] = old[w] + old[w − r]. Every count is below
-    2**EXACT_LIMIT, so the vector is stored as C ints, 4 bytes a count.
-    Every caller shares the cached array: read it, never write to it.
+    2**EXACT_LIMIT, so the vector is stored as C ints, 4 bytes a count, and
+    built packed into one Python int with a lane of that width per count:
+    a rank's shift-and-add is then one ``packed += packed << (lane · r)``,
+    no lane carries into the next, and the lanes are unpacked once. Every
+    caller shares the cached array: read it, never write to it.
     """
-    counts = [1]
+    counts = array("i")
+    lane = counts.itemsize
+    packed = 1
     for r in doubled_ranks:
-        pad = [0] * r
-        counts = [a + b for a, b in zip(counts + pad, pad + counts)]
-    return array("i", counts)
+        packed += packed << (8 * lane * r)
+    counts.frombytes(packed.to_bytes(lane * (sum(doubled_ranks) + 1), sys.byteorder))
+    return counts
 
 
 def _exact_tail_probs(doubled_ranks: list[int], doubled_w: int) -> tuple[float, float]:

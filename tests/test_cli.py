@@ -1,11 +1,14 @@
 """End-to-end tests driving the `gridscore` CLI in-process."""
 
+import math
+
 import numpy as np
 import pytest
 
 from gridscore import cli
 from gridscore.cli import main
 from gridscore.domain import Event, EventSet
+from gridscore.metrics import FRACTION_TOL
 from gridscore.report import fmt
 
 from conftest import AREA_FRACTIONS, CRIME_FRACTIONS, MODEL_UNITS
@@ -234,6 +237,28 @@ class TestEvaluateUnitsMode:
             f"gridscore: error: {units}: crime_fraction sums to 1.2999999999999998 "
             "> 1; the units overlap or their fractions are inconsistent\n"
         )
+
+    def test_whole_table_at_the_fraction_tolerance_scores(self, capsys, tmp_path):
+        # The crime column sums to exactly 1 + FRACTION_TOL, which the
+        # loader accepts; a selection of every unit sums no higher.
+        crime = 1.0 + FRACTION_TOL - 0.5
+        assert math.fsum([0.5, crime]) == 1.0 + FRACTION_TOL
+        units = write_conf(
+            tmp_path,
+            "units.csv",
+            f"unit_id,area_fraction,crime_fraction\nu1,0.5,0.5\nu2,0.5,{crime!r}\n",
+        )
+        sel = write_conf(
+            tmp_path, "sel.csv", "model_id,period_id,cell_id\nA,p1,u1\nA,p1,u2\n"
+        )
+        code, out, err = run(capsys, "evaluate", "--units", units, "--selections", sel)
+        assert (code, err) == (0, "")
+        assert parse_report(out)["measures"] == [
+            "model_id,period_id,measure,value",
+            "A,p1,coverage,1.0",
+            f"A,p1,hit_rate,{1.0 + FRACTION_TOL!r}",
+            f"A,p1,pai,{1.0 + FRACTION_TOL!r}",
+        ]
 
     def test_report_written_to_file(self, capsys, units_files, tmp_path):
         units, sel, _ = units_files

@@ -25,7 +25,9 @@ from pathlib import Path
 
 import pytest
 
+from gridscore import HotspotSelection
 from gridscore.cli import main
+from gridscore.ingest import write_selections
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -216,6 +218,56 @@ def test_goldens_cover_the_scoring_edge_cases():
     assert "model everywhere period p2: expected utility undefined" in compare
     assert "expected_utility" not in text["evaluate_eu"]
     assert "[alpha]" in text["evaluate_units"] and "[levels]" in text["optimize_alpha"]
+
+
+#: A ``gridscore gen`` dataset each of whose four files spans at least three
+#: of the reader's 1024-row chunks: 2100 cells, 4 × 1500 events, 3 × 700
+#: cells flagged by the top-k model alone and 2 × 3 × 2100 surface rows.
+MULTI_CHUNK_CONF = (
+    "gen.cells = 2100\n"
+    "gen.periods = 4\n"
+    "gen.events_per_period = 1500\n"
+    "gen.top_k = 700\n"
+    "gen.seed = 17\n"
+    f"gen.weights = {','.join(str(1 + i % 7) for i in range(2100))}\n"
+)
+
+#: sha256 of the multi-chunk dataset's evaluate and compare reports.
+MULTI_CHUNK_SHA256 = {
+    "evaluate": "77bad135e264afb97cc330b48e7525eeb4c2c028566d6241d3c83e2d55a77538",
+    "compare": "0048111fec2aa4313ada6a5b306cbafd62a05bc0e851a840a702558f2bf769d7",
+}
+
+MULTI_CHUNK_RUNS = {
+    "evaluate": CONFIGS["evaluate_cells"].replace("als.restrict_to_hotspots = on\n", ""),
+    "compare": "measures = hit_rate,pai,precision,fpr\n" + EU,
+}
+
+
+@pytest.mark.parametrize("command", MULTI_CHUNK_RUNS)
+def test_multi_chunk_reports_are_pinned(tmp_path, command):
+    (tmp_path / "gen.conf").write_text(MULTI_CHUNK_CONF, encoding="utf-8")
+    data = tmp_path / "data"
+    assert main(["gen", "--config", str(tmp_path / "gen.conf"), "--out-dir", str(data),
+                 "--out", str(tmp_path / "gen.txt")]) == 0
+    selections: dict = {}
+    for model, period, cell in read_rows(data / "selections.csv"):
+        selections.setdefault(model, {}).setdefault(period, set()).add(cell)
+    # A second model flags 650 cells drawn at random in each period.
+    cells = sorted(cell for cell, _ in read_rows(data / "cells.csv"))
+    rng = random.Random(3)
+    selections["sampled"] = {period: rng.sample(cells, 650) for period in selections["top_k"]}
+    write_selections(str(data / "selections.csv"), {
+        model: {p: HotspotSelection(p, frozenset(c)) for p, c in by_period.items()}
+        for model, by_period in selections.items()
+    })
+    (tmp_path / "run.conf").write_text(MULTI_CHUNK_RUNS[command], encoding="utf-8")
+    out = tmp_path / "report.txt"
+    argv = [command, "--config", str(tmp_path / "run.conf"), "--out", str(out)]
+    for kind in ("cells", "events", "selections", "surfaces"):
+        argv += [f"--{kind}", str(data / f"{kind}.csv")]
+    assert main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == MULTI_CHUNK_SHA256[command]
 
 
 #: Sections rendered as a header row plus comma-separated data rows.

@@ -279,10 +279,12 @@ class TestReaderOrderOfErrors:
         assert str(info.value) == f"{path}:5: field larger than field limit (131072)"
 
     def test_the_whitespace_test_matches_what_strip_removes(self):
-        text = "".join(map(chr, range(sys.maxunicode + 1)))
-        matched = [m.start() for m in ingest._SPACE.finditer(text)]
-        assert matched == [i for i, ch in enumerate(text) if ch.isspace()]
-        assert all(ch.strip() == "" for ch in map(chr, matched))
+        chars = list(map(chr, range(sys.maxunicode + 1)))
+        matched = [ch for ch in chars if ingest._has_space(f"a{ch}b")]
+        assert matched == [ch for ch in chars if ch.isspace()]
+        assert all(ch.strip() == "" for ch in matched)
+        assert [ingest._has_space(t) for t in ("", "ab", " ab", "ab\x1f", "a\u3000b")] == [
+            False, False, True, True, True]
 
 
 class TestLoadSelections:

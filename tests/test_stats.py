@@ -293,6 +293,30 @@ half_steps = st.integers(min_value=0, max_value=8).map(lambda k: k / 2)
 tied_pairs = st.lists(st.tuples(half_steps, half_steps), min_size=1, max_size=12)
 
 
+def _list_dp(doubled_ranks):
+    """The exact null counts as ``stats._null_counts`` built them before
+    they were packed into one int: one list comprehension per rank."""
+    counts = [1]
+    for r in doubled_ranks:
+        pad = [0] * r
+        counts = [a + b for a, b in zip(counts + pad, pad + counts)]
+    return counts
+
+
+@st.composite
+def doubled_midranks(draw):
+    """The doubled mid-ranks of up to 25 absolute differences cut into
+    random tie groups: a group of t from rank s + 1 on has doubled
+    mid-rank 2s + t + 1, odd when t is even."""
+    sizes = draw(st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=25))
+    doubled, start = [], 0
+    for size in sizes:
+        size = min(size, stats.EXACT_LIMIT - start)
+        doubled += [2 * start + size + 1] * size
+        start += size
+    return doubled
+
+
 class TestExactNullWithTies:
     """The exact path on tied and zero differences, which the scipy oracle
     above leaves out: against enumeration with fractions, and against the
@@ -329,6 +353,18 @@ class TestExactNullWithTies:
         assert stats._exact_tail_probs(doubled, w) == (
             sum(expected[: w + 1]) / denom, sum(expected[w:]) / denom
         )
+
+    @settings(max_examples=300, deadline=None)
+    @given(doubled_midranks())
+    @example([2 * r for r in range(1, 26)])
+    @example([26] * 25)
+    @example([25] * 24)
+    def test_packed_counts_match_the_list_dp(self, doubled):
+        """Up to n = 25 mid-ranks with random ties, an even tie giving an
+        odd doubled rank: the packed vector against the list DP it replaced."""
+        counts = stats._null_counts(tuple(sorted(doubled)))
+        assert counts.typecode == "i"
+        assert list(counts) == _list_dp(sorted(doubled))
 
     @settings(max_examples=100, deadline=None)
     @given(tied_pairs, st.data())
