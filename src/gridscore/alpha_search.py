@@ -6,13 +6,21 @@ cumulative coverage levels, and scans a grid of alpha values looking for
 those under which the PPAI curve over levels peaks exactly at the level
 matching a desired patrol coverage. Among the alphas that work, it keeps
 the one separating the target level most sharply from its neighbours.
+
+One core does the work on columns: :func:`_ordered` orders the units' ids,
+areas and crime shares, :func:`_prefix_sums` gives the cumulative areas and
+crime shares, and :func:`_search` scans the grid over them. The object API
+(:func:`order_units`, :func:`cumulative_levels`, :func:`optimal_alpha`)
+wraps it: each takes its columns out of the objects and wraps the result.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import AlphaSearchError, ValidationError
 from .metrics import HotspotUnit, ppai
@@ -70,6 +78,29 @@ class AlphaSearchResult:
     per_alpha_diagnostics: tuple[tuple[float, int], ...]
 
 
+def _ordered(
+    ids: Iterable[str], areas: Iterable[float], crimes: Iterable[float]
+) -> tuple[tuple, tuple, tuple, tuple]:
+    """The units' ids, areas and crime shares in canonical order, and the
+    input position of each: one sort of (area, -crime, id, position) tuples.
+
+    The position breaks ties between units equal in all three, so the order
+    is that of a stable sort on (area, -crime, id).
+    """
+    keys = sorted(zip(areas, map(operator.neg, crimes), ids, itertools.count()))
+    areas, negated, ids, positions = zip(*keys)
+    return ids, areas, tuple(map(operator.neg, negated)), positions
+
+
+def _columns_of(units: Sequence[HotspotUnit]) -> tuple[Iterable, Iterable, Iterable]:
+    """The ids, area fractions and crime fractions of ``units``."""
+    return (
+        map(operator.attrgetter("id"), units),
+        map(operator.attrgetter("area_fraction"), units),
+        map(operator.attrgetter("crime_fraction"), units),
+    )
+
+
 def order_units(units: Iterable[HotspotUnit]) -> tuple[HotspotUnit, ...]:
     """Canonical unit order: area ascending, crime share descending, id.
 
@@ -79,30 +110,29 @@ def order_units(units: Iterable[HotspotUnit]) -> tuple[HotspotUnit, ...]:
     rows = tuple(units)
     if not rows:
         raise ValidationError("cannot order an empty unit collection")
-    return tuple(
-        sorted(rows, key=lambda u: (u.area_fraction, -u.crime_fraction, u.id))
-    )
+    *_, positions = _ordered(*_columns_of(rows))
+    return tuple(map(rows.__getitem__, positions))
 
 
-def _add_exact(partials: list[float], x: float) -> None:
-    """Add ``x`` to Shewchuk partials, keeping their sum exact.
+def _prefix_sums(values: Sequence[float]) -> list[float]:
+    """The sum of every prefix of ``values``, correctly rounded: equal bit
+    for bit to ``math.fsum(values[:k])`` for every k.
 
-    ``partials`` are non-overlapping floats in increasing magnitude whose
-    exact sum is every value added so far: the two-sum loop inside
-    :func:`math.fsum` (Shewchuk 1997). Finite inputs whose running sums stay
-    finite are assumed.
+    Each value is made an exact integer multiple of 2**-shift, with shift
+    the smallest that makes every value one (at most 1074, which makes
+    subnormals one); the integers are summed exactly by ``accumulate``, and
+    each sum is divided back by 2**shift, which ``int / int`` rounds
+    correctly, subnormals included. Finite values are assumed.
     """
-    i = 0
-    for y in partials:
-        if abs(x) < abs(y):
-            x, y = y, x
-        hi = x + y
-        lo = y - (hi - x)
-        if lo:
-            partials[i] = lo
-            i += 1
-        x = hi
-    partials[i:] = [x]
+    smallest = min(map(abs, filter(None, values)), default=1.0)
+    shift = min(1074, max(0, 53 - math.frexp(smallest)[1]))
+    scale = 1 << shift
+    try:
+        # Exact: a product with a power of two that stays finite.
+        ints = list(map(int, map(operator.mul, values, itertools.repeat(float(scale)))))
+    except OverflowError:  # 2**shift or a product is beyond the float range
+        ints = [n * (scale // d) for n, d in map(float.as_integer_ratio, values)]
+    return list(map(operator.truediv, itertools.accumulate(ints), itertools.repeat(scale)))
 
 
 def cumulative_levels(
@@ -111,25 +141,16 @@ def cumulative_levels(
     """Running (area, crime) totals for every prefix of the ordered units.
 
     Each level's totals are the correctly rounded sums of its prefix, equal
-    bit for bit to ``math.fsum`` over that prefix. Running exact partials
-    give them in O(U) for U units rather than re-summing every prefix.
+    bit for bit to ``math.fsum`` over that prefix. The core's
+    :func:`_prefix_sums` gives them in one exact integer pass per column;
+    this wraps them as levels.
     """
     if not ordered:
         raise ValidationError("cannot build levels from an empty unit sequence")
-    area_partials: list[float] = []
-    crime_partials: list[float] = []
-    levels = []
-    for k, unit in enumerate(ordered, start=1):
-        _add_exact(area_partials, unit.area_fraction)
-        _add_exact(crime_partials, unit.crime_fraction)
-        levels.append(
-            CumulativeLevel(
-                prefix_len=k,
-                cum_area=math.fsum(area_partials),
-                cum_crime=math.fsum(crime_partials),
-            )
-        )
-    return tuple(levels)
+    _, areas, crimes = map(list, _columns_of(ordered))
+    return tuple(
+        map(CumulativeLevel, itertools.count(1), _prefix_sums(areas), _prefix_sums(crimes))
+    )
 
 
 def _alpha_grid(grid_step: float) -> list[float]:
@@ -171,20 +192,21 @@ def _peak_candidates(
     where the float scores may be subnormal or overflow.
     """
     everyone = list(range(len(crimes)))
-    if not any(c > 0 for c in crimes) or not all(
-        map(math.isfinite, [*crimes, *areas])
-    ):
+    positive = list(map(operator.lt, itertools.repeat(0.0), crimes))
+    if not any(positive) or not all(map(math.isfinite, itertools.chain(crimes, areas))):
+        return everyone
+    xs = list(map(math.log, itertools.compress(areas, positive)))
+    ys = list(map(math.log, itertools.compress(crimes, positive)))
+    lo, hi = alphas[0], alphas[-1]
+    lo_xs = map(operator.mul, itertools.repeat(lo), xs)
+    hi_xs = list(map(operator.mul, itertools.repeat(hi), xs))
+    log_scores = itertools.chain(
+        map(operator.sub, ys, lo_xs), map(operator.sub, ys, hi_xs), hi_xs
+    )
+    if max(map(abs, log_scores)) > LOG_SCORE_LIMIT:
         return everyone
     # Sorted by (x, y): the monotone chain's order, whatever the level order.
-    points = sorted(
-        (math.log(a), math.log(c), i)
-        for i, (c, a) in enumerate(zip(crimes, areas))
-        if c > 0
-    )
-    lo, hi = alphas[0], alphas[-1]
-    for x, y, _ in points:
-        if max(abs(y - lo * x), abs(y - hi * x), abs(hi * x)) > LOG_SCORE_LIMIT:
-            return everyone
+    points = sorted(zip(xs, ys, itertools.compress(itertools.count(), positive)))
 
     hull: list[tuple[float, float, int]] = []
     for p in points:
@@ -236,6 +258,9 @@ def optimal_alpha(
     -------
     AlphaSearchResult
 
+    The search itself is the core's :func:`_search`, over the levels'
+    columns; this wraps its outcome, so its errors are the core's.
+
     Raises
     ------
     AlphaSearchError
@@ -255,34 +280,59 @@ def optimal_alpha(
     positive crime, or scores that may be subnormal or overflow), every
     level is a candidate and the search scores them all.
     """
-    if not levels:
+    alpha_star, valid_range, target_idx, diagnostics = _search(
+        list(map(operator.attrgetter("cum_area"), levels)),
+        list(map(operator.attrgetter("cum_crime"), levels)),
+        list(map(operator.attrgetter("prefix_len"), levels)),
+        target_coverage,
+        grid_step,
+    )
+    return AlphaSearchResult(
+        alpha_star=alpha_star,
+        valid_range=valid_range,
+        target_level=levels[target_idx],
+        per_alpha_diagnostics=diagnostics,
+    )
+
+
+def _search(
+    cum_areas: Sequence[float],
+    cum_crimes: Sequence[float],
+    prefix_lens: Sequence[int],
+    target_coverage: float,
+    grid_step: float,
+) -> tuple[float, tuple[float, float], int, tuple[tuple[float, int], ...]]:
+    """The search of :func:`optimal_alpha` over level columns, in any order.
+
+    Returns ``(alpha_star, valid_range, target_idx, diagnostics)``: the
+    target is the level at ``target_idx``, and each diagnostic names the
+    ``prefix_len`` of the level where its alpha peaked.
+    """
+    if not cum_areas:
         raise ValidationError("no cumulative levels supplied")
     if not (0.0 < target_coverage < 1.0):
         raise ValidationError(
             f"target_coverage must lie in (0, 1), got {target_coverage!r}"
         )
-    target_idx = None
-    for i, lvl in enumerate(levels):
-        if lvl.cum_area <= target_coverage + TARGET_TOL:
-            target_idx = i
+    # The last level, in the given order, that fits under the target.
+    fits = map(operator.le, cum_areas, itertools.repeat(target_coverage + TARGET_TOL))
+    target_idx: Optional[int] = max(
+        itertools.compress(itertools.count(), fits), default=None
+    )
     if target_idx is None:
         raise AlphaSearchError(
             f"no cumulative level fits under target coverage "
             f"{target_coverage!r}; the smallest level covers "
-            f"{levels[0].cum_area!r}"
+            f"{cum_areas[0]!r}"
         )
-    target = levels[target_idx]
     alphas = _alpha_grid(grid_step)
     # ppai's coverage check, made once instead of per (alpha, level): the
     # call raises ppai's own error for the first level without positive area.
-    for lvl in levels:
-        if lvl.cum_area <= 0:
-            lvl.ppai(alphas[0])
-    crimes = [lvl.cum_crime for lvl in levels]
-    areas = [lvl.cum_area for lvl in levels]
-    candidates = _peak_candidates(crimes, areas, alphas)
-    cand_crimes = [crimes[i] for i in candidates]
-    cand_areas = [areas[i] for i in candidates]
+    for area in filter((0.0).__ge__, cum_areas):
+        ppai(0.0, area, alphas[0])
+    candidates = _peak_candidates(cum_crimes, cum_areas, alphas)
+    cand_crimes = list(map(cum_crimes.__getitem__, candidates))
+    cand_areas = list(map(cum_areas.__getitem__, candidates))
 
     diagnostics = []
     valid = []
@@ -292,7 +342,7 @@ def optimal_alpha(
         scores = [c / a**alpha for c, a in zip(cand_crimes, cand_areas)]
         pos = scores.index(max(scores))
         peak_idx = candidates[pos]
-        diagnostics.append((alpha, levels[peak_idx].prefix_len))
+        diagnostics.append((alpha, prefix_lens[peak_idx]))
         top = scores[pos]
         # A target scoring above every other candidate is the first maximum
         # (no other level can tie it), so the full comparison runs only for
@@ -303,9 +353,9 @@ def optimal_alpha(
             continue
         valid.append(alpha)
         neighbour_gaps = [
-            top - crimes[i] / areas[i] ** alpha
+            top - cum_crimes[i] / cum_areas[i] ** alpha
             for i in (target_idx - 1, target_idx + 1)
-            if 0 <= i < len(levels)
+            if 0 <= i < len(cum_areas)
         ]
         # A single-level input has no neighbours; every alpha then ties at
         # gap +inf and the smallest-alpha rule below settles it.
@@ -313,16 +363,11 @@ def optimal_alpha(
 
     if not valid:
         raise AlphaSearchError(
-            f"no alpha on the grid makes level {target.prefix_len} "
-            f"(cumulative coverage {target.cum_area!r}) the unique PPAI "
+            f"no alpha on the grid makes level {prefix_lens[target_idx]} "
+            f"(cumulative coverage {cum_areas[target_idx]!r}) the unique PPAI "
             f"peak; see diagnostics for where each alpha peaked",
             diagnostics=tuple(diagnostics),
         )
     best_gap = max(gaps[a] for a in valid)
     alpha_star = min(a for a in valid if gaps[a] == best_gap)
-    return AlphaSearchResult(
-        alpha_star=alpha_star,
-        valid_range=(min(valid), max(valid)),
-        target_level=target,
-        per_alpha_diagnostics=tuple(diagnostics),
-    )
+    return alpha_star, (min(valid), max(valid)), target_idx, tuple(diagnostics)

@@ -21,16 +21,18 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import gc
+import itertools
 import os
 import sys
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import __version__, combine, metrics, stats, synth
 from .alpha_search import (
     DEFAULT_GRID_STEP,
-    cumulative_levels,
-    optimal_alpha,
-    order_units,
+    _columns_of,
+    _ordered,
+    _prefix_sums,
+    _search,
 )
 from .domain import PeriodId, _PeriodCounts
 from .errors import (
@@ -45,10 +47,10 @@ from .ingest import (
     Dataset,
     RunConfig,
     _os_errors,
+    _unit_columns,
     atomic_open,
     load_config,
     load_dataset,
-    load_units,
     staged_files,
     write_cells,
     write_events,
@@ -80,28 +82,33 @@ def _ignored_keys(config: RunConfig) -> list[str]:
 
 
 def _alpha_search(
-    units: Sequence[metrics.HotspotUnit],
+    ids: Iterable[str],
+    areas: Iterable[float],
+    crimes: Iterable[float],
     target: float,
     grid_step: float,
     report: Report,
-):
-    """Run the PPAI alpha grid search over ``units``; fill the [alpha] section.
+) -> tuple[tuple[str, ...], list[float], list[float], float]:
+    """Run the PPAI alpha grid search over the units' columns; fill the
+    [alpha] section. Return the unit ids in search order, each level's
+    cumulative area and crime share, and alpha_star.
 
-    The units are shares of one region, as :func:`load_units` checks.
+    The units are shares of one region, as their loader checks.
     """
-    ordered = order_units(units)
-    levels = cumulative_levels(ordered)
-    result = optimal_alpha(levels, target, grid_step=grid_step)
-    lo, hi = result.valid_range
+    ids, areas, crimes, _ = _ordered(ids, areas, crimes)
+    cum_areas, cum_crimes = _prefix_sums(areas), _prefix_sums(crimes)
+    alpha_star, (lo, hi), target_idx, _ = _search(
+        cum_areas, cum_crimes, range(1, len(ids) + 1), target, grid_step
+    )
     report.alpha_info = [
-        ("alpha_star", result.alpha_star),
+        ("alpha_star", alpha_star),
         ("valid_range_high", hi),
         ("valid_range_low", lo),
-        ("target_prefix_len", result.target_level.prefix_len),
-        ("target_cum_area", result.target_level.cum_area),
-        ("target_cum_crime", result.target_level.cum_crime),
+        ("target_prefix_len", target_idx + 1),
+        ("target_cum_area", cum_areas[target_idx]),
+        ("target_cum_crime", cum_crimes[target_idx]),
     ]
-    return ordered, levels, result
+    return ids, cum_areas, cum_crimes, alpha_star
 
 
 def _resolve_global_alpha(
@@ -120,10 +127,10 @@ def _resolve_global_alpha(
             "ppai.alpha_mode = grid_search needs a units file to define "
             "the cumulative levels"
         )
-    _, _, result = _alpha_search(
-        dataset.units, config.target_coverage, config.grid_step, report
+    *_, alpha_star = _alpha_search(
+        *_columns_of(dataset.units), config.target_coverage, config.grid_step, report
     )
-    return result.alpha_star
+    return alpha_star
 
 
 class _UnitTally(NamedTuple):
@@ -435,26 +442,23 @@ def cmd_compare(args) -> Report:
 
 
 def cmd_optimize_alpha(args) -> Report:
-    units = load_units(args.units)
+    units = _unit_columns(args.units)
     report = Report(command="optimize-alpha")
-    ordered, levels, result = _alpha_search(
-        units, args.target, args.grid_step, report
+    ids, cum_areas, cum_crimes, alpha_star = _alpha_search(
+        *units, args.target, args.grid_step, report
     )
     report.config_pairs = [
         ("ppai.grid_step", args.grid_step),
         ("ppai.target_coverage", args.target),
     ]
-    report.inputs = [("n_units", len(units))]
-    for unit, level in zip(ordered, levels):
-        report.level_rows.append(
-            (
-                level.prefix_len,
-                unit.id,
-                level.cum_area,
-                level.cum_crime,
-                level.ppai(result.alpha_star),
-            )
-        )
+    report.inputs = [("n_units", len(ids))]
+    report.level_rows = list(zip(
+        range(1, len(ids) + 1),
+        ids,
+        cum_areas,
+        cum_crimes,
+        map(metrics.ppai, cum_crimes, cum_areas, itertools.repeat(alpha_star)),
+    ))
     return report
 
 

@@ -349,32 +349,70 @@ def _parse_float(path: str, lineno: int, field_name: str, text: str) -> float:
     return value
 
 
-def _load_keyed(path: str, kind: str, make: Callable[..., object]) -> tuple:
-    """An id-keyed table's rows as ``make(id, *numbers)``, in file order."""
-    id_column, *columns = HEADERS[kind]
-    numeric_fields = tuple(enumerate(columns, start=1))
-    out = []
+def _load_keyed(
+    path: str, kind: str, make: Callable[..., object], accepts: Callable[..., bool]
+) -> list[list]:
+    """An id-keyed table as columns, in file order: its ids, then the
+    numbers of each number field. ``make(id, *numbers)`` checks one row.
+
+    A clean chunk is added whole if its numbers parse as finite floats, its
+    ids are new, and ``accepts(*number_columns)``: a pre-check that passes
+    exactly the chunks whose every row ``make`` accepts. Any other chunk
+    goes through the per-row checks, which name the first faulty row.
+    """
+    id_column, *fields = HEADERS[kind]
+    columns: list[list] = [[] for _ in HEADERS[kind]]
     seen: set[str] = set()
-    for lineno, row in _read_table(path, kind):
-        row_id = row[0]
-        if not row_id:
-            raise IngestError(path, f"empty {id_column}", line=lineno)
-        if row_id in seen:
-            raise IngestError(path, f"duplicate {id_column} {row_id!r}", line=lineno)
-        seen.add(row_id)
-        for i, column in numeric_fields:
-            row[i] = _parse_float(path, lineno, column, row[i])
-        try:
-            out.append(make(*row))
-        except ValidationError as exc:
-            raise IngestError(path, str(exc), line=lineno) from exc
-    if not out:
+
+    def add_chunk(ids, *texts):
+        numbers = list(map(_floats, texts))
+        if None in numbers or not accepts(*numbers):
+            return False
+        new = set(ids)
+        if len(new) != len(ids) or not seen.isdisjoint(new):
+            return False
+        seen.update(new)
+        for column, values in zip(columns, (ids, *numbers)):
+            column.extend(values)
+        return True
+
+    def add_rows(rows):
+        for lineno, (row_id, *texts) in rows:
+            if not row_id:
+                raise IngestError(path, f"empty {id_column}", line=lineno)
+            if row_id in seen:
+                raise IngestError(path, f"duplicate {id_column} {row_id!r}", line=lineno)
+            seen.add(row_id)
+            numbers = [
+                _parse_float(path, lineno, name, text) for name, text in zip(fields, texts)
+            ]
+            try:
+                make(row_id, *numbers)
+            except ValidationError as exc:
+                raise IngestError(path, str(exc), line=lineno) from exc
+            for column, value in zip(columns, (row_id, *numbers)):
+                column.append(value)
+
+    _load_chunks(path, kind, add_chunk, add_rows)
+    if not columns[0]:
         raise IngestError(path, f"no {kind} defined")
-    return tuple(out)
+    return columns
+
+
+def _cells_accepted(areas: list[float]) -> bool:
+    """Whether :class:`Cell` accepts every one of these finite areas."""
+    return min(areas) > 0
+
+
+def _units_accepted(areas: list[float], crimes: list[float]) -> bool:
+    """Whether :class:`HotspotUnit` accepts every one of these finite
+    fraction pairs: areas in (0, 1] and crime shares in [0, 1]."""
+    return 0 < min(areas) and max(areas) <= 1 and 0 <= min(crimes) and max(crimes) <= 1
 
 
 def load_cells(path: str) -> GridSpec:
-    return GridSpec(cells=_load_keyed(path, "cells", Cell))
+    ids, areas = _load_keyed(path, "cells", Cell, _cells_accepted)
+    return GridSpec(cells=tuple(map(Cell, ids, areas)))
 
 
 def load_events(
@@ -557,19 +595,26 @@ def load_surfaces(
     return out
 
 
-def load_units(path: str) -> tuple[HotspotUnit, ...]:
-    """The units of ``path``, in file order. They are shares of one region,
-    so a table whose area or crime fractions sum above 1 is refused."""
-    units = _load_keyed(path, "units", HotspotUnit)
-    for column in ("area_fraction", "crime_fraction"):
-        total = math.fsum(map(operator.attrgetter(column), units))
+def _unit_columns(path: str) -> tuple[list[str], list[float], list[float]]:
+    """The unit ids, area fractions and crime fractions of ``path``, in file
+    order. They are shares of one region, so a table whose area or crime
+    fractions sum above 1 is refused."""
+    ids, areas, crimes = _load_keyed(path, "units", HotspotUnit, _units_accepted)
+    for column, values in (("area_fraction", areas), ("crime_fraction", crimes)):
+        total = math.fsum(values)
         if total > 1.0 + FRACTION_TOL:
             raise IngestError(
                 path,
                 f"{column} sums to {total!r} > 1; the units overlap or their "
                 f"fractions are inconsistent",
             )
-    return units
+    return ids, areas, crimes
+
+
+def load_units(path: str) -> tuple[HotspotUnit, ...]:
+    """The units of ``path``, in file order. They are shares of one region,
+    so a table whose area or crime fractions sum above 1 is refused."""
+    return tuple(map(HotspotUnit, *_unit_columns(path)))
 
 
 def load_dataset(

@@ -13,7 +13,7 @@ never 0, never NaN.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from . import __version__
 
@@ -32,6 +32,19 @@ def fmt(value: Value) -> str:
     if isinstance(value, tuple):
         return ",".join(map(fmt, value))
     return repr(value) if isinstance(value, float) else str(value)
+
+
+#: What :func:`fmt` does to a value of exactly one of these types.
+_PLAIN = {float: float.__repr__, int: int.__repr__, str: str}
+
+
+def _column_texts(column: Sequence[Value]) -> Iterable[str]:
+    """:func:`fmt` of every value of a table column. A column of one plain
+    type (exactly float, int or str; not bool or a subclass) is formatted
+    by one ``map`` of what :func:`fmt` calls for that type."""
+    kinds = set(map(type, column))
+    plain = _PLAIN.get(kinds.pop()) if len(kinds) == 1 else None
+    return map(plain or fmt, column)
 
 
 @dataclass
@@ -71,7 +84,9 @@ class Report:
             return [f"{key} = {fmt(value)}" for key, value in sorted(items)]
 
         def table(rows: Sequence[tuple]) -> list[str]:
-            return [",".join(map(fmt, row)) for row in sorted(rows)]
+            # One column at a time, then joined back into rows.
+            columns = map(_column_texts, zip(*sorted(rows)))
+            return list(map(",".join, zip(*columns)))
 
         sections = [
             ("config", [], pairs(self.config_pairs)),

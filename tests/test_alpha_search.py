@@ -22,9 +22,9 @@ from gridscore.alpha_search import (
     DEFAULT_GRID_STEP,
     TARGET_TOL,
     CumulativeLevel,
-    _add_exact,
     _alpha_grid,
     _peak_candidates,
+    _prefix_sums,
 )
 from gridscore.ingest import load_units
 
@@ -262,6 +262,51 @@ def _reference_optimal_alpha(levels, target_coverage, grid_step=0.01):
     )
 
 
+def _add_exact(partials, x):
+    """Add ``x`` to Shewchuk partials, keeping their sum exact: the two-sum
+    loop inside :func:`math.fsum` (Shewchuk 1997), the reference for the
+    prefix sums of the levels. Finite inputs whose running sums stay finite
+    are assumed."""
+    i = 0
+    for y in partials:
+        if abs(x) < abs(y):
+            x, y = y, x
+        hi = x + y
+        lo = y - (hi - x)
+        if lo:
+            partials[i] = lo
+            i += 1
+        x = hi
+    partials[i:] = [x]
+
+
+def _reference_prefix_sums(values):
+    """Running exact partials, one ``math.fsum`` of them per prefix."""
+    partials, sums = [], []
+    for x in values:
+        _add_exact(partials, x)
+        sums.append(math.fsum(partials))
+    return sums
+
+
+def _fsum_prefixes(values):
+    return [math.fsum(values[:k]) for k in range(1, len(values) + 1)]
+
+
+def _hexes(floats):
+    return [x.hex() for x in floats]
+
+
+def _reference_search(cum_areas, cum_crimes, prefix_lens, target_coverage, grid_step):
+    """The reference search over level columns, returned as the core's
+    ``_search`` returns it."""
+    levels = list(map(CumulativeLevel, prefix_lens, cum_areas, cum_crimes))
+    result = _reference_optimal_alpha(levels, target_coverage, grid_step)
+    target_idx = levels.index(result.target_level)
+    return (result.alpha_star, result.valid_range, target_idx,
+            result.per_alpha_diagnostics)
+
+
 TINY = 5e-324  # the smallest subnormal
 
 # Shares drawn from a few fixed values repeat, so equal units, equal areas
@@ -273,6 +318,14 @@ AREA_SHARES = st.one_of(
 CRIME_SHARES = st.one_of(
     st.sampled_from([0.0, TINY, 1e-16, 1.0, 0.1, 1 / 3]),
     st.floats(min_value=0.0, max_value=1.0),
+)
+#: Non-negative shares from 2**-1074 to 1, zeros of both signs and
+#: subnormals among them, as the prefix sums of the levels take them.
+SHARES = st.one_of(
+    st.sampled_from([0.0, -0.0, TINY, 2.0**-1073, 2.0**-1022, 1e-300, 1.0]),
+    st.floats(min_value=TINY, max_value=2.0**-1022),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.integers(-1074, 0).map(lambda e: 2.0**e),
 )
 UNITS = st.lists(st.tuples(AREA_SHARES, CRIME_SHARES), min_size=1, max_size=40).map(
     lambda rows: [HotspotUnit(f"u{i:02d}", a, c) for i, (a, c) in enumerate(rows)]
@@ -297,6 +350,32 @@ class TestExactPrefixSums:
         for k, x in enumerate(values, start=1):
             _add_exact(partials, x)
             assert math.fsum(partials).hex() == math.fsum(values[:k]).hex()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(SHARES, max_size=60))
+    @example([0.0, -0.0, -0.0, TINY])
+    @example([-0.0])
+    @example([1.0, 2.0**-53, TINY])  # a tie at 1 + 2**-53 that the subnormal breaks
+    @example([TINY, 2.0**-1073, 2.0**-1022 - TINY, 1.0, 2.0**-1022])
+    @example([1.0] * 3 + [1e-300] * 2)
+    def test_prefix_sums_match_prefix_fsum(self, values):
+        assert _hexes(_prefix_sums(values)) == _hexes(_fsum_prefixes(values))
+        assert _hexes(_prefix_sums(values)) == _hexes(_reference_prefix_sums(values))
+
+    @settings(max_examples=3, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.01, 0.5]))
+    def test_10k_prefix_sums_match_prefix_fsum(self, seed, share_spanning):
+        # Shares of 10k units, a given share of them drawn from 2**-1074 to 1
+        # (and some of those zeros or subnormals).
+        rng = random.Random(seed)
+
+        def share():
+            if rng.random() >= share_spanning:
+                return rng.random() / 5000
+            return rng.choice([0.0, -0.0, TINY, 1.0, rng.random() * 2.0 ** rng.randint(-1074, 0)])
+
+        values = [share() for _ in range(10_000)]
+        assert _hexes(_prefix_sums(values)) == _hexes(_fsum_prefixes(values))
 
     @settings(max_examples=300, deadline=None)
     @given(UNITS)
@@ -416,6 +495,30 @@ class TestReferenceEquivalence:
                     _reference_optimal_alpha, levels, target, step
                 )
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(1, 10_000),
+                st.floats(min_value=1e-6, max_value=1.0),
+                st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=1.0)),
+            ),
+            min_size=1,
+            max_size=25,
+            unique_by=lambda row: row[0],
+        )
+    )
+    @example([(7, 0.3, 0.5), (2, 0.1, 0.2), (40, 0.2, 0.2)])
+    def test_hand_built_levels_in_any_order_match_reference_loop(self, rows):
+        # prefix_len values need not be 1..n nor ascending, nor areas monotone:
+        # the target and the diagnostics name each level's own prefix_len.
+        levels = [CumulativeLevel(k, area, crime) for k, area, crime in rows]
+        targets = sorted({lvl.cum_area for lvl in levels if lvl.cum_area < 1.0})
+        for target in targets:
+            assert _outcome(optimal_alpha, levels, target, 0.02) == _outcome(
+                _reference_optimal_alpha, levels, target, 0.02
+            )
+
     @pytest.mark.parametrize(
         "areas",
         [
@@ -472,8 +575,10 @@ def test_report_bytes_match_reference_at_2000_units(
 
     assert gridscore.cli.main(argv) == 0
     fast = capsys.readouterr().out
-    monkeypatch.setattr(gridscore.cli, "cumulative_levels", _reference_cumulative_levels)
-    monkeypatch.setattr(gridscore.cli, "optimal_alpha", _reference_optimal_alpha)
+    # The CLI runs the columnar core; the reference replaces its prefix sums
+    # and its search.
+    monkeypatch.setattr(gridscore.cli, "_prefix_sums", _reference_prefix_sums)
+    monkeypatch.setattr(gridscore.cli, "_search", _reference_search)
     assert gridscore.cli.main(argv) == 0
     reference = capsys.readouterr().out
     assert "[alpha]" in fast

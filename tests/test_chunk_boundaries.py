@@ -9,12 +9,15 @@ Blank lines and padded fields are not faults: a file holding one loads as
 the clean file does, and a fault after it keeps its own line.
 """
 
+import math
 import random
 
 import pytest
 
-from gridscore import IngestError, assign_events
+from gridscore import HotspotUnit, IngestError, assign_events
 from gridscore.ingest import (
+    _load_keyed,
+    _units_accepted,
     load_cells,
     load_events,
     load_selections,
@@ -111,6 +114,22 @@ FAULTS = {
     ("units", "out of range"): (
         lambda i: f"u{i:04d},0,0.0005",
         lambda i: f"unit 'u{i:04d}': area_fraction must be in (0, 1], got 0.0"),
+    # The rules of HotspotUnit and Cell, which a clean chunk's pre-check
+    # restates: a refused value sends the chunk through the per-row checks.
+    ("units", "area above 1"): (
+        lambda i: f"u{i:04d},1.5,0.0005",
+        lambda i: f"unit 'u{i:04d}': area_fraction must be in (0, 1], got 1.5"),
+    ("units", "crime below 0"): (
+        lambda i: f"u{i:04d},0.0005,-0.25",
+        lambda i: f"unit 'u{i:04d}': crime_fraction must be in [0, 1], got -0.25"),
+    ("units", "crime above 1"): (
+        lambda i: f"u{i:04d},0.0005,1.25",
+        lambda i: f"unit 'u{i:04d}': crime_fraction must be in [0, 1], got 1.25"),
+    ("units", "nan crime"): (
+        lambda i: f"u{i:04d},0.0005,nan", lambda i: "crime_fraction must be finite, got 'nan'"),
+    ("cells", "negative area"): (
+        lambda i: f"c{i:04d},-1.5",
+        lambda i: f"cell 'c{i:04d}': area must be a positive finite number, got -1.5"),
     ("units", "wrong width"): (
         lambda i: f"u{i:04d},0.0005", lambda i: "expected 3 fields, found 2"),
     ("events", "empty field"): (lambda i: f"e{i:05d},,p2", lambda i: "empty field"),
@@ -168,6 +187,25 @@ def test_a_fault_at_the_boundary_keeps_its_line(tmp_path, table, fault, row):
     lines[row - 1] = bad_row(row)
     path = write(tmp_path / f"{table}.csv", spec.header, lines)
     assert message(spec.load, path, tmp_path) == f"{path}:{row + 1}: {reason(row)}"
+
+
+@pytest.mark.parametrize("row", ROWS)
+@pytest.mark.parametrize("line", ["u{i:04d},0.0005,-0.0", "u{i:04d},1.0,0.0005"])
+def test_units_the_rules_accept_load_at_the_boundary(tmp_path, line, row):
+    # Crime -0.0 and area 1.0 pass HotspotUnit's rules, and so the chunk's
+    # pre-check. (A table holding area 1.0 and more units then sums above 1,
+    # which load_units refuses after the rows are read.)
+    spec = TABLES["units"]
+    lines = spec.lines()
+    lines[row - 1] = line.format(i=row)
+    path = write(tmp_path / "units.csv", spec.header, lines)
+    columns = _load_keyed(path, "units", HotspotUnit, _units_accepted)
+    ids, areas, crimes = zip(*(text.split(",") for text in lines))
+    assert columns == [list(ids), list(map(float, areas)), list(map(float, crimes))]
+    signs = [math.copysign(1.0, crime) for crime in columns[2]]
+    assert signs.count(-1.0) == line.count("-0.0")
+    if "-0.0" in line:
+        assert load_units(path)[row - 1] == HotspotUnit(f"u{row:04d}", 0.0005, -0.0)
 
 
 def padded(line):

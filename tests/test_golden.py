@@ -17,6 +17,7 @@ against one is a changed number, warning or format, not a refactoring.
 
 import csv
 import hashlib
+import math
 import os
 import random
 import subprocess
@@ -268,6 +269,67 @@ def test_multi_chunk_reports_are_pinned(tmp_path, command):
         argv += [f"--{kind}", str(data / f"{kind}.csv")]
     assert main(argv) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == MULTI_CHUNK_SHA256[command]
+
+
+#: A units table spanning three of the reader's 1024-row chunks: 3000
+#: units whose 60 smallest carry about 12 times the crime density.
+MULTI_CHUNK_UNITS = 3000
+
+#: The coverage whose level (56 units) is the unique PPAI peak for 12 grid
+#: alphas of the default grid.
+MULTI_CHUNK_TARGET = "0.006"
+
+#: sha256 of the optimize-alpha report and of a units-mode evaluate with
+#: ``ppai.alpha_mode = grid_search`` over the multi-chunk units table.
+MULTI_CHUNK_ALPHA_SHA256 = {
+    "optimize-alpha": "2ef7a8c1f7911aeda4170374bb612d3c32875d389a3734a8f1825b9d57d49395",
+    "evaluate": "1e61eac2d383d5cf3435bd45fc0e334234099b65c64fe400a60a389a5cffe296",
+}
+
+
+def write_multi_chunk_units(root):
+    """Write the multi-chunk units table and a selections file over it."""
+    rng = random.Random(19)
+    hot = set(rng.sample(range(MULTI_CHUNK_UNITS), 60))
+    sizes = [rng.uniform(0.4, 0.8) if i in hot else rng.uniform(1.0, 3.0)
+             for i in range(MULTI_CHUNK_UNITS)]
+    weights = [s * (12.0 if i in hot else 1.0) * rng.uniform(0.5, 1.5)
+               for i, s in enumerate(sizes)]
+    total_size, total_weight = math.fsum(sizes), math.fsum(weights)
+    ids = [f"u{i:04d}" for i in range(MULTI_CHUNK_UNITS)]
+    with open(root / "units.csv", "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(("unit_id", "area_fraction", "crime_fraction"))
+        for unit_id, size, weight in zip(ids, sizes, weights):
+            writer.writerow((unit_id, repr(size / total_size), repr(weight / total_weight)))
+    # Model hot flags the hot units in p1; model sampled flags 700 units
+    # drawn at random in each of p1 and p2.
+    with open(root / "selections.csv", "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(("model_id", "period_id", "cell_id"))
+        writer.writerows(("hot", "p1", ids[i]) for i in sorted(hot))
+        for period in ("p1", "p2"):
+            writer.writerows(("sampled", period, unit_id)
+                             for unit_id in sorted(rng.sample(ids, 700)))
+
+
+@pytest.mark.parametrize("command", MULTI_CHUNK_ALPHA_SHA256)
+def test_multi_chunk_alpha_reports_are_pinned(tmp_path, command):
+    write_multi_chunk_units(tmp_path)
+    units, out = str(tmp_path / "units.csv"), tmp_path / "report.txt"
+    if command == "optimize-alpha":
+        argv = [command, "--units", units, "--target", MULTI_CHUNK_TARGET]
+    else:
+        (tmp_path / "run.conf").write_text(
+            "measures = hit_rate,coverage,pai,ppai\n"
+            "ppai.alpha_mode = grid_search\n"
+            f"ppai.target_coverage = {MULTI_CHUNK_TARGET}\n",
+            encoding="utf-8",
+        )
+        argv = [command, "--units", units, "--selections", str(tmp_path / "selections.csv"),
+                "--config", str(tmp_path / "run.conf")]
+    assert main([*argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == MULTI_CHUNK_ALPHA_SHA256[command]
 
 
 #: Sections rendered as a header row plus comma-separated data rows.
