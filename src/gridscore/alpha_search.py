@@ -19,9 +19,9 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
+from ._record import Record, set_field
 from .errors import AlphaSearchError, ValidationError
 from .metrics import HotspotUnit, ppai
 
@@ -46,21 +46,24 @@ HULL_MARGIN = 1e-6
 LOG_SCORE_LIMIT = 650.0
 
 
-@dataclass(frozen=True)
-class CumulativeLevel:
+class CumulativeLevel(Record):
     """Running totals after taking the first ``prefix_len`` ordered units."""
 
     prefix_len: int
     cum_area: float
     cum_crime: float
 
+    def __init__(self, prefix_len: int, cum_area: float, cum_crime: float) -> None:
+        set_field(self, "prefix_len", prefix_len)
+        set_field(self, "cum_area", cum_area)
+        set_field(self, "cum_crime", cum_crime)
+
     def ppai(self, alpha: float) -> float:
         """PPAI of the whole prefix treated as one selection."""
         return ppai(self.cum_crime, self.cum_area, alpha)
 
 
-@dataclass(frozen=True)
-class AlphaSearchResult:
+class AlphaSearchResult(Record):
     """Outcome of the grid search.
 
     ``valid_range`` is the closed interval spanned by every grid alpha
@@ -76,6 +79,18 @@ class AlphaSearchResult:
     valid_range: tuple[float, float]
     target_level: CumulativeLevel
     per_alpha_diagnostics: tuple[tuple[float, int], ...]
+
+    def __init__(
+        self,
+        alpha_star: float,
+        valid_range: tuple[float, float],
+        target_level: CumulativeLevel,
+        per_alpha_diagnostics: tuple[tuple[float, int], ...],
+    ) -> None:
+        set_field(self, "alpha_star", alpha_star)
+        set_field(self, "valid_range", valid_range)
+        set_field(self, "target_level", target_level)
+        set_field(self, "per_alpha_diagnostics", per_alpha_diagnostics)
 
 
 def _ordered(

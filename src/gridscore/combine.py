@@ -14,17 +14,16 @@ rank-transformed; helpers for the latter two live here as well.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Mapping
 
+from ._record import Record, set_field
 from .domain import ContingencyTable
 from .errors import DegenerateScoresError, ValidationError
 
 _SUM_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class LabelConditionalRates:
+class LabelConditionalRates(Record):
     """Outcome rates conditioned on the model's own '+'/'−' labels.
 
     ``p_tp_given_pos`` and ``p_fp_given_pos`` partition the positively
@@ -39,7 +38,19 @@ class LabelConditionalRates:
     p_fn_given_neg: float
     share_positive: float
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        p_tp_given_pos: float,
+        p_fp_given_pos: float,
+        p_tn_given_neg: float,
+        p_fn_given_neg: float,
+        share_positive: float,
+    ) -> None:
+        set_field(self, "p_tp_given_pos", p_tp_given_pos)
+        set_field(self, "p_fp_given_pos", p_fp_given_pos)
+        set_field(self, "p_tn_given_neg", p_tn_given_neg)
+        set_field(self, "p_fn_given_neg", p_fn_given_neg)
+        set_field(self, "share_positive", share_positive)
         for name in (
             "p_tp_given_pos",
             "p_fp_given_pos",
@@ -50,8 +61,8 @@ class LabelConditionalRates:
             v = getattr(self, name)
             if not (isinstance(v, (int, float)) and 0.0 <= v <= 1.0):
                 raise ValidationError(f"{name} must lie in [0, 1], got {v!r}")
-        pos = self.p_tp_given_pos + self.p_fp_given_pos
-        neg = self.p_tn_given_neg + self.p_fn_given_neg
+        pos = p_tp_given_pos + p_fp_given_pos
+        neg = p_tn_given_neg + p_fn_given_neg
         if abs(pos - 1.0) > _SUM_TOL:
             raise ValidationError(
                 f"positive-label rates sum to {pos!r}, not 1"
@@ -62,8 +73,7 @@ class LabelConditionalRates:
             )
 
 
-@dataclass(frozen=True)
-class UtilitySpec:
+class UtilitySpec(Record):
     """Gains/losses attached to the four outcomes. Any finite reals."""
 
     u_tp: float
@@ -71,22 +81,25 @@ class UtilitySpec:
     u_tn: float
     u_fn: float
 
-    def __post_init__(self):
+    def __init__(self, u_tp: float, u_fp: float, u_tn: float, u_fn: float) -> None:
+        set_field(self, "u_tp", u_tp)
+        set_field(self, "u_fp", u_fp)
+        set_field(self, "u_tn", u_tn)
+        set_field(self, "u_fn", u_fn)
         for name in ("u_tp", "u_fp", "u_tn", "u_fn"):
             v = getattr(self, name)
             if not math.isfinite(v):
                 raise ValidationError(f"{name} must be finite, got {v!r}")
 
 
-@dataclass(frozen=True)
-class WeightVector:
+class WeightVector(Record):
     """Positive per-measure weights summing to 1, like probabilities."""
 
     weights: Mapping[str, float]
 
-    def __post_init__(self):
-        weights = dict(self.weights)
-        object.__setattr__(self, "weights", weights)
+    def __init__(self, weights: Mapping[str, float]) -> None:
+        weights = dict(weights)
+        set_field(self, "weights", weights)
         if not weights:
             raise ValidationError("weight vector must not be empty")
         for mid in sorted(weights):

@@ -17,9 +17,9 @@ import itertools
 import math
 import operator
 from collections import Counter
-from dataclasses import FrozenInstanceError, dataclass, field
 from typing import Iterable, Iterator, Mapping
 
+from ._record import Record, set_field
 from .errors import PeriodMismatchError, ValidationError
 
 # Opaque identifiers. Periods must order lexicographically in ordinal order.
@@ -34,23 +34,23 @@ AREA_RTOL = 1e-9
 MASS_ATOL = 1e-6
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(Record):
     """One grid cell: an opaque id and its area in km^2."""
 
     id: CellId
     area_km2: float
 
-    def __post_init__(self):
-        if not (self.area_km2 > 0 and math.isfinite(self.area_km2)):
+    def __init__(self, id: CellId, area_km2: float) -> None:
+        set_field(self, "id", id)
+        set_field(self, "area_km2", area_km2)
+        if not (area_km2 > 0 and math.isfinite(area_km2)):
             raise ValidationError(
-                f"cell {self.id!r}: area must be a positive finite number, "
-                f"got {self.area_km2!r}"
+                f"cell {id!r}: area must be a positive finite number, "
+                f"got {area_km2!r}"
             )
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(Record):
     """The discretized study region.
 
     ``total_area_km2`` may be passed explicitly (it is then checked against
@@ -59,14 +59,20 @@ class GridSpec:
     """
 
     cells: tuple[Cell, ...]
-    total_area_km2: float = None  # type: ignore[assignment]
-    # Built once from ``cells``: cell id -> area, and the set of ids.
-    _areas: Mapping[CellId, float] = field(init=False, repr=False, compare=False)
-    _ids: frozenset[CellId] = field(init=False, repr=False, compare=False)
+    total_area_km2: float
+    # Built once from ``cells``: cell id -> area, and the set of ids. Not
+    # fields: no part of equality, hash or repr.
+    _areas: Mapping[CellId, float]
+    _ids: frozenset[CellId]
 
-    def __post_init__(self):
-        cells = tuple(self.cells)
-        object.__setattr__(self, "cells", cells)
+    def __init__(
+        self,
+        cells: tuple[Cell, ...],
+        total_area_km2: float = None,  # type: ignore[assignment]
+    ) -> None:
+        cells = tuple(cells)
+        set_field(self, "cells", cells)
+        set_field(self, "total_area_km2", total_area_km2)
         if not cells:
             raise ValidationError("a grid needs at least one cell")
         areas = {c.id: c.area_km2 for c in cells}
@@ -74,14 +80,14 @@ class GridSpec:
             counts = Counter(c.id for c in cells)
             dupes = sorted(i for i, n in counts.items() if n > 1)
             raise ValidationError(f"duplicate cell ids: {dupes}")
-        object.__setattr__(self, "_areas", areas)
-        object.__setattr__(self, "_ids", frozenset(areas))
+        set_field(self, "_areas", areas)
+        set_field(self, "_ids", frozenset(areas))
         derived = math.fsum(c.area_km2 for c in cells)
-        if self.total_area_km2 is None:
-            object.__setattr__(self, "total_area_km2", derived)
-        elif not math.isclose(self.total_area_km2, derived, rel_tol=AREA_RTOL):
+        if total_area_km2 is None:
+            set_field(self, "total_area_km2", derived)
+        elif not math.isclose(total_area_km2, derived, rel_tol=AREA_RTOL):
             raise ValidationError(
-                f"declared total area {self.total_area_km2!r} km^2 does not "
+                f"declared total area {total_area_km2!r} km^2 does not "
                 f"match the cell sum {derived!r} km^2"
             )
 
@@ -96,24 +102,28 @@ class GridSpec:
             raise ValidationError(f"unknown cell id {cell_id!r}") from None
 
 
-@dataclass(frozen=True)
-class HotspotSelection:
+class HotspotSelection(Record):
     """The set of cells one model flags as hotspots for one period."""
 
     period: PeriodId
     flagged: frozenset[CellId]
 
-    def __post_init__(self):
-        object.__setattr__(self, "flagged", frozenset(self.flagged))
+    def __init__(self, period: PeriodId, flagged: frozenset[CellId]) -> None:
+        set_field(self, "period", period)
+        set_field(self, "flagged", frozenset(flagged))
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(Record):
     """One observed crime, already assigned to a cell and period."""
 
     event_id: EventId
     cell_id: CellId
     period: PeriodId
+
+    def __init__(self, event_id: EventId, cell_id: CellId, period: PeriodId) -> None:
+        set_field(self, "event_id", event_id)
+        set_field(self, "cell_id", cell_id)
+        set_field(self, "period", period)
 
 
 #: period -> (event ids, cell ids): the events of each period as two columns.
@@ -173,15 +183,12 @@ class EventSet:
         return cls._of_columns(columns)
 
     def _hold(self, columns: _Columns) -> None:
-        object.__setattr__(self, "_columns", columns)
-        object.__setattr__(self, "_by_period", {})
-        object.__setattr__(self, "_events", None)
+        set_field(self, "_columns", columns)
+        set_field(self, "_by_period", {})
+        set_field(self, "_events", None)
 
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+    __setattr__ = Record.__setattr__
+    __delattr__ = Record.__delattr__
 
     @property
     def events(self) -> tuple[Event, ...]:
@@ -189,7 +196,7 @@ class EventSet:
         if self._events is None:
             by_period = map(self._events_of, self._columns)
             events = tuple(itertools.chain.from_iterable(by_period))
-            object.__setattr__(self, "_events", events)
+            set_field(self, "_events", events)
         return self._events
 
     def __eq__(self, other):
@@ -252,8 +259,7 @@ class EventSet:
         )
 
 
-@dataclass(frozen=True)
-class ProbabilitySurface:
+class ProbabilitySurface(Record):
     """Per-cell probability mass a model assigns to one period.
 
     The masses must lie in [0, 1] and sum to 1 within ``MASS_ATOL``.
@@ -265,9 +271,10 @@ class ProbabilitySurface:
     period: PeriodId
     mass: Mapping[CellId, float]
 
-    def __post_init__(self):
-        mass = dict(self.mass)
-        object.__setattr__(self, "mass", mass)
+    def __init__(self, period: PeriodId, mass: Mapping[CellId, float]) -> None:
+        mass = dict(mass)
+        set_field(self, "period", period)
+        set_field(self, "mass", mass)
         if not mass:
             raise ValidationError("a probability surface needs at least one cell")
         masses = mass.values()
@@ -297,8 +304,7 @@ class ProbabilitySurface:
         return cls(period, dict(zip(mass, scaled)))
 
 
-@dataclass(frozen=True)
-class ContingencyTable:
+class ContingencyTable(Record):
     """Cell-level confusion counts for one (model, period) pair.
 
     A flagged cell with at least one event counts once as a true positive
@@ -311,7 +317,11 @@ class ContingencyTable:
     tn: int
     fn: int
 
-    def __post_init__(self):
+    def __init__(self, tp: int, fp: int, tn: int, fn: int) -> None:
+        set_field(self, "tp", tp)
+        set_field(self, "fp", fp)
+        set_field(self, "tn", tn)
+        set_field(self, "fn", fn)
         for name in ("tp", "fp", "tn", "fn"):
             v = getattr(self, name)
             if not isinstance(v, int) or v < 0:
@@ -322,8 +332,7 @@ class ContingencyTable:
         return self.tp + self.fp + self.tn + self.fn
 
 
-@dataclass(frozen=True)
-class SelectionTally:
+class SelectionTally(Record):
     """The counts every selection measure of one (model, period) comes from.
 
     ``n_events`` is N, the events of the period; ``hits`` is n, those inside
@@ -336,6 +345,20 @@ class SelectionTally:
     flagged_area_km2: float
     total_area_km2: float
     table: ContingencyTable
+
+    def __init__(
+        self,
+        n_events: int,
+        hits: int,
+        flagged_area_km2: float,
+        total_area_km2: float,
+        table: ContingencyTable,
+    ) -> None:
+        set_field(self, "n_events", n_events)
+        set_field(self, "hits", hits)
+        set_field(self, "flagged_area_km2", flagged_area_km2)
+        set_field(self, "total_area_km2", total_area_km2)
+        set_field(self, "table", table)
 
     @classmethod
     def of(
@@ -361,8 +384,7 @@ class SelectionTally:
         return self.flagged_area_km2 / self.total_area_km2
 
 
-@dataclass(frozen=True)
-class _PeriodCounts:
+class _PeriodCounts(Record):
     """What every model's tally of one period shares: the events per cell,
     N, and the grid cells with events. Built once per period; each
     :meth:`tally` then does only the work its flagged set needs."""
@@ -371,6 +393,18 @@ class _PeriodCounts:
     counts: Mapping[CellId, int]
     n_events: int
     hit: frozenset[CellId]
+
+    def __init__(
+        self,
+        grid: GridSpec,
+        counts: Mapping[CellId, int],
+        n_events: int,
+        hit: frozenset[CellId],
+    ) -> None:
+        set_field(self, "grid", grid)
+        set_field(self, "counts", counts)
+        set_field(self, "n_events", n_events)
+        set_field(self, "hit", hit)
 
     @classmethod
     def of(cls, grid: GridSpec, counts: Mapping[CellId, int]) -> "_PeriodCounts":
@@ -399,14 +433,21 @@ class _PeriodCounts:
         )
 
 
-@dataclass(frozen=True)
-class RejectedRow:
+class RejectedRow(Record):
     """A raw event row dropped during lenient ingestion."""
 
     event_id: EventId
     cell_id: CellId
     period: PeriodId
     reason: str
+
+    def __init__(
+        self, event_id: EventId, cell_id: CellId, period: PeriodId, reason: str
+    ) -> None:
+        set_field(self, "event_id", event_id)
+        set_field(self, "cell_id", cell_id)
+        set_field(self, "period", period)
+        set_field(self, "reason", reason)
 
 
 def assign_events(

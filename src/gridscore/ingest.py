@@ -28,9 +28,9 @@ import operator
 import os
 import shutil
 import tempfile
-from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TextIO
 
+from ._record import FACTORY, Record, set_field
 from .alpha_search import DEFAULT_GRID_STEP, MIN_GRID_STEP
 from .combine import UtilitySpec, WeightVector
 from .domain import (
@@ -63,8 +63,7 @@ HEADERS = {
     "units": ("unit_id", "area_fraction", "crime_fraction"),
 }
 
-@dataclass(frozen=True)
-class Dataset:
+class Dataset(Record):
     """Everything one evaluation run consumes, fully cross-validated.
 
     ``selections`` and ``surfaces`` are nested model → period mappings.
@@ -78,7 +77,23 @@ class Dataset:
     selections: Mapping[str, Mapping[PeriodId, HotspotSelection]]
     surfaces: Mapping[str, Mapping[PeriodId, ProbabilitySurface]]
     units: Optional[tuple[HotspotUnit, ...]]
-    rejected: tuple[RejectedRow, ...] = ()
+    rejected: tuple[RejectedRow, ...]
+
+    def __init__(
+        self,
+        grid: Optional[GridSpec],
+        events: Optional[EventSet],
+        selections: Mapping[str, Mapping[PeriodId, HotspotSelection]],
+        surfaces: Mapping[str, Mapping[PeriodId, ProbabilitySurface]],
+        units: Optional[tuple[HotspotUnit, ...]],
+        rejected: tuple[RejectedRow, ...] = (),
+    ) -> None:
+        set_field(self, "grid", grid)
+        set_field(self, "events", events)
+        set_field(self, "selections", selections)
+        set_field(self, "surfaces", surfaces)
+        set_field(self, "units", units)
+        set_field(self, "rejected", rejected)
 
     def models(self) -> tuple[str, ...]:
         return tuple(sorted(set(self.selections) | set(self.surfaces)))
@@ -95,8 +110,7 @@ class Dataset:
         return {u.id: u for u in (self.units or ())}
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     """A fully materialized run configuration; every default is explicit.
 
     ``to_pairs`` renders the whole thing as unsorted key/value strings,
@@ -104,27 +118,67 @@ class RunConfig:
     default can shape a number without appearing in the output.
     """
 
-    measures: tuple[str, ...] = ("hit_rate", "coverage", "pai")
-    strict: bool = True
-    alpha_mode: str = "hit_rate"  # fixed | hit_rate | grid_search
-    alpha: Optional[float] = None
-    target_coverage: Optional[float] = None
-    grid_step: float = DEFAULT_GRID_STEP
-    als_floor_enabled: bool = False
-    als_floor_epsilon: float = 1e-12
-    als_restrict_to_hotspots: bool = False
-    als_log_base: str = "e"
-    score_transform: str = "raw"  # raw | standardized | rank
-    utilities: Optional[UtilitySpec] = None
-    weights: Optional[WeightVector] = None
-    orientations: Mapping[str, str] = field(
-        default_factory=lambda: dict(DEFAULT_ORIENTATION)
-    )
-    generator: Optional[GeneratorSpec] = None
-    gen_top_k: Optional[int] = None  # load_config defaults it with a generator
-    gen_smoothing: float = 1.0
-    # Derived, not a config key: unknown keys that lenient mode skipped.
-    ignored_keys: tuple[str, ...] = ()
+    measures: tuple[str, ...]
+    strict: bool
+    alpha_mode: str
+    alpha: Optional[float]
+    target_coverage: Optional[float]
+    grid_step: float
+    als_floor_enabled: bool
+    als_floor_epsilon: float
+    als_restrict_to_hotspots: bool
+    als_log_base: str
+    score_transform: str
+    utilities: Optional[UtilitySpec]
+    weights: Optional[WeightVector]
+    orientations: Mapping[str, str]
+    generator: Optional[GeneratorSpec]
+    gen_top_k: Optional[int]
+    gen_smoothing: float
+    ignored_keys: tuple[str, ...]
+
+    def __init__(
+        self,
+        measures: tuple[str, ...] = ("hit_rate", "coverage", "pai"),
+        strict: bool = True,
+        alpha_mode: str = "hit_rate",  # fixed | hit_rate | grid_search
+        alpha: Optional[float] = None,
+        target_coverage: Optional[float] = None,
+        grid_step: float = DEFAULT_GRID_STEP,
+        als_floor_enabled: bool = False,
+        als_floor_epsilon: float = 1e-12,
+        als_restrict_to_hotspots: bool = False,
+        als_log_base: str = "e",
+        score_transform: str = "raw",  # raw | standardized | rank
+        utilities: Optional[UtilitySpec] = None,
+        weights: Optional[WeightVector] = None,
+        orientations: Mapping[str, str] = FACTORY,  # DEFAULT_ORIENTATION's copy
+        generator: Optional[GeneratorSpec] = None,
+        gen_top_k: Optional[int] = None,  # load_config defaults it with a generator
+        gen_smoothing: float = 1.0,
+        # Derived, not a config key: unknown keys that lenient mode skipped.
+        ignored_keys: tuple[str, ...] = (),
+    ) -> None:
+        if orientations is FACTORY:
+            orientations = dict(DEFAULT_ORIENTATION)
+        set_field(self, "measures", measures)
+        set_field(self, "strict", strict)
+        set_field(self, "alpha_mode", alpha_mode)
+        set_field(self, "alpha", alpha)
+        set_field(self, "target_coverage", target_coverage)
+        set_field(self, "grid_step", grid_step)
+        set_field(self, "als_floor_enabled", als_floor_enabled)
+        set_field(self, "als_floor_epsilon", als_floor_epsilon)
+        set_field(self, "als_restrict_to_hotspots", als_restrict_to_hotspots)
+        set_field(self, "als_log_base", als_log_base)
+        set_field(self, "score_transform", score_transform)
+        set_field(self, "utilities", utilities)
+        set_field(self, "weights", weights)
+        set_field(self, "orientations", orientations)
+        set_field(self, "generator", generator)
+        set_field(self, "gen_top_k", gen_top_k)
+        set_field(self, "gen_smoothing", gen_smoothing)
+        set_field(self, "ignored_keys", ignored_keys)
 
     def to_pairs(self) -> list[tuple[str, str]]:
         pairs = []
@@ -737,8 +791,7 @@ def _out_of_bound(path: str, key: str, bound: str, value: object) -> IngestError
     return IngestError(path, f"{key} must {bound}, got {value!r}")
 
 
-@dataclass(frozen=True)
-class ConfigKey:
+class ConfigKey(Record):
     """One config key: how it is parsed, checked and stored.
 
     ``field`` is the :class:`RunConfig` attribute holding the value, dotted
@@ -751,8 +804,22 @@ class ConfigKey:
     key: str
     field: str
     parse: Callable[[str, str, str], object]
-    bound: Optional[tuple[Callable[[object], bool], str]] = None
-    default: object = None
+    bound: Optional[tuple[Callable[[object], bool], str]]
+    default: object
+
+    def __init__(
+        self,
+        key: str,
+        field: str,
+        parse: Callable[[str, str, str], object],
+        bound: Optional[tuple[Callable[[object], bool], str]] = None,
+        default: object = None,
+    ) -> None:
+        set_field(self, "key", key)
+        set_field(self, "field", field)
+        set_field(self, "parse", parse)
+        set_field(self, "bound", bound)
+        set_field(self, "default", default)
 
 
 _UNIT_INTERVAL = (lambda v: 0.0 < v < 1.0, "lie in (0, 1)")
@@ -929,8 +996,7 @@ def load_config(path: str, cli_strict: Optional[bool] = None) -> RunConfig:
         if not 0 < gen_top_k <= n_cells:
             raise _out_of_bound(path, "gen.top_k", f"lie in [1, {n_cells}]", gen_top_k)
 
-    return replace(
-        config,
+    return config._replace(
         measures=measures,
         utilities=utilities,
         weights=weights,

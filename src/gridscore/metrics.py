@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
+from ._record import Record, set_field
 from .domain import (
     ContingencyTable,
     EventSet,
@@ -34,8 +34,7 @@ from .errors import PeriodMismatchError, ValidationError, ZeroMassError
 FRACTION_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class HotspotUnit:
+class HotspotUnit(Record):
     """A pre-aggregated hotspot: its share of area (a/A) and of crime (n/N).
 
     Parameters
@@ -52,21 +51,23 @@ class HotspotUnit:
     area_fraction: float
     crime_fraction: float
 
-    def __post_init__(self):
-        if not (0.0 < self.area_fraction <= 1.0):
+    def __init__(self, id: str, area_fraction: float, crime_fraction: float) -> None:
+        set_field(self, "id", id)
+        set_field(self, "area_fraction", area_fraction)
+        set_field(self, "crime_fraction", crime_fraction)
+        if not (0.0 < area_fraction <= 1.0):
             raise ValidationError(
-                f"unit {self.id!r}: area_fraction must be in (0, 1], "
-                f"got {self.area_fraction!r}"
+                f"unit {id!r}: area_fraction must be in (0, 1], "
+                f"got {area_fraction!r}"
             )
-        if not (0.0 <= self.crime_fraction <= 1.0):
+        if not (0.0 <= crime_fraction <= 1.0):
             raise ValidationError(
-                f"unit {self.id!r}: crime_fraction must be in [0, 1], "
-                f"got {self.crime_fraction!r}"
+                f"unit {id!r}: crime_fraction must be in [0, 1], "
+                f"got {crime_fraction!r}"
             )
 
 
-@dataclass(frozen=True)
-class RateSet:
+class RateSet(Record):
     """The six contingency-derived rates; None marks an undefined (0/0) rate.
 
     ``fpr`` is always exactly ``1 - specificity`` when the latter is
@@ -81,6 +82,22 @@ class RateSet:
     npv: Optional[float]
     accuracy: Optional[float]
     fpr: Optional[float]
+
+    def __init__(
+        self,
+        sensitivity: Optional[float],
+        specificity: Optional[float],
+        ppv: Optional[float],
+        npv: Optional[float],
+        accuracy: Optional[float],
+        fpr: Optional[float],
+    ) -> None:
+        set_field(self, "sensitivity", sensitivity)
+        set_field(self, "specificity", specificity)
+        set_field(self, "ppv", ppv)
+        set_field(self, "npv", npv)
+        set_field(self, "accuracy", accuracy)
+        set_field(self, "fpr", fpr)
 
 
 def _ratio(num: int, den: int) -> Optional[float]:
@@ -243,22 +260,30 @@ def als(
             f"no events in scope for period {period!r}; ALS is undefined"
         )
     masses = list(map(surface.mass.get, cells, itertools.repeat(0.0)))
-    if floor is not None:
-        masses = [max(mass, floor) for mass in masses]
-    if min(masses) <= 0.0:
+    lowest = min(masses)
+    if floor is not None and lowest < floor:
+        # max(mass, floor) is mass itself for every mass >= floor, so the
+        # floor is applied only when it binds; it leaves every mass positive.
+        masses = list(map(max, masses, itertools.repeat(floor)))
+    elif lowest <= 0.0:
         cell = next(c for c, mass in zip(cells, masses) if mass <= 0.0)
         raise ZeroMassError(cell, period)
     return math.fsum(map(math.log, masses)) / len(masses)
 
 
-@dataclass(frozen=True)
-class Measure:
+class Measure(Record):
     """One measure: its formula over a (model, period)'s tally and the row's
     PPAI alpha, None for ``als``, which is scored from a surface; and which
     direction is better, "higher" or "lower"."""
 
     formula: Optional[Callable[..., Optional[float]]]
-    better: str = "higher"
+    better: str
+
+    def __init__(
+        self, formula: Optional[Callable[..., Optional[float]]], better: str = "higher"
+    ) -> None:
+        set_field(self, "formula", formula)
+        set_field(self, "better", better)
 
 
 #: Every measure by its report and config id. Units mode's tally has only

@@ -12,10 +12,10 @@ never 0, never NaN.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, Union
 
 from . import __version__
+from ._record import FACTORY, Record
 
 FORMAT_VERSION = 1
 
@@ -47,31 +47,52 @@ def _column_texts(column: Sequence[Value]) -> Iterable[str]:
     return map(plain or fmt, column)
 
 
-@dataclass
-class Report:
-    """Everything a command produced, ready to render deterministically."""
+class Report(Record):
+    """Everything a command produced, ready to render deterministically.
 
-    command: str
-    config_pairs: list[tuple[str, Value]] = field(default_factory=list)
-    inputs: list[tuple[str, Value]] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
-    # model_id, period_id, measure, value
-    measure_rows: list[tuple[str, str, str, Value]] = field(default_factory=list)
-    # model_id, measure, mean, std
-    summary_rows: list[tuple[str, str, Value, Value]] = field(default_factory=list)
-    alpha_info: list[tuple[str, Value]] = field(default_factory=list)
-    # prefix_len, unit_id, cum_area, cum_crime, ppai_at_alpha_star
-    level_rows: list[tuple[int, str, float, float, float]] = field(
-        default_factory=list
-    )
-    combined_rule: Optional[str] = None
-    # model_id, score, rank
-    combined_rows: list[tuple[str, float, float]] = field(default_factory=list)
-    # measure, model_a, model_b, n_used, w_plus, method, p, p_bonferroni
-    wsr_rows: list[
-        tuple[str, str, str, int, float, str, float, float]
-    ] = field(default_factory=list)
-    generated_files: list[str] = field(default_factory=list)
+    Unlike the other records a report is filled in after it is built, so it
+    can be changed and has no hash. Each list field left out starts empty.
+    """
+
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(
+        self,
+        command: str,
+        config_pairs: list[tuple[str, Value]] = FACTORY,
+        inputs: list[tuple[str, Value]] = FACTORY,
+        warnings: list[str] = FACTORY,
+        # model_id, period_id, measure, value
+        measure_rows: list[tuple[str, str, str, Value]] = FACTORY,
+        # model_id, measure, mean, std
+        summary_rows: list[tuple[str, str, Value, Value]] = FACTORY,
+        alpha_info: list[tuple[str, Value]] = FACTORY,
+        # prefix_len, unit_id, cum_area, cum_crime, ppai_at_alpha_star
+        level_rows: list[tuple[int, str, float, float, float]] = FACTORY,
+        combined_rule: Optional[str] = None,
+        # model_id, score, rank
+        combined_rows: list[tuple[str, float, float]] = FACTORY,
+        # measure, model_a, model_b, n_used, w_plus, method, p, p_bonferroni
+        wsr_rows: list[tuple[str, str, str, int, float, str, float, float]] = FACTORY,
+        generated_files: list[str] = FACTORY,
+    ) -> None:
+        def given(value: list) -> list:
+            return [] if value is FACTORY else value
+
+        self.command = command
+        self.config_pairs = given(config_pairs)
+        self.inputs = given(inputs)
+        self.warnings = given(warnings)
+        self.measure_rows = given(measure_rows)
+        self.summary_rows = given(summary_rows)
+        self.alpha_info = given(alpha_info)
+        self.level_rows = given(level_rows)
+        self.combined_rule = combined_rule
+        self.combined_rows = given(combined_rows)
+        self.wsr_rows = given(wsr_rows)
+        self.generated_files = given(generated_files)
 
     def render(self) -> str:
         """The preamble, then one ``[name]`` block per section: [config] and

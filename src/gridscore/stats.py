@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import functools
 import math
-import statistics
 import sys
 from array import array
 from collections import Counter
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from ._record import Record, set_field
 from .combine import rank_models
 from .domain import PeriodId
 from .errors import ValidationError
@@ -35,16 +34,19 @@ from .errors import ValidationError
 EXACT_LIMIT = 25
 
 
-@dataclass(frozen=True)
-class PeriodSeries:
+class PeriodSeries(Record):
     """One measure's value per test period for one model."""
 
     measure_id: str
     model_id: str
     values: tuple[tuple[PeriodId, float], ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
+    def __init__(
+        self, measure_id: str, model_id: str, values: tuple[tuple[PeriodId, float], ...]
+    ) -> None:
+        set_field(self, "measure_id", measure_id)
+        set_field(self, "model_id", model_id)
+        set_field(self, "values", tuple(values))
         if not self.values:
             raise ValidationError("a period series needs at least one value")
         periods = [p for p, _ in self.values]
@@ -53,8 +55,7 @@ class PeriodSeries:
             raise ValidationError(f"duplicate periods in series: {dupes}")
 
 
-@dataclass(frozen=True)
-class WsrResult:
+class WsrResult(Record):
     """Outcome of a Wilcoxon signed-rank test.
 
     ``n_used`` counts the pairs left after dropping zero differences;
@@ -68,6 +69,12 @@ class WsrResult:
     p_value: float
     method: str
 
+    def __init__(self, n_used: int, w_plus: float, p_value: float, method: str) -> None:
+        set_field(self, "n_used", n_used)
+        set_field(self, "w_plus", w_plus)
+        set_field(self, "p_value", p_value)
+        set_field(self, "method", method)
+
 
 def summarize(series: PeriodSeries) -> tuple[float, Optional[float]]:
     """Mean and sample standard deviation of a series.
@@ -79,6 +86,10 @@ def summarize(series: PeriodSeries) -> tuple[float, Optional[float]]:
     mean = math.fsum(xs) / len(xs)
     if len(xs) < 2:
         return mean, None
+    # Imported here: statistics pulls in fractions and decimal, which every
+    # command would otherwise pay for at start-up.
+    import statistics
+
     return mean, statistics.stdev(xs)
 
 
@@ -159,6 +170,8 @@ def wilcoxon_signed_rank(
         # The tie term peaks at (n³ − n)/48, every |d| tied: var ≥ n(n+1)²/16.
         var = n * (n + 1) * (2 * n + 1) / 24 - tie_term
         sd = math.sqrt(var)
+        import statistics
+
         norm = statistics.NormalDist()
         # Continuity correction: pull each tail half a step toward the mean.
         lower = norm.cdf((w_plus + 0.5 - mean) / sd)

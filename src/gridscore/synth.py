@@ -21,8 +21,8 @@ import math
 import operator
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
 
+from ._record import Record, set_field
 from .domain import (
     Cell,
     EventSet,
@@ -37,8 +37,7 @@ from .errors import ValidationError
 _ID = operator.attrgetter("id")
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
+class GeneratorSpec(Record):
     """Recipe for a synthetic dataset.
 
     ``weights`` are unnormalized per-cell event propensities; cell i
@@ -52,8 +51,21 @@ class GeneratorSpec:
     events_per_period: int
     seed: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(self.weights))
+    def __init__(
+        self,
+        n_cells: int,
+        cell_area_km2: float,
+        weights: tuple[float, ...],
+        n_periods: int,
+        events_per_period: int,
+        seed: int,
+    ) -> None:
+        set_field(self, "n_cells", n_cells)
+        set_field(self, "cell_area_km2", cell_area_km2)
+        set_field(self, "weights", tuple(weights))
+        set_field(self, "n_periods", n_periods)
+        set_field(self, "events_per_period", events_per_period)
+        set_field(self, "seed", seed)
         if self.n_cells < 1:
             raise ValidationError(f"n_cells must be positive, got {self.n_cells!r}")
         if self.n_periods < 1:

@@ -1,4 +1,5 @@
-"""``cli.main`` pauses the cyclic garbage collector for a command.
+"""``cli.main`` pauses the cyclic garbage collector for a command, and
+``cli.run`` freezes it before the program exits.
 
 That is safe only while a run builds no reference cycles, since a cycle
 made while the collector is paused lives on until it next runs. The
@@ -8,6 +9,9 @@ collector is the argument parser's own, the same at any dataset size.
 
 import gc
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -188,3 +192,42 @@ def test_a_run_builds_no_reference_cycles(tmp_path, capsys, gc_state, command):
     assert [t for t in types if t.__module__.startswith("gridscore")] == []
     assert len(small) == len(large)
     assert capsys.readouterr().err == ""
+
+
+# ---------------------------------------------------------------------------
+# the program entry
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def entry_argv(name, tmp_path):
+    units = tmp_path / "units.csv"
+    units.write_text(UNITS, encoding="utf-8")
+    return {
+        "report": ["optimize-alpha", "--units", str(units), "--target", "0.1"],
+        "gridscore-error": ["optimize-alpha", "--units", str(tmp_path / "missing.csv"),
+                            "--target", "0.5"],
+        "argparse-exit": ["optimize-alpha", "--no-such-flag"],
+    }[name]
+
+
+@pytest.mark.parametrize(
+    "name, code", [("report", 0), ("gridscore-error", 1), ("argparse-exit", 2)]
+)
+def test_the_program_exits_as_main_returns(tmp_path, capsys, name, code):
+    """``python -m gridscore.cli`` runs ``cli.run``, which freezes the
+    collector before exiting: the same output as ``main`` in process, and
+    main's code as the exit status."""
+    argv = entry_argv(name, tmp_path)
+    try:
+        returned = main(argv)
+    except SystemExit as exc:
+        returned = exc.code
+    expected = capsys.readouterr()
+    done = subprocess.run(
+        [sys.executable, "-m", "gridscore.cli", *argv],
+        capture_output=True, text=True, timeout=60, cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+    assert (returned, done.returncode) == (code, code)
+    assert (done.stdout, done.stderr) == (expected.out, expected.err)

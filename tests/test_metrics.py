@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -73,7 +72,8 @@ class TestRates:
 
     def test_empty_grid_table_every_rate_undefined(self):
         r = rates_from_contingency(ContingencyTable(tp=0, fp=0, tn=0, fn=0))
-        assert all(v is None for v in dataclasses.astuple(r))
+        rates = (r.sensitivity, r.specificity, r.ppv, r.npv, r.accuracy, r.fpr)
+        assert all(v is None for v in rates)
 
 
 class TestHitRateCoverage:
@@ -283,6 +283,19 @@ class TestAls:
         events = EventSet(events=(Event("e1", "c1", "p1"),))
         got = als(surface, events, "p1", floor=1e-12)
         np.testing.assert_allclose(got, math.log(1e-12), atol=1e-12)
+
+    @pytest.mark.parametrize("floor", [0.05, 0.1, 0.3, 0.9])
+    def test_floor_is_max_of_mass_and_floor(self, floor):
+        # Below every mass, equal to some, binding for some, binding for all.
+        mass = {"c0": 0.7, "c1": 0.1, "c2": 0.2, "c3": 0.0}
+        events = EventSet(events=tuple(
+            Event(f"e{i}", cell, "p1") for i, cell in enumerate(["c0", "c1", "c2", "c0"])
+        ))
+        expected = math.fsum(
+            math.log(max(mass[c], floor)) for c in ["c0", "c0", "c1", "c2"]
+        ) / 4
+        surface = ProbabilitySurface(period="p1", mass=mass)
+        assert als(surface, events, "p1", floor=floor) == expected
 
     def test_floor_must_be_positive(self):
         events = EventSet(events=(Event("e1", "c0", "p1"),))
