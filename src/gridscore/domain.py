@@ -17,7 +17,7 @@ import itertools
 import math
 import operator
 from collections import Counter
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from ._record import Record, set_field
 from .errors import PeriodMismatchError, ValidationError
@@ -138,10 +138,9 @@ class EventSet:
     order rows appeared in the source file. Every per-period query reads a
     period's columns; :class:`Event` objects are built only when
     :attr:`events` or :meth:`in_period` is asked for them, once, and kept.
-    Events are cross-validated against a grid where a set is built from
-    rows, by :func:`assign_events` (or, for a clean file, by
-    :func:`gridscore.ingest.load_events` in column passes), because the
-    event set does not hold a grid reference. An event set is immutable,
+    Events are cross-validated against a grid where a set is built, by
+    :func:`assign_events` and :func:`gridscore.ingest.load_events`, because
+    the event set does not hold a grid reference. An event set is immutable,
     and compares, hashes and prints as the tuple of its events.
     """
 
@@ -172,15 +171,17 @@ class EventSet:
         return self
 
     @classmethod
-    def _of_rows(cls, rows: list[tuple[PeriodId, EventId, CellId]]) -> "EventSet":
-        """The set of plain (period, event id, cell id) ``rows``, which are
-        sorted in place: a native tuple sort is the canonical order."""
-        rows.sort()
-        columns = {}
-        for period, group in itertools.groupby(rows, operator.itemgetter(0)):
-            _, ids, cells = zip(*group)
-            columns[period] = (ids, cells)
-        return cls._of_columns(columns)
+    def _of_unsorted(cls, columns: Mapping[PeriodId, tuple[list, list]]) -> "EventSet":
+        """The set of per-period (event ids, cell ids) ``columns``, sorted
+        into canonical order: a period's pairs only if its ids do not ascend."""
+        ordered = {}
+        for period in sorted(columns):
+            ids, cells = columns[period]
+            if _ascending(ids):
+                ordered[period] = (tuple(ids), tuple(cells))
+            else:
+                ordered[period] = tuple(zip(*sorted(zip(ids, cells))))
+        return cls._of_columns(ordered)
 
     def _hold(self, columns: _Columns) -> None:
         set_field(self, "_columns", columns)
@@ -257,6 +258,11 @@ class EventSet:
             zip(ids, cells, itertools.repeat(period))
             for period, (ids, cells) in self._columns.items()
         )
+
+
+def _ascending(items: Sequence[str]) -> bool:
+    """Whether each of ``items`` is above the one before it."""
+    return all(map(operator.lt, items, itertools.islice(items, 1, None)))
 
 
 class ProbabilitySurface(Record):
@@ -463,23 +469,25 @@ def assign_events(
     caller can count and report them; silent dropping would hide upstream
     geocoding mistakes. ``raw`` is read lazily, one row at a time, so a
     caller streaming it from a file stands on the offending row when the
-    strict-mode error is raised. The kept rows are collected as plain
-    (period, event id, cell id) tuples, sorted natively into the canonical
-    order and stored as the set's columns; no :class:`Event` is built.
+    strict-mode error is raised. The kept rows are collected as per-period
+    columns of event ids and cell ids, then put in canonical order; no
+    :class:`Event` is built.
     """
     known = grid.cell_ids
-    kept: list[tuple[PeriodId, EventId, CellId]] = []
+    columns: dict[PeriodId, tuple[list[EventId], list[CellId]]] = {}
     rejected: list[RejectedRow] = []
     for event_id, cell_id, period in raw:
         if cell_id in known:
-            kept.append((period, event_id, cell_id))
+            ids, cells = columns.setdefault(period, ([], []))
+            ids.append(event_id)
+            cells.append(cell_id)
         elif strict:
             raise ValidationError(
                 f"event {event_id!r} references unknown cell {cell_id!r}"
             )
         else:
             rejected.append(RejectedRow(event_id, cell_id, period, "unknown cell"))
-    return EventSet._of_rows(kept), tuple(rejected)
+    return EventSet._of_unsorted(columns), tuple(rejected)
 
 
 def contingency(

@@ -24,7 +24,6 @@ import csv
 import errno
 import itertools
 import math
-import operator
 import os
 import shutil
 import tempfile
@@ -41,6 +40,7 @@ from .domain import (
     PeriodId,
     ProbabilitySurface,
     RejectedRow,
+    _ascending,
     assign_events,
 )
 from .errors import IngestError, ValidationError
@@ -293,21 +293,6 @@ def _has_space(text: str) -> bool:
     return bool(text) and text.split(None, 1) != [text]
 
 
-def _read_table(path: str, kind: str):
-    """Yield (line_number, row) for every row of a CSV file, its fields
-    stripped and blank lines skipped: a table read one row at a time.
-
-    A clean chunk of :func:`_read_chunks` is handed out as read, and any
-    other chunk goes through the per-row checks of :func:`_checked_rows`.
-    """
-    header = HEADERS[kind]
-    for lineno, rows, columns in _read_chunks(path, kind):
-        if columns is None:
-            yield from _checked_rows(path, header, rows, lineno)
-        else:
-            yield from zip(itertools.count(lineno), rows)
-
-
 def _checked_rows(path: str, header: Sequence[str], rows: list[list[str]], lineno: int):
     """Yield (line_number, stripped row) for ``rows`` from line ``lineno`` on,
     skipping blank lines and refusing the first row of the wrong width or
@@ -340,8 +325,9 @@ def _load_chunks(path: str, kind: str, add_chunk: Callable, add_rows: Callable) 
     ``add_chunk(*columns)`` checks a clean chunk with passes over its
     columns and, only if every row passes, adds the chunk and answers True.
     Any other chunk goes to ``add_rows``, the loader's per-row checks, which
-    adds its (line_number, row) pairs up to the first fault and raises that.
-    So each fault is reported in file order, with its own line.
+    adds its (line_number, row) pairs up to the first fault and raises that;
+    in lenient mode, events drop a row in an unknown cell instead. So each
+    fault is reported in file order, with its own line.
     """
     header = HEADERS[kind]
     for lineno, rows, columns in _read_chunks(path, kind):
@@ -477,71 +463,75 @@ def load_events(
     In lenient mode the offending rows are returned as rejects so the
     caller can count and report them instead of silently losing data.
 
-    The file is read a chunk at a time straight into per-period columns.
-    If a check fails anywhere, or the file has a read error, the whole file
-    is replayed one row at a time through :func:`assign_events`, so the
-    first fault of the file is the one reported, and lenient mode's rejects
-    are those of :func:`assign_events`.
+    The file is read in one :func:`_load_chunks` pass. A clean chunk is
+    added whole if its cells are known and its ids new; any other chunk
+    goes row by row through :func:`assign_events`, which picks the rejects.
     """
-    try:
-        columns = _event_columns(path, grid.cell_ids)
-    except IngestError:
-        columns = None  # a read error: the replay reports the file's first fault
-    if columns is not None:
-        return EventSet._of_columns(columns), ()
-
-    lineno = 0
-
-    def rows():
-        nonlocal lineno
-        seen: set[str] = set()
-        for lineno, (event_id, cell_id, period_id) in _read_table(path, "events"):
-            if not event_id or not cell_id or not period_id:
-                raise IngestError(path, "empty field", line=lineno)
-            if event_id in seen:
-                raise IngestError(path, f"duplicate event_id {event_id!r}", line=lineno)
-            seen.add(event_id)
-            yield event_id, cell_id, period_id
-
-    try:
-        return assign_events(grid, rows(), strict=strict)
-    except ValidationError as exc:
-        # assign_events reads rows() lazily: lineno is the offending row.
-        raise IngestError(path, str(exc), line=lineno) from exc
-
-
-def _event_columns(path: str, known: frozenset[str]) -> Optional[dict]:
-    """The events of ``path`` as canonical per-period (ids, cells) columns,
-    or None if a chunk is not clean or holds a cell not in ``known``, or an
-    event id repeats."""
+    known = grid.cell_ids
     by_period: dict[PeriodId, tuple[list[str], list[str]]] = {}
-    with contextlib.closing(_read_chunks(path, "events")) as chunks:
-        for _, _, columns in chunks:
-            if columns is None:
-                return None
-            ids, cells, periods = columns
-            if not known.issuperset(cells):
-                return None
-            for period, start, stop in _runs(periods):
-                period_ids, period_cells = by_period.setdefault(period, ([], []))
-                period_ids.extend(ids[start:stop])
-                period_cells.extend(cells[start:stop])
-    columns = {p: tuple(map(tuple, by_period[p])) for p in sorted(by_period)}
-    for period, (ids, cells) in columns.items():
-        if not _ascending(ids):
-            # Sorting the pairs sorts by id; a repeated id is refused below.
-            columns[period] = tuple(zip(*sorted(zip(ids, cells))))
-    id_columns = [ids for ids, _ in columns.values()]
-    if len(set(itertools.chain.from_iterable(id_columns))) != sum(map(len, id_columns)):
-        return None
-    return columns
+    rejected: list[RejectedRow] = []
+    # While each id read is above the one before it, none can repeat, and
+    # ``last`` is the latest. After that, ``last`` is None and ``seen`` holds
+    # the id of every row added or rejected.
+    last: Optional[str] = ""
+    seen: set[str] = set()
 
+    def take_ids():
+        nonlocal last
+        last = None
+        seen.clear()
+        seen.update(itertools.chain.from_iterable(i for i, _ in by_period.values()))
+        seen.update(row.event_id for row in rejected)
 
-def _ascending(items: Iterable[str]) -> bool:
-    """Whether each of ``items`` is above the one before it."""
-    items, after = itertools.tee(items)
-    next(after, None)
-    return all(map(operator.lt, items, after))
+    def add(period, ids, cells):
+        period_ids, period_cells = by_period.setdefault(period, ([], []))
+        period_ids.extend(ids)
+        period_cells.extend(cells)
+
+    def add_chunk(ids, cells, periods):
+        nonlocal last
+        if not known.issuperset(cells):
+            return False
+        if last is not None and last < ids[0] and _ascending(ids):
+            last = ids[-1]
+        else:
+            if last is not None:
+                take_ids()
+            size = len(seen)
+            seen.update(ids)
+            if len(seen) != size + len(ids):
+                take_ids()  # an id repeats: add_rows reports it
+                return False
+        for period, start, stop in _runs(periods):
+            add(period, ids[start:stop], cells[start:stop])
+        return True
+
+    def add_rows(rows):
+        if last is not None:
+            take_ids()
+        lineno = 0
+
+        def checked():
+            nonlocal lineno
+            for lineno, (event_id, cell_id, period_id) in rows:
+                if not event_id or not cell_id or not period_id:
+                    raise IngestError(path, "empty field", line=lineno)
+                if event_id in seen:
+                    raise IngestError(path, f"duplicate event_id {event_id!r}", line=lineno)
+                seen.add(event_id)
+                yield event_id, cell_id, period_id
+
+        try:
+            events, rejects = assign_events(grid, checked(), strict=strict)
+        except ValidationError as exc:
+            # assign_events reads checked() lazily: lineno is the offending row.
+            raise IngestError(path, str(exc), line=lineno) from exc
+        rejected.extend(rejects)
+        for period, (ids, cells) in events._columns.items():
+            add(period, ids, cells)
+
+    _load_chunks(path, "events", add_chunk, add_rows)
+    return EventSet._of_unsorted(by_period), tuple(rejected)
 
 
 def load_selections(

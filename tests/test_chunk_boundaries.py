@@ -252,9 +252,10 @@ def test_shuffled_rows_load_as_the_file_in_order(tmp_path, table):
 
 
 class TestFirstFaultWins:
-    """An events file is checked whole before its columns are kept, and a
-    failed check replays it row by row: the first fault of the file is the
-    one reported, whichever check would have found a later one first."""
+    """An events file is checked a chunk at a time, in file order, and a
+    chunk that fails a column check goes through the per-row checks: the
+    first fault of the file is the one reported, whichever check would have
+    found a later one first."""
 
     EVENTS = TABLES["events"]
 
@@ -284,6 +285,29 @@ class TestFirstFaultWins:
         path = write(tmp_path / "events.csv", self.EVENTS.header, lines, "latin-1")
         assert message(self.EVENTS.load, path, tmp_path) == (
             f"{path}: not UTF-8 text (cannot decode byte 0xff)")
+
+
+@pytest.mark.parametrize("row", [1023, 1024])
+def test_the_id_of_a_lenient_reject_is_taken(tmp_path, row):
+    # Row ``row`` is rejected in chunk 1; its id repeats at 1025, in chunk 2.
+    spec = TABLES["events"]
+    lines = spec.lines()
+    lines[row - 1] = f"e{row:05d},zz,p2"
+    lines[1024] = f"e{row:05d},{cell_of(1025)},p2"
+    path = write(tmp_path / "events.csv", spec.header, lines)
+    load = load_with_grid(lambda path, grid: load_events(path, grid, strict=False))
+    assert message(load, path, tmp_path) == f"{path}:1026: duplicate event_id 'e{row:05d}'"
+
+
+@pytest.mark.parametrize("strict", [True, False])
+def test_an_unknown_cell_row_repeating_an_id_of_chunk_1(tmp_path, strict):
+    # The duplicate check comes first: the row is refused in either mode.
+    spec = TABLES["events"]
+    lines = spec.lines()
+    lines[1024] = "e00005,zz,p2"
+    path = write(tmp_path / "events.csv", spec.header, lines)
+    load = load_with_grid(lambda path, grid: load_events(path, grid, strict=strict))
+    assert message(load, path, tmp_path) == f"{path}:1026: duplicate event_id 'e00005'"
 
 
 def test_lenient_events_across_three_chunks_are_those_of_assign_events(tmp_path):

@@ -202,6 +202,29 @@ class TestLoadEvents:
         assert loaded == assign_events(grid, rows, strict=False)
         assert [r.event_id for r in loaded[1]] == ["e2", "e4", "e5"]
 
+    @pytest.mark.parametrize(
+        "rows, kept",
+        [("e1,c1,p1\ne2,zz,p1\ne3,c2,p1\n", 2), ("e1,c1,p1\n\ne3,c2,p1\n", 2),
+         ("e1,c1,p1\n e2,c2,p1\ne3,c2,p1\n", 3)],
+        ids=["unknown-cell", "blank-line", "padded-field"],
+    )
+    def test_a_file_that_needs_the_row_checks_is_read_once(
+        self, tmp_path, monkeypatch, rows, kept
+    ):
+        grid = load_cells(w(tmp_path / "cells.csv", CELLS_CSV))
+        path = w(tmp_path / "events.csv", "event_id,cell_id,period_id\n" + rows)
+        calls = []
+        read_chunks = ingest._read_chunks
+
+        def counted(*args):
+            calls.append(args)
+            return read_chunks(*args)
+
+        monkeypatch.setattr(ingest, "_read_chunks", counted)
+        events, _ = load_events(path, grid, strict=False)
+        assert calls == [(path, "events")]
+        assert len(events) == kept
+
     def test_duplicate_event_id(self, tmp_path):
         grid = load_cells(w(tmp_path / "cells.csv", CELLS_CSV))
         path = w(
@@ -273,9 +296,10 @@ class TestReaderOrderOfErrors:
                  self.HEADER + "e1,c1,p1\n\n e2,c2,p1\n" + self.OVERLONG + "e3,c3,p1\n")
         seen = []
         with pytest.raises(IngestError) as info:
-            for row in ingest._read_table(path, "events"):
-                seen.append(row)
-        assert seen == [(2, ["e1", "c1", "p1"]), (4, ["e2", "c2", "p1"])]
+            for chunk in ingest._read_chunks(path, "events"):
+                seen.append(chunk)
+        # The raw rows, blank and padded ones too, as no chunk of columns.
+        assert seen == [(2, [["e1", "c1", "p1"], [], [" e2", "c2", "p1"]], None)]
         assert str(info.value) == f"{path}:5: field larger than field limit (131072)"
 
     def test_the_whitespace_test_matches_what_strip_removes(self):

@@ -162,21 +162,22 @@ class TestTopKBaseline:
 
 def row_loop_events(spec):
     """The reference draw: one variate per event in a Python loop, with the
-    index clamped to the last cell, collected as rows and sorted."""
+    index clamped to the last cell, collected as events of the public
+    constructor, which sorts them."""
     rng = random.Random(spec.seed)
     cells = spec.cell_ids()
     cumulative, running = [], 0.0
     for w in spec.weights:
         running += w
         cumulative.append(running)
-    rows, counter = [], 0
+    events, counter = [], 0
     width = len(str(max(1, spec.n_periods * spec.events_per_period)))
     for period in spec.period_ids():
         for _ in range(spec.events_per_period):
             counter += 1
             idx = bisect.bisect_right(cumulative, rng.random() * cumulative[-1])
-            rows.append((period, f"e{counter:0{width}d}", cells[min(idx, len(cells) - 1)]))
-    return EventSet._of_rows(rows)
+            events.append(Event(f"e{counter:0{width}d}", cells[min(idx, len(cells) - 1)], period))
+    return EventSet(events)
 
 
 class TestGenerateEventsAgainstRowLoop:
