@@ -136,8 +136,10 @@ class EventSet:
 
     The canonical order makes every downstream aggregate independent of the
     order rows appeared in the source file. Every per-period query reads a
-    period's columns; :class:`Event` objects are built only when
-    :attr:`events` or :meth:`in_period` is asked for them, once, and kept.
+    period's columns. :class:`Event` objects are built from them only when
+    :attr:`events` or :meth:`in_period` asks for a period's events, once per
+    period, and kept; the objects a caller passed to ``EventSet(events)``
+    are not kept, so ``in_period`` returns equal events, not the same ones.
     Events are cross-validated against a grid where a set is built, by
     :func:`assign_events` and :func:`gridscore.ingest.load_events`, because
     the event set does not hold a grid reference. An event set is immutable,
@@ -145,35 +147,30 @@ class EventSet:
     """
 
     _columns: _Columns
-    # period -> its Event objects built so far, and (once asked for) all of
-    # them in canonical order.
+    # period -> its Event objects, built when first asked for.
     _by_period: dict[PeriodId, tuple[Event, ...]]
-    _events: tuple[Event, ...] | None
 
     def __init__(self, events: Iterable[Event]):
-        canonical = operator.attrgetter("period", "event_id", "cell_id")
-        ordered = sorted(events, key=canonical)
-        groups = itertools.groupby(ordered, operator.attrgetter("period"))
-        by_period = {p: tuple(g) for p, g in groups}
+        period = operator.attrgetter("period")
         event_id, cell_id = operator.attrgetter("event_id"), operator.attrgetter("cell_id")
-        self._hold({
-            p: (tuple(map(event_id, group)), tuple(map(cell_id, group)))
-            for p, group in by_period.items()
-        })
-        # The caller's events are the ones in_period would build: keep them.
-        self._by_period.update(by_period)
+        columns = {}
+        for p, group in itertools.groupby(sorted(events, key=period), period):
+            group = tuple(group)
+            columns[p] = (tuple(map(event_id, group)), tuple(map(cell_id, group)))
+        self._hold(columns)
 
     @classmethod
-    def _of_columns(cls, columns: _Columns) -> "EventSet":
-        """The set of ``columns``, which must be in canonical order."""
+    def _of_columns(cls, columns: Mapping[PeriodId, tuple[Sequence, Sequence]]) -> "EventSet":
+        """The set of per-period (event ids, cell ids) ``columns``, given in
+        any order: the one constructor besides ``EventSet(events)``."""
         self = cls.__new__(cls)
         self._hold(columns)
         return self
 
-    @classmethod
-    def _of_unsorted(cls, columns: Mapping[PeriodId, tuple[list, list]]) -> "EventSet":
-        """The set of per-period (event ids, cell ids) ``columns``, sorted
-        into canonical order: a period's pairs only if its ids do not ascend."""
+    def _hold(self, columns: Mapping[PeriodId, tuple[Sequence, Sequence]]) -> None:
+        """Hold ``columns`` in canonical order: periods sorted, and a
+        period's (id, cell) pairs sorted only if its ids do not ascend. The
+        one place an event set's fields are set."""
         ordered = {}
         for period in sorted(columns):
             ids, cells = columns[period]
@@ -181,12 +178,8 @@ class EventSet:
                 ordered[period] = (tuple(ids), tuple(cells))
             else:
                 ordered[period] = tuple(zip(*sorted(zip(ids, cells))))
-        return cls._of_columns(ordered)
-
-    def _hold(self, columns: _Columns) -> None:
-        set_field(self, "_columns", columns)
+        set_field(self, "_columns", ordered)
         set_field(self, "_by_period", {})
-        set_field(self, "_events", None)
 
     __setattr__ = Record.__setattr__
     __delattr__ = Record.__delattr__
@@ -194,11 +187,7 @@ class EventSet:
     @property
     def events(self) -> tuple[Event, ...]:
         """Every event, in canonical order."""
-        if self._events is None:
-            by_period = map(self._events_of, self._columns)
-            events = tuple(itertools.chain.from_iterable(by_period))
-            set_field(self, "_events", events)
-        return self._events
+        return tuple(itertools.chain.from_iterable(map(self._events_of, self._columns)))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -221,9 +210,9 @@ class EventSet:
         return self._events_of(period)
 
     def _events_of(self, period: PeriodId) -> tuple[Event, ...]:
-        """The kept events of ``period``, or those built from its columns and
-        kept. :attr:`events` reads this, not :meth:`in_period`, which a
-        profiler may wrap with code that reads :attr:`events`."""
+        """The events of ``period``, built from its columns when first asked
+        for and kept. :attr:`events` reads this, not :meth:`in_period`,
+        which a profiler may wrap with code that reads :attr:`events`."""
         if period in self._by_period or period not in self._columns:
             return self._by_period.get(period, ())
         ids, cells = self._columns[period]
@@ -487,7 +476,7 @@ def assign_events(
             )
         else:
             rejected.append(RejectedRow(event_id, cell_id, period, "unknown cell"))
-    return EventSet._of_unsorted(columns), tuple(rejected)
+    return EventSet._of_columns(columns), tuple(rejected)
 
 
 def contingency(

@@ -531,7 +531,7 @@ def load_events(
             add(period, ids, cells)
 
     _load_chunks(path, "events", add_chunk, add_rows)
-    return EventSet._of_unsorted(by_period), tuple(rejected)
+    return EventSet._of_columns(by_period), tuple(rejected)
 
 
 def load_selections(

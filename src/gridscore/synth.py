@@ -115,7 +115,8 @@ def generate_events(spec: GeneratorSpec) -> EventSet:
     the mapping from random stream to cells is spelled out here and cannot
     drift. The draws run as one chain of C-level ``map`` passes, and event
     ids as one ``str.format``; the ids come out in canonical order, so each
-    period's columns are built as drawn.
+    period's columns are built as drawn and pass the event set's canonical
+    check, one comparison pass per period, without a sort.
     """
     rng = random.Random(spec.seed)
     cells = spec.cell_ids()

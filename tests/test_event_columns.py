@@ -106,6 +106,15 @@ class TestAssignEvents:
         events, rejected = assign_events(GRID, stream(), strict)
         assert rejected == expected[1]
         assert_same_event_set(events, expected[0])
+        # The one constructor puts columns given in any order in canonical
+        # order: here the kept rows in input order, periods as first seen.
+        columns = {}
+        for event_id, cell_id, period in rows:
+            if cell_id in GRID.cell_ids:
+                ids, cells = columns.setdefault(period, ([], []))
+                ids.append(event_id)
+                cells.append(cell_id)
+        assert_same_event_set(EventSet._of_columns(columns), expected[0])
 
     def test_repeated_ids_keep_the_cell_order(self):
         rows = [("e1", "c3", "p1"), ("e1", "c1", "p1"), ("e1", "c2", "p1")]
@@ -125,6 +134,25 @@ class TestAssignEvents:
         with pytest.raises(AttributeError):
             del events._columns
         assert len(events) == 1
+
+    def test_events_do_not_call_a_wrapped_in_period(self, monkeypatch):
+        """A profiler may wrap ``in_period`` with code that reads
+        ``events``; ``events`` must not call ``in_period`` back."""
+        rows = [("e2", "c1", "p2"), ("e3", "c3", "p1"), ("e1", "c2", "p1")]
+        periods = ("p1", "p2", "absent")
+        plain, _ = assign_events(GRID, rows)
+        expected = [plain.in_period(p) for p in periods], plain.events
+        in_period, visited = EventSet.in_period, []
+
+        def counted(self, period):
+            visited.append(len(self.events))
+            return in_period(self, period)
+
+        monkeypatch.setattr(EventSet, "in_period", counted)
+        traced, _ = assign_events(GRID, rows)
+        assert [traced.in_period(p) for p in periods] == expected[0]
+        assert traced.events == expected[1]
+        assert visited == [3, 3, 3]
 
 
 # ---------------------------------------------------------------------------
