@@ -41,7 +41,6 @@ from .domain import (
     ProbabilitySurface,
     RejectedRow,
     _ascending,
-    assign_events,
 )
 from .errors import IngestError, ValidationError
 from .metrics import FRACTION_TOL, MEASURES, HotspotUnit
@@ -323,8 +322,9 @@ def _load_chunks(path: str, kind: str, add_chunk: Callable, add_rows: Callable) 
     """Load ``path`` a chunk at a time into a loader's state.
 
     ``add_chunk(*columns)`` checks a clean chunk with passes over its
-    columns and, only if every row passes, adds the chunk and answers True.
-    Any other chunk goes to ``add_rows``, the loader's per-row checks, which
+    columns and, only if every row passes, adds the chunk and answers True;
+    when it answers False, it leaves the loader's state untouched. Any
+    other chunk goes to ``add_rows``, the loader's per-row checks, which
     adds its (line_number, row) pairs up to the first fault and raises that;
     in lenient mode, events drop a row in an unknown cell instead. So each
     fault is reported in file order, with its own line.
@@ -375,6 +375,21 @@ def _add_runs(
     return True
 
 
+def _take_new(seen: set[str], ids: Sequence[str]) -> bool:
+    """Add ``ids`` to ``seen`` and answer True if none repeats, within
+    ``ids`` or of ``seen``; else leave ``seen`` as it is and answer False."""
+    if not seen.isdisjoint(ids):
+        return False
+    size = len(seen)
+    seen.update(ids)
+    if len(seen) == size + len(ids):
+        return True
+    # An id repeats within ``ids``; none of them was in ``seen`` before.
+    # This costs less than a set of ``ids`` built to check them first.
+    seen.difference_update(ids)
+    return False
+
+
 def _parse_float(path: str, lineno: int, field_name: str, text: str) -> float:
     try:
         value = float(text)
@@ -406,12 +421,8 @@ def _load_keyed(
 
     def add_chunk(ids, *texts):
         numbers = list(map(_floats, texts))
-        if None in numbers or not accepts(*numbers):
+        if None in numbers or not accepts(*numbers) or not _take_new(seen, ids):
             return False
-        new = set(ids)
-        if len(new) != len(ids) or not seen.isdisjoint(new):
-            return False
-        seen.update(new)
         for column, values in zip(columns, (ids, *numbers)):
             column.extend(values)
         return True
@@ -465,23 +476,23 @@ def load_events(
 
     The file is read in one :func:`_load_chunks` pass. A clean chunk is
     added whole if its cells are known and its ids new; any other chunk
-    goes row by row through :func:`assign_events`, which picks the rejects.
+    goes through the per-row checks, which in lenient mode return a row
+    in an unknown cell as a reject.
     """
     known = grid.cell_ids
     by_period: dict[PeriodId, tuple[list[str], list[str]]] = {}
     rejected: list[RejectedRow] = []
     # While each id read is above the one before it, none can repeat, and
-    # ``last`` is the latest. After that, ``last`` is None and ``seen`` holds
-    # the id of every row added or rejected.
+    # ``last`` is the latest. ``take_ids`` ends that, and ``add_rows`` calls it
+    # before any reject, so from then on ``seen`` holds every id read.
     last: Optional[str] = ""
     seen: set[str] = set()
 
     def take_ids():
         nonlocal last
-        last = None
-        seen.clear()
-        seen.update(itertools.chain.from_iterable(i for i, _ in by_period.values()))
-        seen.update(row.event_id for row in rejected)
+        if last is not None:
+            last = None
+            seen.update(itertools.chain.from_iterable(i for i, _ in by_period.values()))
 
     def add(period, ids, cells):
         period_ids, period_cells = by_period.setdefault(period, ([], []))
@@ -495,40 +506,28 @@ def load_events(
         if last is not None and last < ids[0] and _ascending(ids):
             last = ids[-1]
         else:
-            if last is not None:
-                take_ids()
-            size = len(seen)
-            seen.update(ids)
-            if len(seen) != size + len(ids):
-                take_ids()  # an id repeats: add_rows reports it
+            take_ids()
+            if not _take_new(seen, ids):
                 return False
         for period, start, stop in _runs(periods):
             add(period, ids[start:stop], cells[start:stop])
         return True
 
     def add_rows(rows):
-        if last is not None:
-            take_ids()
-        lineno = 0
-
-        def checked():
-            nonlocal lineno
-            for lineno, (event_id, cell_id, period_id) in rows:
-                if not event_id or not cell_id or not period_id:
-                    raise IngestError(path, "empty field", line=lineno)
-                if event_id in seen:
-                    raise IngestError(path, f"duplicate event_id {event_id!r}", line=lineno)
-                seen.add(event_id)
-                yield event_id, cell_id, period_id
-
-        try:
-            events, rejects = assign_events(grid, checked(), strict=strict)
-        except ValidationError as exc:
-            # assign_events reads checked() lazily: lineno is the offending row.
-            raise IngestError(path, str(exc), line=lineno) from exc
-        rejected.extend(rejects)
-        for period, (ids, cells) in events._columns.items():
-            add(period, ids, cells)
+        take_ids()
+        for lineno, (event_id, cell_id, period_id) in rows:
+            if not event_id or not cell_id or not period_id:
+                raise IngestError(path, "empty field", line=lineno)
+            if event_id in seen:
+                raise IngestError(path, f"duplicate event_id {event_id!r}", line=lineno)
+            seen.add(event_id)
+            if cell_id in known:
+                add(period_id, (event_id,), (cell_id,))
+            elif strict:
+                reason = f"event {event_id!r} references unknown cell {cell_id!r}"
+                raise IngestError(path, reason, line=lineno)
+            else:
+                rejected.append(RejectedRow(event_id, cell_id, period_id, "unknown cell"))
 
     _load_chunks(path, "events", add_chunk, add_rows)
     return EventSet._of_columns(by_period), tuple(rejected)

@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from gridscore import HotspotUnit, IngestError, assign_events
+from gridscore import HotspotUnit, IngestError, ValidationError, assign_events
 from gridscore.ingest import (
     _load_keyed,
     _units_accepted,
@@ -310,7 +310,8 @@ def test_an_unknown_cell_row_repeating_an_id_of_chunk_1(tmp_path, strict):
     assert message(load, path, tmp_path) == f"{path}:1026: duplicate event_id 'e00005'"
 
 
-def test_lenient_events_across_three_chunks_are_those_of_assign_events(tmp_path):
+@pytest.mark.parametrize("strict", [False, True])
+def test_lenient_events_across_three_chunks_are_those_of_assign_events(tmp_path, strict):
     spec = TABLES["events"]
     rows = [spec.row(i).split(",") for i in range(1, 2501)]
     for i in (3, 1023, 1024, 1025, 2048, 2049, 2400):
@@ -318,6 +319,14 @@ def test_lenient_events_across_three_chunks_are_those_of_assign_events(tmp_path)
     path = write(tmp_path / "events.csv", spec.header, map(",".join, rows))
     grid = load_cells(write(tmp_path / "grid.csv", "cell_id,area_km2",
                             [f"{c},1.0" for c in CELLS]))
+    if strict:
+        # The loader words the first unknown cell, on line 4, as the library.
+        with pytest.raises(ValidationError) as expected:
+            assign_events(grid, map(tuple, rows))
+        with pytest.raises(IngestError) as got:
+            load_events(path, grid)
+        assert str(got.value) == f"{path}:4: {expected.value}"
+        return
     events, rejected = load_events(path, grid, strict=False)
     assert (events, rejected) == assign_events(grid, map(tuple, rows), strict=False)
     assert [r.event_id for r in rejected] == [

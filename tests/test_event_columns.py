@@ -302,6 +302,27 @@ class TestLoadEvents:
         assert rejected == ()
         assert_same_event_set(events, reference)
 
+    def test_a_lenient_file_builds_one_event_set(self, tmp_path, monkeypatch):
+        # Each of the three 2-row chunks holds a row in an unknown cell.
+        monkeypatch.setattr(ingest, "_CHUNK_ROWS", 2)
+        path = tmp_path / "events.csv"
+        path.write_text(
+            "event_id,cell_id,period_id\n"
+            "e1,c1,p1\ne2,zz,p1\ne3,zz,p2\ne4,c2,p2\ne5,c3,p1\ne6,zz,p1\n",
+            encoding="utf-8",
+        )
+        of_columns, built = EventSet._of_columns, []
+
+        def counted(cls, columns):
+            built.append(columns)
+            return of_columns(columns)
+
+        monkeypatch.setattr(EventSet, "_of_columns", classmethod(counted))
+        events, rejected = ingest.load_events(str(path), GRID, strict=False)
+        assert len(built) == 1
+        assert [r.event_id for r in rejected] == ["e2", "e3", "e6"]
+        assert len(events) == 3
+
     @pytest.mark.parametrize("chunk", [1, 2, 3, 4, 1024])
     @pytest.mark.parametrize(
         "rows, message",
