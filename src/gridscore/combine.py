@@ -17,7 +17,7 @@ import math
 from typing import Mapping
 
 from ._record import Record, set_field
-from .domain import ContingencyTable
+from .domain import ContingencyTable, _finite_fsum
 from .errors import DegenerateScoresError, ValidationError
 
 _SUM_TOL = 1e-9
@@ -107,7 +107,7 @@ class WeightVector(Record):
                 raise ValidationError(
                     f"weight for {mid!r} must be positive, got {weights[mid]!r}"
                 )
-        total = math.fsum(weights.values())
+        total = _finite_fsum(weights.values(), "weights")
         if abs(total - 1.0) > _SUM_TOL:
             raise ValidationError(f"weights sum to {total!r}, not 1")
 

@@ -82,7 +82,7 @@ class GridSpec(Record):
             raise ValidationError(f"duplicate cell ids: {dupes}")
         set_field(self, "_areas", areas)
         set_field(self, "_ids", frozenset(areas))
-        derived = math.fsum(c.area_km2 for c in cells)
+        derived = _finite_fsum((c.area_km2 for c in cells), "cell areas")
         if total_area_km2 is None:
             set_field(self, "total_area_km2", derived)
         elif not math.isclose(total_area_km2, derived, rel_tol=AREA_RTOL):
@@ -249,6 +249,14 @@ class EventSet:
         )
 
 
+def _finite_fsum(values: Iterable[float], what: str) -> float:
+    """``math.fsum(values)``, or a refusal of ``what`` if the sum overflows."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        raise ValidationError(f"{what} sum beyond the float range") from None
+
+
 def _ascending(items: Sequence[str]) -> bool:
     """Whether each of ``items`` is above the one before it."""
     return all(map(operator.lt, items, itertools.islice(items, 1, None)))
@@ -292,7 +300,7 @@ class ProbabilitySurface(Record):
         cls, period: PeriodId, mass: Mapping[CellId, float]
     ) -> "ProbabilitySurface":
         """Build a surface from non-negative weights, scaling them to sum 1."""
-        total = math.fsum(mass.values())
+        total = _finite_fsum(mass.values(), "cannot renormalize: masses")
         if total <= 0:
             raise ValidationError("cannot renormalize: masses sum to zero")
         scaled = map(operator.truediv, mass.values(), itertools.repeat(total))

@@ -98,12 +98,8 @@ class Dataset(Record):
         return tuple(sorted(set(self.selections) | set(self.surfaces)))
 
     def periods(self) -> tuple[PeriodId, ...]:
-        out: set[PeriodId] = set()
-        for by_period in self.selections.values():
-            out.update(by_period)
-        for by_period in self.surfaces.values():
-            out.update(by_period)
-        return tuple(sorted(out))
+        tables = (*self.selections.values(), *self.surfaces.values())
+        return tuple(sorted(set().union(*tables)))
 
     def units_by_id(self) -> dict[str, HotspotUnit]:
         return {u.id: u for u in (self.units or ())}
@@ -239,9 +235,9 @@ def _read_chunks(path: str, kind: str):
     A chunk is up to ``_CHUNK_ROWS`` rows as read, and ``line_number`` is
     the line of its first row. ``columns`` is the chunk as one tuple per
     header field if the chunk is clean: every row has the header's width
-    and no field is empty or holds a comma, a line break or whitespace, so
-    no field needs stripping. Otherwise it is None, and the rows must go
-    through the per-row checks of :func:`_checked_rows` and of the loader.
+    and no field holds a comma, a line break or whitespace, so no field
+    needs stripping. Otherwise it is None, and the rows must be normalized
+    by :func:`_checked_rows`.
     A read error is raised after the chunk of rows read before it, so the
     first fault of the file is the one reported.
     """
@@ -276,12 +272,13 @@ def _read_chunks(path: str, kind: str):
 
 def _clean_columns(rows: list[list[str]], width: int) -> Optional[tuple]:
     """``rows`` as columns if every row is ``width`` fields wide and no
-    field is empty or holds a comma, a line break or whitespace; else None."""
+    field holds a comma, a line break or whitespace; else None. A field may
+    be empty: that is a rule of the table, which its loader checks."""
     if set(map(len, rows)) != {width}:
         return None
     columns = tuple(zip(*rows))
     text = "".join(map("".join, columns))
-    if not all(map(all, columns)) or _unsafe(text) or _has_space(text):
+    if _unsafe(text) or _has_space(text):
         return None
     return columns
 
@@ -318,21 +315,94 @@ def _unsafe(text: str) -> bool:
     return "," in text or "\n" in text or "\r" in text
 
 
-def _load_chunks(path: str, kind: str, add_chunk: Callable, add_rows: Callable) -> None:
+def _load_chunks(path: str, kind: str, add_chunk: Callable, explain: Callable) -> None:
     """Load ``path`` a chunk at a time into a loader's state.
 
-    ``add_chunk(*columns)`` checks a clean chunk with passes over its
-    columns and, only if every row passes, adds the chunk and answers True;
-    when it answers False, it leaves the loader's state untouched. Any
-    other chunk goes to ``add_rows``, the loader's per-row checks, which
-    adds its (line_number, row) pairs up to the first fault and raises that;
-    in lenient mode, events drop a row in an unknown cell instead. So each
-    fault is reported in file order, with its own line.
+    ``add_chunk(*columns)`` checks a slice of rows in passes over its
+    columns and, only if every row passes, adds it and answers True; else
+    it leaves the loader's state untouched. A clean chunk that passes takes
+    one call; a chunk that is not clean is normalized by :func:`_checked_rows`
+    first. A chunk that ``add_chunk`` refuses is bisected through it, left
+    half first, down to the single rows that ``explain(line_number, row)``
+    words by the first rule each breaks, or settles (a lenient reject). So
+    each fault is reported in file order, with its line, and k faulty rows
+    of n take at most 2k·log2(n) calls more.
     """
     header = HEADERS[kind]
     for lineno, rows, columns in _read_chunks(path, kind):
-        if columns is None or not add_chunk(*columns):
-            add_rows(_checked_rows(path, header, rows, lineno))
+        if columns is not None:
+            # A clean chunk needs no normalizing.
+            if not add_chunk(*columns):
+                _bisect(add_chunk, explain, range(lineno, lineno + len(rows)), rows)
+            continue
+        checked: list[tuple[int, list[str]]] = []
+        try:
+            checked.extend(_checked_rows(path, header, rows, lineno))
+        finally:
+            # Before a width or comma fault too: a fault ahead of it wins.
+            if checked and not add_chunk(*zip(*(row for _, row in checked))):
+                _bisect(add_chunk, explain, *zip(*checked))
+
+
+def _bisect(add_chunk: Callable, explain: Callable, lines: Sequence, rows: Sequence):
+    """Add ``rows``, which ``add_chunk`` refused as one slice: each half in
+    turn, left first, whole if ``add_chunk`` takes it, else bisected again,
+    down to single rows for ``explain``. ``lines`` are their line numbers."""
+    if len(rows) == 1:
+        return explain(lines[0], rows[0])
+    for half in (slice(len(rows) // 2), slice(len(rows) // 2, None)):
+        if not add_chunk(*zip(*rows[half])):
+            _bisect(add_chunk, explain, lines[half], rows[half])
+
+
+def _rule_checks(path: str, kind: str, rules: tuple, commit: Callable, numbers: int = 0):
+    """The ``add_chunk`` and ``explain`` of :func:`_load_chunks` for a table
+    of ``kind``, from its rules, each written once: (test, fault) pairs in
+    the order a row's faults are named, after the rule that no field but
+    the last ``numbers`` is empty. Those reach the tests and ``commit`` as
+    columns of finite floats, or None if a field is not one.
+
+    ``test(*columns)`` answers whether a slice's rows pass; a key's test
+    reads the first row only, since ``commit`` refuses, adding nothing, a
+    slice with a key added before or repeated. ``fault(*row)`` returns the
+    message of a row that fails, raises the ``ValidationError`` that words
+    it, or settles the row itself and returns None.
+    """
+    header = HEADERS[kind]
+    texts = len(header) - numbers
+    empty = f"empty {header[0]}" if texts == 1 else "empty field"
+    rules = ((lambda *cols: all(map(all, cols[:texts])), lambda *row: empty), *rules)
+
+    def parsed(columns):
+        return (*columns[:texts], *map(_floats, columns[texts:]))
+
+    def add_chunk(*columns):
+        columns = parsed(columns)
+        return all(test(*columns) for test, _ in rules) and commit(*columns)
+
+    def explain(lineno, row):
+        columns = parsed(tuple(zip(row)))
+        fault = next(fault for test, fault in rules if not test(*columns))
+        try:
+            reason = fault(*row)
+        except ValidationError as exc:
+            reason = str(exc)
+        if reason is not None:
+            raise IngestError(path, reason, line=lineno)
+
+    return add_chunk, explain
+
+
+def _number_rule(index: int, name: str) -> tuple[Callable, Callable]:
+    """The rule that field ``index``, ``name``, is a finite number."""
+
+    def fault(*row):
+        with contextlib.suppress(ValueError):
+            float(row[index])
+            return f"{name} must be finite, got {row[index]!r}"
+        return f"{name} is not a number: {row[index]!r}"
+
+    return (lambda *columns: columns[index] is not None), fault
 
 
 def _floats(texts: Sequence[str]) -> Optional[list[float]]:
@@ -352,11 +422,7 @@ def _runs(keys: Iterable) -> Iterator[tuple[object, int, int]]:
         yield key, start, stop
 
 
-def _add_runs(
-    held: dict[tuple[str, PeriodId], dict],
-    keys: Iterable[tuple[str, PeriodId]],
-    part: Callable[[int, int], dict],
-) -> bool:
+def _add_runs(held: dict, keys: Iterable, part: Callable[[int, int], dict]) -> bool:
     """Add each run of equal consecutive ``keys``, rows ``start`` to
     ``stop`` of a chunk, to ``held[key]`` as the dict ``part(start, stop)``
     keyed by cell, and answer True; or, if a cell repeats within a key, add
@@ -375,6 +441,16 @@ def _add_runs(
     return True
 
 
+def _new_cell(held: dict[tuple[str, PeriodId], dict], entry: str) -> tuple:
+    """The key rule of ``held``, which :func:`_add_runs` fills: a cell is
+    new for its (model, period), else a "duplicate ``entry``"."""
+
+    def new(models, periods, cells, *_):
+        return cells[0] not in held.get((models[0], periods[0]), ())
+
+    return new, lambda m, p, c, *_: f"duplicate {entry} {m}/{p}/{c}"
+
+
 def _take_new(seen: set[str], ids: Sequence[str]) -> bool:
     """Add ``ids`` to ``seen`` and answer True if none repeats, within
     ``ids`` or of ``seen``; else leave ``seen`` as it is and answer False."""
@@ -390,69 +466,32 @@ def _take_new(seen: set[str], ids: Sequence[str]) -> bool:
     return False
 
 
-def _parse_float(path: str, lineno: int, field_name: str, text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise IngestError(
-            path, f"{field_name} is not a number: {text!r}", line=lineno
-        ) from None
-    if not math.isfinite(value):
-        raise IngestError(
-            path, f"{field_name} must be finite, got {text!r}", line=lineno
-        )
-    return value
-
-
-def _load_keyed(
-    path: str, kind: str, make: Callable[..., object], accepts: Callable[..., bool]
-) -> list[list]:
+def _load_keyed(path: str, kind: str, make: Callable, accepts: Callable) -> list[list]:
     """An id-keyed table as columns, in file order: its ids, then the
-    numbers of each number field. ``make(id, *numbers)`` checks one row.
-
-    A clean chunk is added whole if its numbers parse as finite floats, its
-    ids are new, and ``accepts(*number_columns)``: a pre-check that passes
-    exactly the chunks whose every row ``make`` accepts. Any other chunk
-    goes through the per-row checks, which name the first faulty row.
+    numbers of each number field. ``make(id, *numbers)`` checks one row,
+    and words a row that ``accepts(*number_columns)`` refuses: it passes
+    exactly the slices whose every row ``make`` accepts.
     """
-    id_column, *fields = HEADERS[kind]
+    id_name, *fields = HEADERS[kind]
     columns: list[list] = [[] for _ in HEADERS[kind]]
     seen: set[str] = set()
 
-    def add_chunk(ids, *texts):
-        numbers = list(map(_floats, texts))
-        if None in numbers or not accepts(*numbers) or not _take_new(seen, ids):
+    def commit(ids, *numbers):
+        if not _take_new(seen, ids):
             return False
         for column, values in zip(columns, (ids, *numbers)):
             column.extend(values)
         return True
 
-    def add_rows(rows):
-        for lineno, (row_id, *texts) in rows:
-            if not row_id:
-                raise IngestError(path, f"empty {id_column}", line=lineno)
-            if row_id in seen:
-                raise IngestError(path, f"duplicate {id_column} {row_id!r}", line=lineno)
-            seen.add(row_id)
-            numbers = [
-                _parse_float(path, lineno, name, text) for name, text in zip(fields, texts)
-            ]
-            try:
-                make(row_id, *numbers)
-            except ValidationError as exc:
-                raise IngestError(path, str(exc), line=lineno) from exc
-            for column, value in zip(columns, (row_id, *numbers)):
-                column.append(value)
-
-    _load_chunks(path, kind, add_chunk, add_rows)
+    rules = (
+        (lambda ids, *_: ids[0] not in seen, lambda i, *_: f"duplicate {id_name} {i!r}"),
+        *itertools.starmap(_number_rule, enumerate(fields, 1)),
+        (lambda _, *numbers: accepts(*numbers), lambda i, *xs: make(i, *map(float, xs))),
+    )
+    _load_chunks(path, kind, *_rule_checks(path, kind, rules, commit, len(fields)))
     if not columns[0]:
         raise IngestError(path, f"no {kind} defined")
     return columns
-
-
-def _cells_accepted(areas: list[float]) -> bool:
-    """Whether :class:`Cell` accepts every one of these finite areas."""
-    return min(areas) > 0
 
 
 def _units_accepted(areas: list[float], crimes: list[float]) -> bool:
@@ -462,8 +501,12 @@ def _units_accepted(areas: list[float], crimes: list[float]) -> bool:
 
 
 def load_cells(path: str) -> GridSpec:
-    ids, areas = _load_keyed(path, "cells", Cell, _cells_accepted)
-    return GridSpec(cells=tuple(map(Cell, ids, areas)))
+    # Cell accepts exactly the finite areas above 0.
+    ids, areas = _load_keyed(path, "cells", Cell, lambda areas: min(areas) > 0)
+    try:
+        return GridSpec(cells=tuple(map(Cell, ids, areas)))
+    except ValidationError as exc:
+        raise IngestError(path, str(exc)) from exc
 
 
 def load_events(
@@ -473,18 +516,13 @@ def load_events(
 
     In lenient mode the offending rows are returned as rejects so the
     caller can count and report them instead of silently losing data.
-
-    The file is read in one :func:`_load_chunks` pass. A clean chunk is
-    added whole if its cells are known and its ids new; any other chunk
-    goes through the per-row checks, which in lenient mode return a row
-    in an unknown cell as a reject.
     """
     known = grid.cell_ids
     by_period: dict[PeriodId, tuple[list[str], list[str]]] = {}
     rejected: list[RejectedRow] = []
     # While each id read is above the one before it, none can repeat, and
-    # ``last`` is the latest. ``take_ids`` ends that, and ``add_rows`` calls it
-    # before any reject, so from then on ``seen`` holds every id read.
+    # ``last`` is the latest. ``take_ids`` ends that, and a reject calls it
+    # first, so from then on ``seen`` holds every id read.
     last: Optional[str] = ""
     seen: set[str] = set()
 
@@ -494,15 +532,14 @@ def load_events(
             last = None
             seen.update(itertools.chain.from_iterable(i for i, _ in by_period.values()))
 
-    def add(period, ids, cells):
-        period_ids, period_cells = by_period.setdefault(period, ([], []))
-        period_ids.extend(ids)
-        period_cells.extend(cells)
+    def new(ids, cells, periods):
+        if last is not None and last < ids[0]:
+            return True
+        take_ids()
+        return ids[0] not in seen
 
-    def add_chunk(ids, cells, periods):
+    def commit(ids, cells, periods):
         nonlocal last
-        if not known.issuperset(cells):
-            return False
         if last is not None and last < ids[0] and _ascending(ids):
             last = ids[-1]
         else:
@@ -510,26 +547,23 @@ def load_events(
             if not _take_new(seen, ids):
                 return False
         for period, start, stop in _runs(periods):
-            add(period, ids[start:stop], cells[start:stop])
+            period_ids, period_cells = by_period.setdefault(period, ([], []))
+            period_ids.extend(ids[start:stop])
+            period_cells.extend(cells[start:stop])
         return True
 
-    def add_rows(rows):
+    def unknown(event_id, cell_id, period_id):
+        if strict:
+            return f"event {event_id!r} references unknown cell {cell_id!r}"
         take_ids()
-        for lineno, (event_id, cell_id, period_id) in rows:
-            if not event_id or not cell_id or not period_id:
-                raise IngestError(path, "empty field", line=lineno)
-            if event_id in seen:
-                raise IngestError(path, f"duplicate event_id {event_id!r}", line=lineno)
-            seen.add(event_id)
-            if cell_id in known:
-                add(period_id, (event_id,), (cell_id,))
-            elif strict:
-                reason = f"event {event_id!r} references unknown cell {cell_id!r}"
-                raise IngestError(path, reason, line=lineno)
-            else:
-                rejected.append(RejectedRow(event_id, cell_id, period_id, "unknown cell"))
+        seen.add(event_id)
+        rejected.append(RejectedRow(event_id, cell_id, period_id, "unknown cell"))
 
-    _load_chunks(path, "events", add_chunk, add_rows)
+    rules = (
+        (new, lambda event_id, *_: f"duplicate event_id {event_id!r}"),
+        (lambda ids, cells, periods: known.issuperset(cells), unknown),
+    )
+    _load_chunks(path, "events", *_rule_checks(path, "events", rules, commit))
     return EventSet._of_columns(by_period), tuple(rejected)
 
 
@@ -543,36 +577,22 @@ def load_selections(
     """
     flagged: dict[tuple[str, PeriodId], dict[str, None]] = {}
 
-    def add_chunk(models, periods, cells):
-        return known_ids.issuperset(cells) and _add_runs(
+    def commit(models, periods, cells):
+        return _add_runs(
             flagged, zip(models, periods), lambda i, j: dict.fromkeys(cells[i:j])
         )
 
-    def add_rows(rows):
-        for lineno, (model_id, period_id, cell_id) in rows:
-            if not model_id or not period_id or not cell_id:
-                raise IngestError(path, "empty field", line=lineno)
-            per = flagged.setdefault((model_id, period_id), {})
-            if cell_id in per:
-                raise IngestError(
-                    path,
-                    f"duplicate selection {model_id}/{period_id}/{cell_id}",
-                    line=lineno,
-                )
-            if cell_id not in known_ids:
-                raise IngestError(
-                    path,
-                    f"model {model_id!r} flags unknown {id_kind} {cell_id!r}",
-                    line=lineno,
-                )
-            per[cell_id] = None
-
-    _load_chunks(path, "selections", add_chunk, add_rows)
+    rules = (
+        _new_cell(flagged, "selection"),
+        (
+            lambda models, periods, cells: known_ids.issuperset(cells),
+            lambda m, p, c: f"model {m!r} flags unknown {id_kind} {c!r}",
+        ),
+    )
+    _load_chunks(path, "selections", *_rule_checks(path, "selections", rules, commit))
     out: dict[str, dict[PeriodId, HotspotSelection]] = {}
     for (model_id, period_id), cells in sorted(flagged.items()):
-        out.setdefault(model_id, {})[period_id] = HotspotSelection(
-            period=period_id, flagged=frozenset(cells)
-        )
+        out.setdefault(model_id, {})[period_id] = HotspotSelection(period_id, cells)
     return out
 
 
@@ -582,39 +602,25 @@ def load_surfaces(
     """Load per-model probability surfaces, one complete grid per period."""
     masses: dict[tuple[str, PeriodId], dict[str, float]] = {}
 
-    def add_chunk(models, periods, cells, texts):
-        values = _floats(texts)
-        if values is None or min(values) < 0 or not grid.cell_ids.issuperset(cells):
-            return False
+    def commit(models, periods, cells, values):
         return _add_runs(
             masses, zip(models, periods), lambda i, j: dict(zip(cells[i:j], values[i:j]))
         )
 
-    def add_rows(rows):
-        for lineno, (model_id, period_id, cell_id, prob_text) in rows:
-            if not model_id or not period_id or not cell_id:
-                raise IngestError(path, "empty field", line=lineno)
-            if cell_id not in grid.cell_ids:
-                raise IngestError(
-                    path,
-                    f"model {model_id!r} assigns mass to unknown cell {cell_id!r}",
-                    line=lineno,
-                )
-            prob = _parse_float(path, lineno, "probability", prob_text)
-            if prob < 0:
-                raise IngestError(
-                    path, f"probability must be non-negative, got {prob!r}", line=lineno
-                )
-            per = masses.setdefault((model_id, period_id), {})
-            if cell_id in per:
-                raise IngestError(
-                    path,
-                    f"duplicate surface entry {model_id}/{period_id}/{cell_id}",
-                    line=lineno,
-                )
-            per[cell_id] = prob
-
-    _load_chunks(path, "surfaces", add_chunk, add_rows)
+    rules = (
+        (
+            lambda models, periods, cells, values: grid.cell_ids.issuperset(cells),
+            lambda m, p, c, x: f"model {m!r} assigns mass to unknown cell {c!r}",
+        ),
+        _number_rule(3, "probability"),
+        (
+            lambda models, periods, cells, values: min(values) >= 0,
+            lambda m, p, c, x: f"probability must be non-negative, got {float(x)!r}",
+        ),
+        _new_cell(masses, "surface entry"),
+    )
+    _load_chunks(path, "surfaces", *_rule_checks(path, "surfaces", rules, commit, 1))
+    make = ProbabilitySurface.renormalized if renormalize else ProbabilitySurface
     out: dict[str, dict[PeriodId, ProbabilitySurface]] = {}
     for (model_id, period_id), mass in sorted(masses.items()):
         # Every row names a known cell once: a short surface misses some.
@@ -626,15 +632,9 @@ def load_surfaces(
                 f"(first: {missing[0]!r})",
             )
         try:
-            if renormalize:
-                surface = ProbabilitySurface.renormalized(period_id, mass)
-            else:
-                surface = ProbabilitySurface(period_id, mass)
+            out.setdefault(model_id, {})[period_id] = make(period_id, mass)
         except ValidationError as exc:
-            raise IngestError(
-                path, f"surface {model_id}/{period_id}: {exc}"
-            ) from exc
-        out.setdefault(model_id, {})[period_id] = surface
+            raise IngestError(path, f"surface {model_id}/{period_id}: {exc}") from exc
     return out
 
 
@@ -655,8 +655,7 @@ def _unit_columns(path: str) -> tuple[list[str], list[float], list[float]]:
 
 
 def load_units(path: str) -> tuple[HotspotUnit, ...]:
-    """The units of ``path``, in file order. They are shares of one region,
-    so a table whose area or crime fractions sum above 1 is refused."""
+    """The units of ``path``, in file order, as :func:`_unit_columns`."""
     return tuple(map(HotspotUnit, *_unit_columns(path)))
 
 
@@ -702,18 +701,9 @@ def load_dataset(
             raise ValidationError("a surfaces file needs a cells file to resolve against")
         surface_map = load_surfaces(surfaces, grid, renormalize=renormalize_surfaces)
 
-    dataset = Dataset(
-        grid=grid,
-        events=event_set,
-        selections=selection_map,
-        surfaces=surface_map,
-        units=unit_rows,
-        rejected=rejected,
-    )
+    dataset = Dataset(grid, event_set, selection_map, surface_map, unit_rows, rejected)
     if not dataset.models():
-        raise ValidationError(
-            "dataset defines no models (no selections and no surfaces)"
-        )
+        raise ValidationError("dataset defines no models (no selections and no surfaces)")
     return dataset
 
 

@@ -1362,3 +1362,47 @@ class TestWholeStderr:
             f"gridscore: error: {f['units']}: area_fraction sums to 1.8 > 1; the "
             f"units overlap or their fractions are inconsistent\n"
         )
+
+    # Sums past the largest float are refused where they are taken.
+    def test_cell_areas_summing_past_the_float_range(self, capsys, tmp_path):
+        f = self.files(tmp_path, cells="cell_id,area_km2\nc1,1e308\nc2,1e308\n")
+        err = self.refused(
+            capsys, "evaluate", "--cells", f["cells"], "--events", f["events"],
+            "--selections", f["selections"],
+        )
+        assert err == (
+            f"gridscore: error: {f['cells']}: cell areas sum beyond the float range\n"
+        )
+
+    def test_gen_cell_areas_summing_past_the_float_range(self, capsys, tmp_path):
+        f = self.files(tmp_path, conf="gen.cells = 3\ngen.cell_area = 1e308\n")
+        err = self.refused(
+            capsys, "gen", "--config", f["conf"], "--out-dir", str(tmp_path / "out"),
+        )
+        assert err == "gridscore: error: cell areas sum beyond the float range\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_renormalized_masses_summing_past_the_float_range(self, capsys, tmp_path):
+        f = self.files(
+            tmp_path,
+            surfaces="model_id,period_id,cell_id,probability\n"
+            "A,p1,c1,1e308\nA,p1,c2,1e308\nA,p1,c3,1e308\n",
+        )
+        err = self.refused(
+            capsys, "evaluate", "--cells", f["cells"], "--events", f["events"],
+            "--surfaces", f["surfaces"], "--renormalize-surfaces",
+        )
+        assert err == (
+            f"gridscore: error: {f['surfaces']}: surface A/p1: cannot renormalize: "
+            f"masses sum beyond the float range\n"
+        )
+
+    def test_weights_summing_past_the_float_range(self, capsys, tmp_path):
+        f = self.files(tmp_path, conf="weights.hit_rate = 1e308\nweights.pai = 1e308\n")
+        err = self.refused(
+            capsys, "evaluate", "--cells", f["cells"], "--events", f["events"],
+            "--selections", f["selections"], "--config", f["conf"],
+        )
+        assert err == (
+            f"gridscore: error: {f['conf']}: weights: weights sum beyond the float range\n"
+        )
