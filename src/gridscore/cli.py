@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import gc
 import itertools
+import math
 import os
 import sys
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -38,6 +39,7 @@ from .errors import (
     AlphaSearchError,
     DegenerateScoresError,
     GridscoreError,
+    IngestError,
     ValidationError,
     ZeroMassError,
 )
@@ -227,6 +229,10 @@ def _measure_rows(
                     )
                 rows.append(("als", value))
             for measure, value in rows:
+                if value is not None and not math.isfinite(value):
+                    raise ValidationError(
+                        f"{where}: {measure} overflows the float range ({value!r})"
+                    )
                 report.measure_rows.append((model, period, measure, value))
 
 
@@ -475,7 +481,10 @@ def cmd_gen(args) -> Report:
             "gen needs at least two periods: the baselines train on each "
             "period and predict the next"
         )
-    grid = synth.make_grid(spec)
+    try:
+        grid = synth.make_grid(spec)
+    except ValidationError as exc:
+        raise IngestError(args.config, f"gen: {exc}") from exc
     events = synth.generate_events(spec)
 
     selections: dict[str, dict[str, object]] = {"top_k": {}}

@@ -290,25 +290,25 @@ def _has_space(text: str) -> bool:
 
 
 def _checked_rows(path: str, header: Sequence[str], rows: list[list[str]], lineno: int):
-    """Yield (line_number, stripped row) for ``rows`` from line ``lineno`` on,
-    skipping blank lines and refusing the first row of the wrong width or
-    with a comma or line break in a field."""
+    """The line numbers and stripped rows of ``rows`` from line ``lineno``
+    on, skipping blank lines, up to the first row of the wrong width or with
+    a comma or line break in a field; and that row's fault, or None."""
+    lines, checked = [], []
     for lineno, row in enumerate(rows, start=lineno):
+        if not row:
+            continue  # blank line
         if len(row) != len(header):
-            if not row:
-                continue  # blank line
-            raise IngestError(
-                path, f"expected {len(header)} fields, found {len(row)}", line=lineno
-            )
-        if _unsafe("".join(row)):
+            reason = f"expected {len(header)} fields, found {len(row)}"
+        elif _unsafe("".join(row)):
             name, text = next((h, f) for h, f in zip(header, row) if _unsafe(f))
-            raise IngestError(
-                path,
-                f"{name} {text!r} contains a comma or line break, which "
-                f"report rows cannot carry",
-                line=lineno,
-            )
-        yield lineno, list(map(str.strip, row))
+            reason = f"{name} {text!r} contains a comma or line break, which report"
+            reason += " rows cannot carry"
+        else:
+            lines.append(lineno)
+            checked.append(list(map(str.strip, row)))
+            continue
+        return lines, checked, IngestError(path, reason, line=lineno)
+    return lines, checked, None
 
 
 def _unsafe(text: str) -> bool:
@@ -320,34 +320,29 @@ def _load_chunks(path: str, kind: str, add_chunk: Callable, explain: Callable) -
 
     ``add_chunk(*columns)`` checks a slice of rows in passes over its
     columns and, only if every row passes, adds it and answers True; else
-    it leaves the loader's state untouched. A clean chunk that passes takes
-    one call; a chunk that is not clean is normalized by :func:`_checked_rows`
-    first. A chunk that ``add_chunk`` refuses is bisected through it, left
-    half first, down to the single rows that ``explain(line_number, row)``
-    words by the first rule each breaks, or settles (a lenient reject). So
-    each fault is reported in file order, with its line, and k faulty rows
-    of n take at most 2k·log2(n) calls more.
+    it leaves the loader's state untouched. A clean chunk needs no
+    normalizing; any other is normalized by :func:`_checked_rows`, whose
+    width or comma fault is raised after the rows before it are added, so
+    the first fault in file order wins. A chunk that ``add_chunk`` refuses
+    is bisected through it, left half first, down to the single row that
+    ``explain(line_number, row)`` refuses by the first rule it breaks. So
+    a chunk of n rows with a fault takes at most 2·log2(n) calls more.
     """
-    header = HEADERS[kind]
     for lineno, rows, columns in _read_chunks(path, kind):
-        if columns is not None:
-            # A clean chunk needs no normalizing.
-            if not add_chunk(*columns):
-                _bisect(add_chunk, explain, range(lineno, lineno + len(rows)), rows)
-            continue
-        checked: list[tuple[int, list[str]]] = []
-        try:
-            checked.extend(_checked_rows(path, header, rows, lineno))
-        finally:
-            # Before a width or comma fault too: a fault ahead of it wins.
-            if checked and not add_chunk(*zip(*(row for _, row in checked))):
-                _bisect(add_chunk, explain, *zip(*checked))
+        lines, fault = range(lineno, lineno + len(rows)), None
+        if columns is None:
+            lines, rows, fault = _checked_rows(path, HEADERS[kind], rows, lineno)
+            columns = tuple(zip(*rows))
+        if rows and not add_chunk(*columns):
+            _bisect(add_chunk, explain, lines, rows)
+        if fault is not None:
+            raise fault
 
 
 def _bisect(add_chunk: Callable, explain: Callable, lines: Sequence, rows: Sequence):
     """Add ``rows``, which ``add_chunk`` refused as one slice: each half in
     turn, left first, whole if ``add_chunk`` takes it, else bisected again,
-    down to single rows for ``explain``. ``lines`` are their line numbers."""
+    down to the row ``explain`` refuses. ``lines`` are their line numbers."""
     if len(rows) == 1:
         return explain(lines[0], rows[0])
     for half in (slice(len(rows) // 2), slice(len(rows) // 2, None)):
@@ -365,8 +360,8 @@ def _rule_checks(path: str, kind: str, rules: tuple, commit: Callable, numbers: 
     ``test(*columns)`` answers whether a slice's rows pass; a key's test
     reads the first row only, since ``commit`` refuses, adding nothing, a
     slice with a key added before or repeated. ``fault(*row)`` returns the
-    message of a row that fails, raises the ``ValidationError`` that words
-    it, or settles the row itself and returns None.
+    message of a row that fails, or raises the ``ValidationError`` that
+    words it; ``explain`` raises it as the row's :class:`IngestError`.
     """
     header = HEADERS[kind]
     texts = len(header) - numbers
@@ -387,8 +382,7 @@ def _rule_checks(path: str, kind: str, rules: tuple, commit: Callable, numbers: 
             reason = fault(*row)
         except ValidationError as exc:
             reason = str(exc)
-        if reason is not None:
-            raise IngestError(path, reason, line=lineno)
+        raise IngestError(path, reason, line=lineno)
 
     return add_chunk, explain
 
@@ -451,19 +445,42 @@ def _new_cell(held: dict[tuple[str, PeriodId], dict], entry: str) -> tuple:
     return new, lambda m, p, c, *_: f"duplicate {entry} {m}/{p}/{c}"
 
 
-def _take_new(seen: set[str], ids: Sequence[str]) -> bool:
-    """Add ``ids`` to ``seen`` and answer True if none repeats, within
-    ``ids`` or of ``seen``; else leave ``seen`` as it is and answer False."""
-    if not seen.isdisjoint(ids):
+def _id_rule(kind: str, taken: Callable[[], Iterable[str]]) -> tuple[tuple, Callable]:
+    """The rule that no id of a ``kind`` table repeats, and the ``take(ids)``
+    a commit calls first: it takes a slice's ids and answers True, or takes
+    none and answers False if one repeats. While each id is above the one
+    before it, none can repeat and only the latest is kept; from the first
+    that is not on, a set holds every id, starting with ``taken()``."""
+    last = ""
+    seen: Optional[set[str]] = None
+
+    def taken_set() -> set[str]:
+        nonlocal seen
+        if seen is None:
+            seen = set(taken())
+        return seen
+
+    def take(ids):
+        nonlocal last
+        if seen is None and last < ids[0] and _ascending(ids):
+            last = ids[-1]
+            return True
+        held = taken_set()
+        if not held.isdisjoint(ids):
+            return False
+        size = len(held)
+        held.update(ids)
+        if len(held) == size + len(ids):
+            return True
+        # An id repeats within ``ids``; none of them was in ``held`` before.
+        # This costs less than a set of ``ids`` built to check them first.
+        held.difference_update(ids)
         return False
-    size = len(seen)
-    seen.update(ids)
-    if len(seen) == size + len(ids):
-        return True
-    # An id repeats within ``ids``; none of them was in ``seen`` before.
-    # This costs less than a set of ``ids`` built to check them first.
-    seen.difference_update(ids)
-    return False
+
+    def new(ids, *_):
+        return (seen is None and last < ids[0]) or ids[0] not in taken_set()
+
+    return (new, lambda i, *_: f"duplicate {HEADERS[kind][0]} {i!r}"), take
 
 
 def _load_keyed(path: str, kind: str, make: Callable, accepts: Callable) -> list[list]:
@@ -472,23 +489,22 @@ def _load_keyed(path: str, kind: str, make: Callable, accepts: Callable) -> list
     and words a row that ``accepts(*number_columns)`` refuses: it passes
     exactly the slices whose every row ``make`` accepts.
     """
-    id_name, *fields = HEADERS[kind]
     columns: list[list] = [[] for _ in HEADERS[kind]]
-    seen: set[str] = set()
+    new_id, take = _id_rule(kind, lambda: columns[0])
 
     def commit(ids, *numbers):
-        if not _take_new(seen, ids):
+        if not take(ids):
             return False
         for column, values in zip(columns, (ids, *numbers)):
             column.extend(values)
         return True
 
     rules = (
-        (lambda ids, *_: ids[0] not in seen, lambda i, *_: f"duplicate {id_name} {i!r}"),
-        *itertools.starmap(_number_rule, enumerate(fields, 1)),
+        new_id,
+        *itertools.starmap(_number_rule, enumerate(HEADERS[kind][1:], 1)),
         (lambda _, *numbers: accepts(*numbers), lambda i, *xs: make(i, *map(float, xs))),
     )
-    _load_chunks(path, kind, *_rule_checks(path, kind, rules, commit, len(fields)))
+    _load_chunks(path, kind, *_rule_checks(path, kind, rules, commit, len(columns) - 1))
     if not columns[0]:
         raise IngestError(path, f"no {kind} defined")
     return columns
@@ -520,48 +536,31 @@ def load_events(
     known = grid.cell_ids
     by_period: dict[PeriodId, tuple[list[str], list[str]]] = {}
     rejected: list[RejectedRow] = []
-    # While each id read is above the one before it, none can repeat, and
-    # ``last`` is the latest. ``take_ids`` ends that, and a reject calls it
-    # first, so from then on ``seen`` holds every id read.
-    last: Optional[str] = ""
-    seen: set[str] = set()
-
-    def take_ids():
-        nonlocal last
-        if last is not None:
-            last = None
-            seen.update(itertools.chain.from_iterable(i for i, _ in by_period.values()))
-
-    def new(ids, cells, periods):
-        if last is not None and last < ids[0]:
-            return True
-        take_ids()
-        return ids[0] not in seen
+    new_id, take = _id_rule("events", lambda: itertools.chain(
+        (row.event_id for row in rejected), *(ids for ids, _ in by_period.values())
+    ))
 
     def commit(ids, cells, periods):
-        nonlocal last
-        if last is not None and last < ids[0] and _ascending(ids):
-            last = ids[-1]
-        else:
-            take_ids()
-            if not _take_new(seen, ids):
-                return False
+        if not take(ids):
+            return False
+        if not (strict or known.issuperset(cells)):
+            # Lenient: rows in unknown cells are dropped, their ids still taken.
+            rows = list(zip(ids, cells, periods))
+            dropped = [row for row in rows if row[1] not in known]
+            rejected.extend(RejectedRow(*row, "unknown cell") for row in dropped)
+            ids, cells, periods = tuple(zip(*(r for r in rows if r[1] in known))) or ((),) * 3
         for period, start, stop in _runs(periods):
             period_ids, period_cells = by_period.setdefault(period, ([], []))
             period_ids.extend(ids[start:stop])
             period_cells.extend(cells[start:stop])
         return True
 
-    def unknown(event_id, cell_id, period_id):
-        if strict:
-            return f"event {event_id!r} references unknown cell {cell_id!r}"
-        take_ids()
-        seen.add(event_id)
-        rejected.append(RejectedRow(event_id, cell_id, period_id, "unknown cell"))
-
     rules = (
-        (new, lambda event_id, *_: f"duplicate event_id {event_id!r}"),
-        (lambda ids, cells, periods: known.issuperset(cells), unknown),
+        new_id,
+        (
+            lambda ids, cells, periods: not strict or known.issuperset(cells),
+            lambda e, c, p: f"event {e!r} references unknown cell {c!r}",
+        ),
     )
     _load_chunks(path, "events", *_rule_checks(path, "events", rules, commit))
     return EventSet._of_columns(by_period), tuple(rejected)

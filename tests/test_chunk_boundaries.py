@@ -1,12 +1,13 @@
 """Faults at the reader's chunk boundary keep their message and line.
 
 The loaders check each 1024-row chunk in passes over its columns, and only
-a chunk that fails a check goes through the per-row checks. Every fault
-kind is placed at data row 1023, 1024 or 1025 (lines 1024 to 1026): the
-last rows of the first chunk and the first row of the second. A duplicate
-repeats a row of the first chunk, so at 1025 it is found across chunks.
-Blank lines and padded fields are not faults: a file holding one loads as
-the clean file does, and a fault after it keeps its own line.
+a chunk that fails a check is bisected through the same checks, down to
+the row that fails. Every fault kind is placed at data row 1023, 1024 or
+1025 (lines 1024 to 1026): the last rows of the first chunk and the first
+row of the second. A duplicate repeats a row of the first chunk, so at
+1025 it is found across chunks. Blank lines and padded fields are not
+faults: a file holding one loads as the clean file does, and a fault after
+it keeps its own line.
 """
 
 import math
@@ -114,8 +115,8 @@ FAULTS = {
     ("units", "out of range"): (
         lambda i: f"u{i:04d},0,0.0005",
         lambda i: f"unit 'u{i:04d}': area_fraction must be in (0, 1], got 0.0"),
-    # The rules of HotspotUnit and Cell, which a clean chunk's pre-check
-    # restates: a refused value sends the chunk through the per-row checks.
+    # The rules of HotspotUnit and Cell, which the column checks restate: a
+    # refused value sends the chunk into the bisection.
     ("units", "area above 1"): (
         lambda i: f"u{i:04d},1.5,0.0005",
         lambda i: f"unit 'u{i:04d}': area_fraction must be in (0, 1], got 1.5"),
@@ -253,9 +254,9 @@ def test_shuffled_rows_load_as_the_file_in_order(tmp_path, table):
 
 class TestFirstFaultWins:
     """An events file is checked a chunk at a time, in file order, and a
-    chunk that fails a column check goes through the per-row checks: the
-    first fault of the file is the one reported, whichever check would have
-    found a later one first."""
+    chunk that fails a column check is bisected, left half first: the first
+    fault of the file is the one reported, whichever check would have found
+    a later one first."""
 
     EVENTS = TABLES["events"]
 

@@ -1379,7 +1379,9 @@ class TestWholeStderr:
         err = self.refused(
             capsys, "gen", "--config", f["conf"], "--out-dir", str(tmp_path / "out"),
         )
-        assert err == "gridscore: error: cell areas sum beyond the float range\n"
+        assert err == (
+            f"gridscore: error: {f['conf']}: gen: cell areas sum beyond the float range\n"
+        )
         assert not (tmp_path / "out").exists()
 
     def test_renormalized_masses_summing_past_the_float_range(self, capsys, tmp_path):
@@ -1395,6 +1397,51 @@ class TestWholeStderr:
         assert err == (
             f"gridscore: error: {f['surfaces']}: surface A/p1: cannot renormalize: "
             f"masses sum beyond the float range\n"
+        )
+
+    # A subnormal area makes PAI and SER overflow, though their true values
+    # are finite: a measure that is not finite is refused where it is made.
+    SUBNORMAL_CELLS = "cell_id,area_km2\nc1,5e-324\nc2,1\n"
+
+    @pytest.mark.parametrize(
+        "events, selections",
+        [
+            ("e1,c1,p1\ne2,c2,p1\n", "m,p1,c1\n"),
+            # Over two periods the summary's stdev would raise on the inf.
+            ("e1,c1,p1\ne2,c2,p1\ne3,c1,p2\ne4,c2,p2\n", "m,p1,c1\nm,p2,c1\n"),
+        ],
+        ids=["one_period", "two_periods"],
+    )
+    def test_pai_over_a_subnormal_area(self, capsys, tmp_path, events, selections):
+        f = self.files(
+            tmp_path,
+            cells=self.SUBNORMAL_CELLS,
+            events=f"event_id,cell_id,period_id\n{events}",
+            selections=f"model_id,period_id,cell_id\n{selections}",
+            conf="measures = pai\n",
+        )
+        err = self.refused(
+            capsys, "evaluate", "--cells", f["cells"], "--events", f["events"],
+            "--selections", f["selections"], "--config", f["conf"],
+        )
+        assert err == (
+            "gridscore: error: model m period p1: pai overflows the float range (inf)\n"
+        )
+
+    def test_ser_over_subnormal_areas(self, capsys, tmp_path):
+        f = self.files(
+            tmp_path,
+            cells="cell_id,area_km2\nc1,5e-324\nc2,5e-324\n",
+            events="event_id,cell_id,period_id\ne1,c1,p1\ne2,c2,p1\n",
+            selections="model_id,period_id,cell_id\nm,p1,c1\n",
+            conf="measures = ser\n",
+        )
+        err = self.refused(
+            capsys, "evaluate", "--cells", f["cells"], "--events", f["events"],
+            "--selections", f["selections"], "--config", f["conf"],
+        )
+        assert err == (
+            "gridscore: error: model m period p1: ser overflows the float range (inf)\n"
         )
 
     def test_weights_summing_past_the_float_range(self, capsys, tmp_path):

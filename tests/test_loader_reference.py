@@ -348,8 +348,10 @@ def test_a_repeat_of_a_row_in_the_left_half_of_a_failing_chunk(kind, rows, chunk
 @pytest.mark.parametrize("spread", [True, False])
 @pytest.mark.parametrize("k", [0, 1, 10, 100])
 def test_a_faulty_chunk_takes_at_most_2k_log2_n_column_checks(tmp_path, monkeypatch, spread, k):
-    # One 1024-row chunk of lenient events, k of them in an unknown cell:
-    # evenly spread, or at random rows.
+    # One 1024-row chunk of events, k of them in an unknown cell: evenly
+    # spread, or at random rows. In lenient mode a reject is not a fault,
+    # so the chunk takes one check; in strict mode the first unknown cell
+    # is refused, and only that row is bisected down to.
     n = 1024
     rows = [[f"e{i:04d}", f"c{1 + i % 3}", "p1"] for i in range(n)]
     faulty = range(0, n, n // k)[:k] if spread and k else random.Random(k).sample(range(n), k)
@@ -371,7 +373,17 @@ def test_a_faulty_chunk_takes_at_most_2k_log2_n_column_checks(tmp_path, monkeypa
     events, rejected = ingest.load_events(str(path), GRID, strict=False)
     assert sorted(int(r.event_id[1:]) for r in rejected) == sorted(faulty)
     assert len(events) == n - k
+    assert calls == [n]
+
+    calls.clear()
     if k == 0:
+        ingest.load_events(str(path), GRID, strict=True)
         assert calls == [n]
-    else:
-        assert len(calls) <= 2 * k * math.ceil(math.log2(n)) + 1
+        return
+    first = min(faulty)
+    with pytest.raises(IngestError) as caught:
+        ingest.load_events(str(path), GRID, strict=True)
+    assert str(caught.value) == (
+        f"{path}:{first + 2}: event 'e{first:04d}' references unknown cell 'zz'"
+    )
+    assert len(calls) <= 2 * math.ceil(math.log2(n)) + 1

@@ -1,11 +1,14 @@
-"""Each loader's column checks accept exactly what its per-row checks do.
+"""Each loader reads a chunk alike whether or not the reader found it clean.
 
-A loader checks a clean chunk in passes over its columns and any other chunk
-row by row. Here every loader reads a random table twice: as is, and with
-``ingest._clean_columns`` answering None, so that every chunk takes the
-per-row checks. The two loads must return equal results and rejects, or
-refuse the file with the same message and line. The tables are valid, or
-hold one injected fault; small chunk sizes mix clean and faulty chunks.
+A clean chunk goes to the loader's column checks as read. Any other chunk is
+first normalized row by row, blank lines skipped and fields stripped, and
+then goes to the same column checks; a row of the wrong width or with a
+comma in a field ends it, and is refused after the rows before it. Here
+every loader reads a random table twice: as is, and with
+``ingest._clean_columns`` answering None, so that every chunk is
+normalized. The two loads must return equal results and rejects, or refuse
+the file with the same message and line. The tables are valid, or hold one
+injected fault; small chunk sizes mix clean and faulty chunks.
 """
 
 import os
