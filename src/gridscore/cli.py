@@ -457,13 +457,14 @@ def cmd_optimize_alpha(args) -> Report:
         ("ppai.target_coverage", args.target),
     ]
     report.inputs = [("n_units", len(ids))]
-    report.level_rows = list(zip(
-        range(1, len(ids) + 1),
-        ids,
-        cum_areas,
-        cum_crimes,
-        map(metrics.ppai, cum_crimes, cum_areas, itertools.repeat(alpha_star)),
-    ))
+    ppais = list(map(metrics.ppai, cum_crimes, cum_areas, itertools.repeat(alpha_star)))
+    if not all(map(math.isfinite, ppais)):
+        level = next(i for i, value in enumerate(ppais) if not math.isfinite(value))
+        raise ValidationError(
+            f"level {level + 1} (unit {ids[level]!r}): ppai_at_alpha_star overflows "
+            f"the float range ({ppais[level]!r})"
+        )
+    report.level_rows = list(zip(range(1, len(ids) + 1), ids, cum_areas, cum_crimes, ppais))
     return report
 
 
@@ -495,9 +496,13 @@ def cmd_gen(args) -> Report:
         selections["top_k"][period] = synth.top_k_baseline(
             train, grid, config.gen_top_k, period
         )
-        surfaces["empirical"][period] = synth.empirical_surface(
-            train, grid, period, smoothing=config.gen_smoothing
-        )
+        try:
+            surfaces["empirical"][period] = synth.empirical_surface(
+                train, grid, period, smoothing=config.gen_smoothing
+            )
+        except ValidationError as exc:
+            reason = f"gen: surface empirical/{period}: {exc}"
+            raise IngestError(args.config, reason) from exc
         surfaces["uniform"][period] = synth.uniform_surface(grid, period)
 
     with _os_errors(args.out_dir, "write"):

@@ -235,9 +235,9 @@ def _read_chunks(path: str, kind: str):
     A chunk is up to ``_CHUNK_ROWS`` rows as read, and ``line_number`` is
     the line of its first row. ``columns`` is the chunk as one tuple per
     header field if the chunk is clean: every row has the header's width
-    and no field holds a comma, a line break or whitespace, so no field
-    needs stripping. Otherwise it is None, and the rows must be normalized
-    by :func:`_checked_rows`.
+    and its text is printable ASCII with no comma or space, so no field
+    needs stripping and no id can print like another. Otherwise it is None,
+    and the rows must be normalized by :func:`_checked_rows`.
     A read error is raised after the chunk of rows read before it, so the
     first fault of the file is the one reported.
     """
@@ -272,13 +272,14 @@ def _read_chunks(path: str, kind: str):
 
 def _clean_columns(rows: list[list[str]], width: int) -> Optional[tuple]:
     """``rows`` as columns if every row is ``width`` fields wide and no
-    field holds a comma, a line break or whitespace; else None. A field may
-    be empty: that is a rule of the table, which its loader checks."""
+    field holds a comma, whitespace or a character that is not printable
+    ASCII; else None. A field may be empty: that is a rule of the table,
+    which its loader checks."""
     if set(map(len, rows)) != {width}:
         return None
     columns = tuple(zip(*rows))
     text = "".join(map("".join, columns))
-    if _unsafe(text) or _has_space(text):
+    if _unsafe(text) or _has_space(text) or not (text.isascii() and text.isprintable()):
         return None
     return columns
 
@@ -291,8 +292,9 @@ def _has_space(text: str) -> bool:
 
 def _checked_rows(path: str, header: Sequence[str], rows: list[list[str]], lineno: int):
     """The line numbers and stripped rows of ``rows`` from line ``lineno``
-    on, skipping blank lines, up to the first row of the wrong width or with
-    a comma or line break in a field; and that row's fault, or None."""
+    on, skipping blank lines, up to the first row of the wrong width, with
+    a comma or line break in a field, or with an id that could print like
+    another (:func:`_id_fault`); and that row's fault, or None."""
     lines, checked = [], []
     for lineno, row in enumerate(rows, start=lineno):
         if not row:
@@ -303,12 +305,35 @@ def _checked_rows(path: str, header: Sequence[str], rows: list[list[str]], linen
             name, text = next((h, f) for h, f in zip(header, row) if _unsafe(f))
             reason = f"{name} {text!r} contains a comma or line break, which report"
             reason += " rows cannot carry"
-        else:
+        elif (reason := _id_fault(header, row := list(map(str.strip, row)))) is None:
             lines.append(lineno)
-            checked.append(list(map(str.strip, row)))
+            checked.append(row)
             continue
         return lines, checked, IngestError(path, reason, line=lineno)
     return lines, checked, None
+
+
+def _id_fault(header: Sequence[str], row: list[str]) -> Optional[str]:
+    """Why the first id field of the stripped ``row`` could print like
+    another id, or None. An id field is any whose name ends in ``_id``. Its
+    text may hold no control, format or separator character but an inner
+    space, and must be in Unicode normal form NFC: else ids that differ only
+    in invisible characters, or in how an accent is encoded, read the same."""
+    for name, text in zip(header, row):
+        if not name.endswith("_id") or (text.isascii() and text.isprintable()):
+            continue
+        import unicodedata
+
+        invisible = ("Cc", "Cf", "Zl", "Zp", "Zs")  # control, format, separators
+        odd = [ch for ch in text if ch != " " and unicodedata.category(ch) in invisible]
+        if odd:
+            why = f"holds U+{ord(odd[0]):04X} (category {unicodedata.category(odd[0])})"
+        elif not unicodedata.is_normalized("NFC", text):
+            why = "is not in Unicode normal form NFC"
+        else:
+            continue
+        return f"{name} {text!r} {why}, so it may print like another id"
+    return None
 
 
 def _unsafe(text: str) -> bool:
@@ -414,35 +439,6 @@ def _runs(keys: Iterable) -> Iterator[tuple[object, int, int]]:
     for key, run in itertools.groupby(keys):
         start, stop = stop, stop + len(list(run))
         yield key, start, stop
-
-
-def _add_runs(held: dict, keys: Iterable, part: Callable[[int, int], dict]) -> bool:
-    """Add each run of equal consecutive ``keys``, rows ``start`` to
-    ``stop`` of a chunk, to ``held[key]`` as the dict ``part(start, stop)``
-    keyed by cell, and answer True; or, if a cell repeats within a key, add
-    nothing and answer False."""
-    staged: dict[tuple[str, PeriodId], dict] = {}
-    for key, start, stop in _runs(keys):
-        cells = part(start, stop)
-        if len(cells) != stop - start or not (
-            held.get(key, {}).keys().isdisjoint(cells)
-            and staged.get(key, {}).keys().isdisjoint(cells)
-        ):
-            return False
-        staged.setdefault(key, {}).update(cells)
-    for key, cells in staged.items():
-        held.setdefault(key, {}).update(cells)
-    return True
-
-
-def _new_cell(held: dict[tuple[str, PeriodId], dict], entry: str) -> tuple:
-    """The key rule of ``held``, which :func:`_add_runs` fills: a cell is
-    new for its (model, period), else a "duplicate ``entry``"."""
-
-    def new(models, periods, cells, *_):
-        return cells[0] not in held.get((models[0], periods[0]), ())
-
-    return new, lambda m, p, c, *_: f"duplicate {entry} {m}/{p}/{c}"
 
 
 def _id_rule(kind: str, taken: Callable[[], Iterable[str]]) -> tuple[tuple, Callable]:
@@ -566,6 +562,52 @@ def load_events(
     return EventSet._of_columns(by_period), tuple(rejected)
 
 
+def _load_tables(
+    path: str, kind: str, known: frozenset[str], unknown: str, entry: str,
+    run: Callable[..., dict], rules: tuple, make: Callable[[str, PeriodId, dict], object],
+) -> dict[str, dict[PeriodId, object]]:
+    """A table of ``kind`` keyed by (model, period, cell), as model → period
+    → ``make(model, period, table)``, sorted; ``table`` is the dict that
+    ``run(cells, *values)`` makes of a (model, period)'s rows. A row's faults
+    are named in order: "model <m> ``unknown`` <c>" for a cell not in
+    ``known``, then ``rules``, then "duplicate ``entry`` m/p/c". A slice is
+    added only if no (model, period) in it holds a cell twice or one it held.
+    """
+    held: dict[tuple[str, PeriodId], dict] = {}
+
+    def commit(models, periods, *columns):
+        staged: dict[tuple[str, PeriodId], dict] = {}
+        for key, start, stop in _runs(zip(models, periods)):
+            table = run(*(column[start:stop] for column in columns))
+            if len(table) != stop - start or not (
+                held.get(key, {}).keys().isdisjoint(table)
+                and staged.get(key, {}).keys().isdisjoint(table)
+            ):
+                return False
+            staged.setdefault(key, {}).update(table)
+        for key, table in staged.items():
+            held.setdefault(key, {}).update(table)
+        return True
+
+    def new(models, periods, cells, *_):
+        return cells[0] not in held.get((models[0], periods[0]), ())
+
+    rules = (
+        (
+            lambda models, periods, cells, *_: known.issuperset(cells),
+            lambda m, p, c, *_: f"model {m!r} {unknown} {c!r}",
+        ),
+        *rules,
+        (new, lambda m, p, c, *_: f"duplicate {entry} {m}/{p}/{c}"),
+    )
+    numbers = len(HEADERS[kind]) - 3
+    _load_chunks(path, kind, *_rule_checks(path, kind, rules, commit, numbers))
+    out: dict[str, dict[PeriodId, object]] = {}
+    for (model_id, period_id), table in sorted(held.items()):
+        out.setdefault(model_id, {})[period_id] = make(model_id, period_id, table)
+    return out
+
+
 def load_selections(
     path: str, known_ids: frozenset[str], id_kind: str = "cell"
 ) -> dict[str, dict[PeriodId, HotspotSelection]]:
@@ -574,54 +616,26 @@ def load_selections(
     Always strict: a model flagging an id that does not exist is a modelling
     error, not a data-quality nuisance, so there is no lenient drop here.
     """
-    flagged: dict[tuple[str, PeriodId], dict[str, None]] = {}
-
-    def commit(models, periods, cells):
-        return _add_runs(
-            flagged, zip(models, periods), lambda i, j: dict.fromkeys(cells[i:j])
-        )
-
-    rules = (
-        _new_cell(flagged, "selection"),
-        (
-            lambda models, periods, cells: known_ids.issuperset(cells),
-            lambda m, p, c: f"model {m!r} flags unknown {id_kind} {c!r}",
-        ),
+    return _load_tables(
+        path, "selections", known_ids, f"flags unknown {id_kind}", "selection",
+        dict.fromkeys, (), lambda model, period, cells: HotspotSelection(period, cells),
     )
-    _load_chunks(path, "selections", *_rule_checks(path, "selections", rules, commit))
-    out: dict[str, dict[PeriodId, HotspotSelection]] = {}
-    for (model_id, period_id), cells in sorted(flagged.items()):
-        out.setdefault(model_id, {})[period_id] = HotspotSelection(period_id, cells)
-    return out
 
 
 def load_surfaces(
     path: str, grid: GridSpec, renormalize: bool = False
 ) -> dict[str, dict[PeriodId, ProbabilitySurface]]:
     """Load per-model probability surfaces, one complete grid per period."""
-    masses: dict[tuple[str, PeriodId], dict[str, float]] = {}
-
-    def commit(models, periods, cells, values):
-        return _add_runs(
-            masses, zip(models, periods), lambda i, j: dict(zip(cells[i:j], values[i:j]))
-        )
-
     rules = (
-        (
-            lambda models, periods, cells, values: grid.cell_ids.issuperset(cells),
-            lambda m, p, c, x: f"model {m!r} assigns mass to unknown cell {c!r}",
-        ),
         _number_rule(3, "probability"),
         (
             lambda models, periods, cells, values: min(values) >= 0,
             lambda m, p, c, x: f"probability must be non-negative, got {float(x)!r}",
         ),
-        _new_cell(masses, "surface entry"),
     )
-    _load_chunks(path, "surfaces", *_rule_checks(path, "surfaces", rules, commit, 1))
-    make = ProbabilitySurface.renormalized if renormalize else ProbabilitySurface
-    out: dict[str, dict[PeriodId, ProbabilitySurface]] = {}
-    for (model_id, period_id), mass in sorted(masses.items()):
+    surface = ProbabilitySurface.renormalized if renormalize else ProbabilitySurface
+
+    def make(model_id, period_id, mass):
         # Every row names a known cell once: a short surface misses some.
         if len(mass) < len(grid.cells):
             missing = sorted(grid.cell_ids.difference(mass))
@@ -631,10 +645,14 @@ def load_surfaces(
                 f"(first: {missing[0]!r})",
             )
         try:
-            out.setdefault(model_id, {})[period_id] = make(period_id, mass)
+            return surface(period_id, mass)
         except ValidationError as exc:
             raise IngestError(path, f"surface {model_id}/{period_id}: {exc}") from exc
-    return out
+
+    return _load_tables(
+        path, "surfaces", grid.cell_ids, "assigns mass to unknown cell", "surface entry",
+        lambda cells, values: dict(zip(cells, values)), rules, make,
+    )
 
 
 def _unit_columns(path: str) -> tuple[list[str], list[float], list[float]]:

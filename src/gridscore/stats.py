@@ -83,7 +83,12 @@ def summarize(series: PeriodSeries) -> tuple[float, Optional[float]]:
     None, to be rendered as such — never as 0.
     """
     xs = [v for _, v in series.values]
-    mean = math.fsum(xs) / len(xs)
+    try:
+        mean = math.fsum(xs) / len(xs)
+    except OverflowError:
+        # The sum leaves the float range, though the mean cannot: at that
+        # size, halving each value first changes no digit of the mean.
+        mean = math.fsum(x / 2 for x in xs) / len(xs) * 2
     if len(xs) < 2:
         return mean, None
     # Imported here: statistics pulls in fractions and decimal, which every

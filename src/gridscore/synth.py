@@ -87,6 +87,9 @@ class GeneratorSpec(Record):
             )
         if not all(map(math.isfinite, self.weights)) or min(self.weights) < 0:
             raise ValidationError("weights must be finite and non-negative")
+        # The running sum generate_events draws against, summed the same way.
+        if not math.isfinite(functools.reduce(operator.add, self.weights, 0.0)):
+            raise ValidationError("weights sum beyond the float range")
         if not max(self.weights) > 0:
             raise ValidationError("at least one weight must be positive")
 

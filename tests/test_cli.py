@@ -1453,3 +1453,79 @@ class TestWholeStderr:
         assert err == (
             f"gridscore: error: {f['conf']}: weights: weights sum beyond the float range\n"
         )
+
+    def test_level_ppai_past_the_float_range(self, capsys, tmp_path):
+        units = "unit_id,area_fraction,crime_fraction\na,1.0,2.2e-308\nb,5e-324,1.0\n"
+        f = self.files(tmp_path, units=units)
+        err = self.refused(
+            capsys, "optimize-alpha", "--units", f["units"], "--target", "0.5"
+        )
+        assert err == (
+            "gridscore: error: level 1 (unit 'b'): ppai_at_alpha_star overflows the "
+            "float range (inf)\n"
+        )
+
+    # Ids that differ only in characters that print as nothing, or in how an
+    # accent is encoded, would give report rows that read the same.
+    def test_model_ids_that_differ_in_a_zero_width_space(self, capsys, tmp_path):
+        f = self.files(
+            tmp_path, selections="model_id,period_id,cell_id\nm,p1,c1\nm\u200b,p1,c2\n"
+        )
+        err = self.refused(
+            capsys, "evaluate", "--cells", f["cells"], "--events", f["events"],
+            "--selections", f["selections"],
+        )
+        assert err == (
+            f"gridscore: error: {f['selections']}:3: model_id 'm\\u200b' holds U+200B "
+            f"(category Cf), so it may print like another id\n"
+        )
+
+    def test_cell_ids_that_differ_in_normal_form(self, capsys, tmp_path):
+        f = self.files(
+            tmp_path,
+            cells="cell_id,area_km2\ncaf\u00e9,1\ncafe\u0301,1\n",
+            events="event_id,cell_id,period_id\ne1,caf\u00e9,p1\n",
+            selections="model_id,period_id,cell_id\nm,p1,caf\u00e9\n",
+        )
+        err = self.refused(
+            capsys, "evaluate", "--cells", f["cells"], "--events", f["events"],
+            "--selections", f["selections"],
+        )
+        assert err == (
+            f"gridscore: error: {f['cells']}:3: cell_id 'cafe\u0301' is not in Unicode "
+            f"normal form NFC, so it may print like another id\n"
+        )
+
+    def test_gen_weights_summing_past_the_float_range(self, capsys, tmp_path):
+        # Drawn against an infinite running sum, every event fell in the last cell.
+        f = self.files(
+            tmp_path,
+            conf="gen.cells = 2\ngen.weights = 1e308, 1e308\ngen.periods = 2\n"
+            "gen.events_per_period = 10\n",
+        )
+        err = self.refused(
+            capsys, "gen", "--config", f["conf"], "--out-dir", str(tmp_path / "out"),
+        )
+        assert err == (
+            f"gridscore: error: {f['conf']}: gen: weights sum beyond the float range\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "conf, reason",
+        [
+            ("gen.cells = 2\ngen.smoothing = 1e308\n", "masses sum beyond the float range"),
+            ("gen.events_per_period = 0\ngen.smoothing = 0\n", "masses sum to zero"),
+        ],
+        ids=["overflow", "zero"],
+    )
+    def test_gen_surface_that_cannot_renormalize(self, capsys, tmp_path, conf, reason):
+        f = self.files(tmp_path, conf=conf)
+        err = self.refused(
+            capsys, "gen", "--config", f["conf"], "--out-dir", str(tmp_path / "out"),
+        )
+        assert err == (
+            f"gridscore: error: {f['conf']}: gen: surface empirical/p02: cannot "
+            f"renormalize: {reason}\n"
+        )
+        assert not (tmp_path / "out").exists()

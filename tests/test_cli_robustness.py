@@ -1,0 +1,220 @@
+"""Finite inputs give a finite report or a refusal, never a traceback.
+
+Small datasets and configs are drawn and run through ``cli.main``. Every
+number comes from extreme finite floats and every id from a pool that holds
+format characters and NFD forms. Whatever the input, the run exits 0 or 1,
+its stderr is empty or a ``gridscore: error:`` line, and a report it writes
+holds no ``inf`` or ``nan`` and no id that prints like another. The
+reproducers of each fault of this kind are explicit examples.
+"""
+
+import contextlib
+import io
+import os
+import re
+import tempfile
+import unicodedata
+
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from gridscore import cli
+from gridscore.ingest import HEADERS, MEASURE_IDS
+
+EXTREMES = (1.0, 0.0, 5e-324, 2.2e-308, 1e-300, 1e300, 1.7976931348623157e308)
+IDS = ("a", "b", "m", "x y", "caf\u00e9")
+# A zero-width space, a byte order mark, and the NFD twin of an NFC id.
+ODD_IDS = ("m\u200b", "\ufeffm", "cafe\u0301")
+
+
+def table(kind, rows):
+    """The text of a ``kind`` table of ``rows``."""
+    return "".join(f"{','.join(map(str, row))}\n" for row in [HEADERS[kind], *rows])
+
+
+def case(command, *flags, **files):
+    """One run: a command, its flags and its files by kind, as text."""
+    return command, flags, files
+
+
+TWO_CELLS = table("cells", [("c1", 1), ("c2", 1)])
+TWO_EVENTS = table("events", [("e1", "c1", "p1"), ("e2", "c2", "p1")])
+ONE_SELECTION = table("selections", [("m", "p1", "c1")])
+SUBNORMAL_CELLS = table("cells", [("c1", 5e-324), ("c2", 1)])
+GEN_WEIGHTS = "gen.cells = 2\ngen.weights = 1e308, 1e308\ngen.periods = 2\n"
+
+REPRODUCERS = [
+    # Sums past the largest float.
+    case("evaluate", cells=table("cells", [("c1", 1e308), ("c2", 1e308)]),
+         events=TWO_EVENTS, selections=ONE_SELECTION),
+    case("gen", conf="gen.cells = 3\ngen.cell_area = 1e308\n"),
+    case("evaluate", cells=TWO_CELLS, events=TWO_EVENTS, selections=ONE_SELECTION,
+         conf="weights.hit_rate = 1e308\nweights.pai = 1e308\n"),
+    case("evaluate", "--renormalize-surfaces", cells=TWO_CELLS, events=TWO_EVENTS,
+         surfaces=table("surfaces", [("m", "p1", c, 1e308) for c in ("c1", "c2")])),
+    # Measures that overflow over a subnormal area, over one and two periods.
+    case("evaluate", cells=SUBNORMAL_CELLS, events=TWO_EVENTS,
+         selections=ONE_SELECTION, conf="measures = pai\n"),
+    case("evaluate", cells=SUBNORMAL_CELLS,
+         events=table("events", [("e1", "c1", "p1"), ("e2", "c2", "p1"),
+                                 ("e3", "c1", "p2"), ("e4", "c2", "p2")]),
+         selections=table("selections", [("m", "p1", "c1"), ("m", "p2", "c1")]),
+         conf="measures = pai\n"),
+    case("evaluate", cells=table("cells", [("c1", 5e-324), ("c2", 5e-324)]),
+         events=TWO_EVENTS, selections=ONE_SELECTION, conf="measures = ser\n"),
+    # Ids that print alike.
+    case("evaluate", cells=TWO_CELLS, events=TWO_EVENTS,
+         selections=table("selections", [("m", "p1", "c1"), ("m\u200b", "p1", "c2")])),
+    case("evaluate", cells=table("cells", [("caf\u00e9", 1), ("cafe\u0301", 1)]),
+         events=table("events", [("e1", "caf\u00e9", "p1")]),
+         selections=table("selections", [("m", "p1", "caf\u00e9")])),
+    # gen: weights whose running sum overflows, and surfaces that cannot
+    # be renormalized.
+    case("gen", conf=GEN_WEIGHTS + "gen.events_per_period = 10\n"),
+    case("gen", conf="gen.cells = 2\ngen.smoothing = 1e308\n"),
+    case("gen", conf="gen.events_per_period = 0\ngen.smoothing = 0\n"),
+    # Found by this test: a SER summary whose sum passes the float range,
+    # and a level's PPAI past it.
+    case("evaluate", cells=table("cells", [("c1", 2.2e-308), ("c2", 1)]),
+         events=table("events", [("e1", "c1", "p1"), ("e2", "c1", "p1"),
+                                 ("e3", "c1", "p2"), ("e4", "c1", "p2")]),
+         selections=table("selections", [("m", "p1", "c1"), ("m", "p2", "c1")]),
+         conf="measures = ser\n"),
+    case("optimize-alpha", "--target", "0.5",
+         units=table("units", [("a", 1.0, 2.2e-308), ("b", 5e-324, 1.0)])),
+]
+
+numbers = st.sampled_from(EXTREMES)
+positive = st.sampled_from(EXTREMES[:1] + EXTREMES[2:])
+
+
+def rarely(draw):
+    """True for about one draw in four."""
+    return draw(st.sampled_from([False, False, False, True]))
+
+
+def distinct(strategy, low, high):
+    return st.lists(strategy, min_size=low, max_size=high, unique=True)
+
+
+@st.composite
+def configs(draw):
+    """Config text: some measures, and at times weights, utilities and ALS
+    and PPAI keys."""
+    measures = st.sampled_from(MEASURE_IDS)
+    lines = [f"measures = {','.join(draw(distinct(measures, 1, len(MEASURE_IDS))))}"]
+    if rarely(draw):
+        # One weight of 1, and at times a second one, drawn.
+        first, *second = draw(distinct(measures, 1, 2))
+        lines.append(f"weights.{first} = 1")
+        lines += [f"weights.{m} = {draw(positive)!r}" for m in second]
+    if draw(st.booleans()):
+        lines += [f"eu.u_{k} = {draw(numbers)!r}" for k in ("tp", "fp", "tn", "fn")]
+    if draw(st.booleans()):
+        lines += ["als.floor = on", f"als.floor_epsilon = {draw(positive)!r}"]
+    if draw(st.booleans()):
+        alpha = draw(st.sampled_from("01"))
+        lines += ["ppai.alpha_mode = fixed", f"ppai.alpha = {alpha}"]
+    return "".join(f"{line}\n" for line in lines)
+
+
+@st.composite
+def cell_cases(draw):
+    """An evaluate or compare run on a grid of up to three cells."""
+    odd = rarely(draw)
+    ids = st.sampled_from(IDS + ODD_IDS if odd else IDS)
+    cells = draw(distinct(ids, 1, 3))
+    periods = draw(distinct(st.sampled_from(("p1", "p2", "p\u200b1")[: 2 + odd]), 1, 2))
+    command = draw(st.sampled_from(["evaluate", "compare"]))
+    models = draw(distinct(ids, 1 + (command == "compare"), 2))  # compare needs two
+    events = [
+        (draw(ids) if rarely(draw) else f"e{i}",
+         draw(st.sampled_from(cells + ["zz"])),
+         draw(st.sampled_from(periods)))
+        for i in range(draw(st.integers(0, 4)))
+    ]
+    places = [(p, c) for p in periods for c in cells]
+    files = {
+        "cells": table("cells", [(c, draw(numbers)) for c in cells]),
+        "events": table("events", events),
+        "conf": draw(configs()),
+    }
+    tables = draw(st.sampled_from(["selections", "surfaces", "selections surfaces"]))
+    if "selections" in tables:
+        flagged = distinct(st.sampled_from(places), 1, len(places))
+        rows = [(m, *place) for m in models for place in draw(flagged)]
+        files["selections"] = table("selections", rows)
+    if "surfaces" in tables:
+        rows = [(m, *place, draw(numbers)) for m in models for place in places]
+        files["surfaces"] = table("surfaces", rows)
+    flags = draw(distinct(st.sampled_from(["--renormalize-surfaces", "--lenient"]), 0, 2))
+    return case(command, *flags, **files)
+
+
+@st.composite
+def unit_cases(draw):
+    """An optimize-alpha run on up to three units."""
+    ids = st.sampled_from(IDS + ODD_IDS if rarely(draw) else IDS)
+    units = draw(distinct(ids, 1, 3))
+    rows = [(u, draw(numbers), draw(numbers)) for u in units]
+    target = draw(st.sampled_from(["0.5", "1e-300", "0.9999999999999999"]))
+    return case("optimize-alpha", "--target", target, units=table("units", rows))
+
+
+@st.composite
+def gen_cases(draw):
+    """A gen run of up to three cells and three periods."""
+    n = draw(st.integers(1, 3))
+    weights = ", ".join(repr(draw(numbers)) for _ in range(n))
+    conf = (
+        f"gen.cells = {n}\ngen.cell_area = {draw(numbers)!r}\ngen.weights = {weights}\n"
+        f"gen.periods = {draw(st.integers(2, 3))}\n"
+        f"gen.events_per_period = {draw(st.integers(0, 3))}\n"
+        f"gen.smoothing = {draw(numbers)!r}\n"
+    )
+    return case("gen", conf=conf)
+
+
+def run(command, flags, files):
+    """(exit code, stdout, stderr) of ``command`` on ``files``."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as root:
+        argv = [command, *flags]
+        for kind, text in files.items():
+            path = os.path.join(root, kind)
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            argv += ["--config" if kind == "conf" else f"--{kind}", path]
+        if command == "gen":
+            argv += ["--out-dir", os.path.join(root, "out")]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=st.one_of(cell_cases(), unit_cases(), gen_cases()))
+@example(case=REPRODUCERS[0])
+@example(case=REPRODUCERS[1])
+@example(case=REPRODUCERS[2])
+@example(case=REPRODUCERS[3])
+@example(case=REPRODUCERS[4])
+@example(case=REPRODUCERS[5])
+@example(case=REPRODUCERS[6])
+@example(case=REPRODUCERS[7])
+@example(case=REPRODUCERS[8])
+@example(case=REPRODUCERS[9])
+@example(case=REPRODUCERS[10])
+@example(case=REPRODUCERS[11])
+@example(case=REPRODUCERS[12])
+@example(case=REPRODUCERS[13])
+def test_a_finite_report_or_a_refusal(case):
+    code, out, err = run(*case)
+    assert code in (0, 1)
+    assert err == "" or err.startswith("gridscore: error:")
+    assert "Traceback" not in err
+    if code == 0:
+        assert not {"inf", "-inf", "nan"} & set(re.split(r"[\s,=]+", out))
+        # No id in it prints like another.
+        assert unicodedata.is_normalized("NFC", out)
+        assert all(line.isprintable() for line in out.splitlines())

@@ -311,6 +311,42 @@ class TestReaderOrderOfErrors:
             False, False, True, True, True]
 
 
+class TestIdsThatPrintAlike:
+    """An id may hold no control, format or separator character but an inner
+    space, and must be in NFC; number fields keep their own rules."""
+
+    @pytest.mark.parametrize(
+        "char, category",
+        [("\x01", "Cc"), ("\x85", "Cc"), ("\u200b", "Cf"), ("\ufeff", "Cf"),
+         ("\u2028", "Zl"), ("\u2029", "Zp"), ("\u00a0", "Zs"), ("\u3000", "Zs")],
+    )
+    def test_each_refused_category(self, tmp_path, char, category):
+        path = w(tmp_path / "cells.csv", f"cell_id,area_km2\nc1,1\nc{char}2,1\n")
+        with pytest.raises(IngestError) as info:
+            load_cells(path)
+        assert str(info.value) == (
+            f"{path}:3: cell_id {f'c{char}2'!r} holds U+{ord(char):04X} "
+            f"(category {category}), so it may print like another id"
+        )
+
+    def test_refused_in_lenient_mode_too(self, tmp_path):
+        grid = load_cells(w(tmp_path / "cells.csv", CELLS_CSV))
+        events = "event_id,cell_id,period_id\ne1,c1,p1\ne2,c1,p\u200b1\n"
+        path = w(tmp_path / "events.csv", events)
+        with pytest.raises(IngestError, match=r":3: period_id 'p\\u200b1' holds U\+200B"):
+            load_events(path, grid, strict=False)
+
+    def test_inner_spaces_padding_and_nfc_accents_load(self, tmp_path):
+        cells = "cell_id,area_km2\nmodel A,1\n\u3000caf\u00e9 ,1\n"
+        path = w(tmp_path / "cells.csv", cells)
+        assert load_cells(path).cell_ids == {"model A", "caf\u00e9"}
+
+    def test_a_number_field_is_not_an_id(self, tmp_path):
+        path = w(tmp_path / "cells.csv", "cell_id,area_km2\nc1,1\u200b\n")
+        with pytest.raises(IngestError, match=r":2: area_km2 is not a number"):
+            load_cells(path)
+
+
 class TestLoadSelections:
     def test_good_file(self, tmp_path):
         known = frozenset({"c1", "c2", "c3"})

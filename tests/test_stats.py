@@ -73,6 +73,11 @@ class TestSummarize:
         assert mean == 4.0
         np.testing.assert_allclose(sd, 2.0, atol=1e-12)
 
+    def test_values_whose_sum_passes_the_float_range(self):
+        big = 1.7e308
+        assert summarize(series([big, big])) == (big, 0.0)
+        assert summarize(series([big, big, -big, 5e-324]))[0] == big / 4
+
     def test_duplicate_periods_rejected(self):
         with pytest.raises(ValidationError):
             PeriodSeries("m", "x", (("p1", 1.0), ("p1", 2.0)))
