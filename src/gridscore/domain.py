@@ -136,10 +136,10 @@ class EventSet:
 
     The canonical order makes every downstream aggregate independent of the
     order rows appeared in the source file. Every per-period query reads a
-    period's columns. :class:`Event` objects are built from them only when
-    :attr:`events` or :meth:`in_period` asks for a period's events, once per
-    period, and kept; the objects a caller passed to ``EventSet(events)``
-    are not kept, so ``in_period`` returns equal events, not the same ones.
+    period's columns. :attr:`events` builds the :class:`Event` objects once,
+    when first read, and keeps them; :meth:`in_period` builds its period's
+    events on each call. The objects a caller passed to ``EventSet(events)``
+    are not kept, so both return equal events, not the same ones.
     Events are cross-validated against a grid where a set is built, by
     :func:`assign_events` and :func:`gridscore.ingest.load_events`, because
     the event set does not hold a grid reference. An event set is immutable,
@@ -147,8 +147,8 @@ class EventSet:
     """
 
     _columns: _Columns
-    # period -> its Event objects, built when first asked for.
-    _by_period: dict[PeriodId, tuple[Event, ...]]
+    # Every Event, built when first read; None until then.
+    _events: tuple[Event, ...] | None
 
     def __init__(self, events: Iterable[Event]):
         period = operator.attrgetter("period")
@@ -170,7 +170,7 @@ class EventSet:
     def _hold(self, columns: Mapping[PeriodId, tuple[Sequence, Sequence]]) -> None:
         """Hold ``columns`` in canonical order: periods sorted, and a
         period's (id, cell) pairs sorted only if its ids do not ascend. The
-        one place an event set's fields are set."""
+        one place an event set's columns are set."""
         ordered = {}
         for period in sorted(columns):
             ids, cells = columns[period]
@@ -179,7 +179,7 @@ class EventSet:
             else:
                 ordered[period] = tuple(zip(*sorted(zip(ids, cells))))
         set_field(self, "_columns", ordered)
-        set_field(self, "_by_period", {})
+        set_field(self, "_events", None)
 
     __setattr__ = Record.__setattr__
     __delattr__ = Record.__delattr__
@@ -187,7 +187,9 @@ class EventSet:
     @property
     def events(self) -> tuple[Event, ...]:
         """Every event, in canonical order."""
-        return tuple(itertools.chain.from_iterable(map(self._events_of, self._columns)))
+        if self._events is None:
+            set_field(self, "_events", tuple(itertools.starmap(Event, self._rows())))
+        return self._events
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -207,18 +209,8 @@ class EventSet:
         return tuple(self._columns)
 
     def in_period(self, period: PeriodId) -> tuple[Event, ...]:
-        return self._events_of(period)
-
-    def _events_of(self, period: PeriodId) -> tuple[Event, ...]:
-        """The events of ``period``, built from its columns when first asked
-        for and kept. :attr:`events` reads this, not :meth:`in_period`,
-        which a profiler may wrap with code that reads :attr:`events`."""
-        if period in self._by_period or period not in self._columns:
-            return self._by_period.get(period, ())
-        ids, cells = self._columns[period]
-        events = tuple(map(Event, ids, cells, itertools.repeat(period)))
-        self._by_period[period] = events
-        return events
+        ids, cells = self._columns.get(period, ((), ()))
+        return tuple(map(Event, ids, cells, itertools.repeat(period)))
 
     def count(self, period: PeriodId) -> int:
         """N: the total number of events observed in ``period``."""

@@ -271,23 +271,18 @@ def _read_chunks(path: str, kind: str):
 
 
 def _clean_columns(rows: list[list[str]], width: int) -> Optional[tuple]:
-    """``rows`` as columns if every row is ``width`` fields wide and no
-    field holds a comma, whitespace or a character that is not printable
-    ASCII; else None. A field may be empty: that is a rule of the table,
-    which its loader checks."""
+    """``rows`` as columns if every row is ``width`` fields wide and every
+    character of every field is printable ASCII but a comma or a space;
+    else None. Printable ASCII holds no line break and no whitespace but
+    the space. A field may be empty: that is a rule of the table, which
+    its loader checks."""
     if set(map(len, rows)) != {width}:
         return None
     columns = tuple(zip(*rows))
     text = "".join(map("".join, columns))
-    if _unsafe(text) or _has_space(text) or not (text.isascii() and text.isprintable()):
+    if not (text.isascii() and text.isprintable()) or "," in text or " " in text:
         return None
     return columns
-
-
-def _has_space(text: str) -> bool:
-    """Whether ``text`` holds a character that ``str.strip()`` removes:
-    exactly the characters ``str.split()`` splits at."""
-    return bool(text) and text.split(None, 1) != [text]
 
 
 def _checked_rows(path: str, header: Sequence[str], rows: list[list[str]], lineno: int):
@@ -603,8 +598,8 @@ def _load_tables(
     numbers = len(HEADERS[kind]) - 3
     _load_chunks(path, kind, *_rule_checks(path, kind, rules, commit, numbers))
     out: dict[str, dict[PeriodId, object]] = {}
-    for (model_id, period_id), table in sorted(held.items()):
-        out.setdefault(model_id, {})[period_id] = make(model_id, period_id, table)
+    for key in sorted(held):
+        out.setdefault(key[0], {})[key[1]] = make(*key, held.pop(key))
     return out
 
 
@@ -941,9 +936,12 @@ def load_config(path: str, cli_strict: Optional[bool] = None) -> RunConfig:
             path, "ppai.grid_step", f"be at least {MIN_GRID_STEP!r}", config.grid_step
         )
 
+    # Weighted measures are computed whether or not they were listed.
+    measures = config.measures
+    measures += tuple(m for m in sorted(weight_map) if m not in measures)
     needed = {"fixed": "ppai.alpha", "grid_search": "ppai.target_coverage"}
     need = needed.get(config.alpha_mode)
-    if "ppai" in config.measures and need is not None and need not in pairs:
+    if "ppai" in measures and need is not None and need not in pairs:
         raise IngestError(
             path, f"ppai.alpha_mode is {config.alpha_mode!r} but {need} is not set"
         )
@@ -962,14 +960,11 @@ def load_config(path: str, cli_strict: Optional[bool] = None) -> RunConfig:
         utilities = UtilitySpec(**values["utilities"])
 
     weights = None
-    measures = config.measures
     if weight_map:
         try:
             weights = WeightVector(weight_map)
         except ValidationError as exc:
             raise IngestError(path, f"weights: {exc}") from exc
-        # Weighted measures are computed whether or not they were listed.
-        measures += tuple(m for m in sorted(weight_map) if m not in measures)
 
     generator = None
     gen_top_k = None

@@ -1197,6 +1197,45 @@ class TestWholeStderr:
             "got 1e-13\n"
         )
 
+    # A weighted measure is scored whether or not it is listed, so a weighted
+    # ppai needs its alpha mode's key as a listed one does.
+    def test_fixed_alpha_mode_for_a_weighted_ppai(self, capsys, tmp_path):
+        f = self.files(
+            tmp_path,
+            cells="cell_id,area_km2\nc1,1.0\nc2,1.0\nc3,2.0\n",
+            events="event_id,cell_id,period_id\ne1,c1,p1\ne2,c1,p1\ne3,c2,p1\ne4,c3,p1\n",
+            selections="model_id,period_id,cell_id\nA,p1,c1\nB,p1,c2\n",
+            conf="measures = hit_rate\nppai.alpha_mode = fixed\n"
+            "weights.hit_rate = 0.5\nweights.ppai = 0.5\n",
+        )
+        err = self.refused(
+            capsys, "compare", "--cells", f["cells"], "--events", f["events"],
+            "--selections", f["selections"], "--config", f["conf"],
+        )
+        assert err == (
+            f"gridscore: error: {f['conf']}: ppai.alpha_mode is 'fixed' but "
+            "ppai.alpha is not set\n"
+        )
+
+    @pytest.mark.parametrize("command", ["evaluate", "compare"])
+    def test_grid_search_alpha_mode_for_a_weighted_ppai(self, capsys, tmp_path, command):
+        f = self.files(
+            tmp_path,
+            units="unit_id,area_fraction,crime_fraction\n"
+            "u1,0.1,0.5\nu2,0.3,0.2\nu3,0.6,0.3\n",
+            selections="model_id,period_id,cell_id\nA,p1,u1\nB,p1,u2\n",
+            conf="measures = hit_rate\nppai.alpha_mode = grid_search\n"
+            "weights.hit_rate = 0.5\nweights.ppai = 0.5\n",
+        )
+        err = self.refused(
+            capsys, command, "--units", f["units"],
+            "--selections", f["selections"], "--config", f["conf"],
+        )
+        assert err == (
+            f"gridscore: error: {f['conf']}: ppai.alpha_mode is 'grid_search' but "
+            "ppai.target_coverage is not set\n"
+        )
+
     def test_grid_step_at_minimum_is_accepted(self, capsys, tmp_path):
         f = self.files(tmp_path)
         code, out, _ = run(

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from gridscore import cli
 from gridscore.ingest import HEADERS, MEASURE_IDS
+from gridscore.metrics import UNIT_MEASURES
 
 EXTREMES = (1.0, 0.0, 5e-324, 2.2e-308, 1e-300, 1e300, 1.7976931348623157e308)
 IDS = ("a", "b", "m", "x y", "caf\u00e9")
@@ -42,6 +43,12 @@ TWO_EVENTS = table("events", [("e1", "c1", "p1"), ("e2", "c2", "p1")])
 ONE_SELECTION = table("selections", [("m", "p1", "c1")])
 SUBNORMAL_CELLS = table("cells", [("c1", 5e-324), ("c2", 1)])
 GEN_WEIGHTS = "gen.cells = 2\ngen.weights = 1e308, 1e308\ngen.periods = 2\n"
+WEIGHTED_PPAI = "measures = hit_rate\nweights.hit_rate = 0.5\nweights.ppai = 0.5\n"
+GRID_SEARCH_UNITS = {
+    "units": table("units", [("u1", 0.1, 0.5), ("u2", 0.3, 0.2), ("u3", 0.6, 0.3)]),
+    "selections": table("selections", [("A", "p1", "u1"), ("B", "p1", "u2")]),
+    "conf": WEIGHTED_PPAI + "ppai.alpha_mode = grid_search\n",
+}
 
 REPRODUCERS = [
     # Sums past the largest float.
@@ -82,10 +89,21 @@ REPRODUCERS = [
          conf="measures = ser\n"),
     case("optimize-alpha", "--target", "0.5",
          units=table("units", [("a", 1.0, 2.2e-308), ("b", 5e-324, 1.0)])),
+    # A ppai that is weighted but not listed, with no key for its alpha mode:
+    # the fixed mode scored it at alpha = n/N, and the grid search crashed.
+    case("compare", cells=table("cells", [("c1", 1.0), ("c2", 1.0), ("c3", 2.0)]),
+         events=table("events", [("e1", "c1", "p1"), ("e2", "c1", "p1"),
+                                 ("e3", "c2", "p1"), ("e4", "c3", "p1")]),
+         selections=table("selections", [("A", "p1", "c1"), ("B", "p1", "c2")]),
+         conf=WEIGHTED_PPAI + "ppai.alpha_mode = fixed\n"),
+    case("evaluate", **GRID_SEARCH_UNITS),
+    case("compare", **GRID_SEARCH_UNITS),
 ]
 
 numbers = st.sampled_from(EXTREMES)
 positive = st.sampled_from(EXTREMES[:1] + EXTREMES[2:])
+# The extremes that a units table's fractions may take.
+shares = st.sampled_from(EXTREMES[:1] + EXTREMES[2:5])
 
 
 def rarely(draw):
@@ -97,24 +115,35 @@ def distinct(strategy, low, high):
     return st.lists(strategy, min_size=low, max_size=high, unique=True)
 
 
+#: Each PPAI alpha mode with the key it needs and that key's values.
+ALPHA_MODES = (
+    ("fixed", "ppai.alpha", ("0", "1")),
+    ("grid_search", "ppai.target_coverage", ("0.5", "1e-300")),
+)
+
+
 @st.composite
-def configs(draw):
-    """Config text: some measures, and at times weights, utilities and ALS
-    and PPAI keys."""
-    measures = st.sampled_from(MEASURE_IDS)
-    lines = [f"measures = {','.join(draw(distinct(measures, 1, len(MEASURE_IDS))))}"]
-    if rarely(draw):
+def configs(draw, ids=MEASURE_IDS):
+    """Config text: some of the measures ``ids``, and at times weights,
+    utilities and ALS and PPAI keys, and at times a PPAI alpha mode without
+    its key. Utilities need cell-level data, so with the units measures
+    they are left out."""
+    measures = st.sampled_from(ids)
+    lines = [f"measures = {','.join(draw(distinct(measures, 1, len(ids))))}"]
+    if draw(st.booleans()):
         # One weight of 1, and at times a second one, drawn.
         first, *second = draw(distinct(measures, 1, 2))
         lines.append(f"weights.{first} = 1")
         lines += [f"weights.{m} = {draw(positive)!r}" for m in second]
-    if draw(st.booleans()):
+    if ids == MEASURE_IDS and draw(st.booleans()):
         lines += [f"eu.u_{k} = {draw(numbers)!r}" for k in ("tp", "fp", "tn", "fn")]
     if draw(st.booleans()):
         lines += ["als.floor = on", f"als.floor_epsilon = {draw(positive)!r}"]
     if draw(st.booleans()):
-        alpha = draw(st.sampled_from("01"))
-        lines += ["ppai.alpha_mode = fixed", f"ppai.alpha = {alpha}"]
+        mode, key, values = draw(st.sampled_from(ALPHA_MODES))
+        lines.append(f"ppai.alpha_mode = {mode}")
+        if draw(st.booleans()):
+            lines.append(f"{key} = {draw(st.sampled_from(values))}")
     return "".join(f"{line}\n" for line in lines)
 
 
@@ -162,6 +191,23 @@ def unit_cases(draw):
 
 
 @st.composite
+def unit_mode_cases(draw):
+    """An evaluate or compare run on up to three units. Their fractions are
+    extremes a units table may hold, so that the run reaches its config."""
+    ids = st.sampled_from(IDS + ODD_IDS if rarely(draw) else IDS)
+    units = draw(distinct(ids, 1, 3))
+    command = draw(st.sampled_from(["evaluate", "compare"]))
+    models = draw(distinct(ids, 1 + (command == "compare"), 2))
+    flagged = distinct(st.sampled_from(units), 1, len(units))
+    return case(
+        command,
+        units=table("units", [(u, draw(shares), draw(shares)) for u in units]),
+        selections=table("selections", [(m, "p1", u) for m in models for u in draw(flagged)]),
+        conf=draw(configs(UNIT_MEASURES)),
+    )
+
+
+@st.composite
 def gen_cases(draw):
     """A gen run of up to three cells and three periods."""
     n = draw(st.integers(1, 3))
@@ -192,8 +238,8 @@ def run(command, flags, files):
     return code, out.getvalue(), err.getvalue()
 
 
-@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(case=st.one_of(cell_cases(), unit_cases(), gen_cases()))
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=st.one_of(cell_cases(), unit_cases(), unit_mode_cases(), gen_cases()))
 @example(case=REPRODUCERS[0])
 @example(case=REPRODUCERS[1])
 @example(case=REPRODUCERS[2])
@@ -208,6 +254,9 @@ def run(command, flags, files):
 @example(case=REPRODUCERS[11])
 @example(case=REPRODUCERS[12])
 @example(case=REPRODUCERS[13])
+@example(case=REPRODUCERS[14])
+@example(case=REPRODUCERS[15])
+@example(case=REPRODUCERS[16])
 def test_a_finite_report_or_a_refusal(case):
     code, out, err = run(*case)
     assert code in (0, 1)

@@ -135,6 +135,12 @@ class TestAssignEvents:
             del events._columns
         assert len(events) == 1
 
+    def test_events_are_built_once(self):
+        rows = [("e2", "c1", "p2"), ("e3", "c3", "p1"), ("e1", "c2", "p1")]
+        for events in (assign_events(GRID, rows)[0], EventSet(Event(*r) for r in rows)):
+            assert events.events is events.events
+            assert events.in_period("p1") == events.events[:2]
+
     def test_events_do_not_call_a_wrapped_in_period(self, monkeypatch):
         """A profiler may wrap ``in_period`` with code that reads
         ``events``; ``events`` must not call ``in_period`` back."""

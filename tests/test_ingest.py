@@ -302,13 +302,13 @@ class TestReaderOrderOfErrors:
         assert seen == [(2, [["e1", "c1", "p1"], [], [" e2", "c2", "p1"]], None)]
         assert str(info.value) == f"{path}:5: field larger than field limit (131072)"
 
-    def test_the_whitespace_test_matches_what_strip_removes(self):
+    def test_a_clean_field_is_printable_ascii_but_comma_and_space(self):
         chars = list(map(chr, range(sys.maxunicode + 1)))
-        matched = [ch for ch in chars if ingest._has_space(f"a{ch}b")]
-        assert matched == [ch for ch in chars if ch.isspace()]
-        assert all(ch.strip() == "" for ch in matched)
-        assert [ingest._has_space(t) for t in ("", "ab", " ab", "ab\x1f", "a\u3000b")] == [
-            False, False, True, True, True]
+        clean = [ch for ch in chars if ingest._clean_columns([[f"a{ch}b"]], 1)]
+        assert clean == [ch for ch in map(chr, range(0x20, 0x7F)) if ch not in ", "]
+        # So no field that str.strip would change is clean.
+        assert not [ch for ch in chars if ch.strip() == "" and ch in clean]
+        assert ingest._clean_columns([["a", ""]], 2) == (("a",), ("",))
 
 
 class TestIdsThatPrintAlike:
