@@ -68,7 +68,7 @@ def _dataset_inputs(dataset: Dataset) -> list[tuple[str, Value]]:
         ("periods", dataset.periods()),
     ]
     if dataset.grid is not None:
-        inputs.append(("n_cells", len(dataset.grid.cells)))
+        inputs.append(("n_cells", len(dataset.grid.cell_ids)))
         inputs.append(("total_area_km2", dataset.grid.total_area_km2))
     if dataset.events is not None:
         inputs.append(("n_events", len(dataset.events)))

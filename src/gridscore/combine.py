@@ -177,16 +177,31 @@ def standardize(scores: Mapping[str, float]) -> dict[str, float]:
         raise DegenerateScoresError(
             "standardization needs at least two models; rank the models instead"
         )
-    m = len(ids)
-    mean = math.fsum(scores[i] for i in ids) / m
-    var = math.fsum((scores[i] - mean) ** 2 for i in ids) / m
+    values = [scores[i] for i in ids]
+    try:
+        mean, var = _moments(values)
+    except OverflowError:
+        var = math.inf
+    if not math.isfinite(var):
+        # A sum or a square passed the float range. z-scores do not depend
+        # on scale, so take those of the scores scaled exactly, by a power
+        # of two, to magnitudes below 1.
+        shift = math.frexp(max(map(abs, values)))[1]
+        values = [math.ldexp(v, -shift) for v in values]
+        mean, var = _moments(values)
     if var == 0.0:
         raise DegenerateScoresError(
             "scores are constant across models, standardization is "
             "undefined; rank the models instead"
         )
     sd = math.sqrt(var)
-    return {i: (scores[i] - mean) / sd for i in ids}
+    return {i: (v - mean) / sd for i, v in zip(ids, values)}
+
+
+def _moments(values: list[float]) -> tuple[float, float]:
+    """The mean and population variance of ``values``."""
+    mean = math.fsum(values) / len(values)
+    return mean, math.fsum((v - mean) ** 2 for v in values) / len(values)
 
 
 def rank_models(

@@ -6,9 +6,11 @@ lexicographically, so ordinal period labels should be zero-padded
 (``p00 < p01 < ... < p10``).
 
 Everything is immutable after construction and safe to share across threads;
-the two operations at the bottom are pure functions. An :class:`EventSet`
-holds its events as per-period columns of ids, which is all the measures
-read; it builds :class:`Event` objects only for a caller that asks for them.
+the two operations at the bottom are pure functions. A :class:`GridSpec`
+holds its cells as one id → area map, and an :class:`EventSet` its events
+as per-period columns of ids, which is all the measures read; each builds
+:class:`Cell` or :class:`Event` objects only for a caller that asks for
+them.
 """
 
 from __future__ import annotations
@@ -56,14 +58,20 @@ class GridSpec(Record):
     ``total_area_km2`` may be passed explicitly (it is then checked against
     the cell sum to within a relative tolerance of 1e-9) or left as None to
     be derived from the cells.
+
+    The grid holds its cells once, as an id → area map in cell order, which
+    is all the measures read. :attr:`cells` is the caller's own tuple for a
+    grid built by ``GridSpec(cells)``; for a grid built from columns it is
+    built when first read, and kept.
     """
 
-    cells: tuple[Cell, ...]
     total_area_km2: float
-    # Built once from ``cells``: cell id -> area, and the set of ids. Not
-    # fields: no part of equality, hash or repr.
+    # Cell id -> area, in cell order, and the set of ids. Not fields: no
+    # part of equality, hash or repr.
     _areas: Mapping[CellId, float]
     _ids: frozenset[CellId]
+    # Every Cell; None until first read, for a grid built from columns.
+    _cells: tuple[Cell, ...] | None
 
     def __init__(
         self,
@@ -71,25 +79,64 @@ class GridSpec(Record):
         total_area_km2: float = None,  # type: ignore[assignment]
     ) -> None:
         cells = tuple(cells)
-        set_field(self, "cells", cells)
-        set_field(self, "total_area_km2", total_area_km2)
-        if not cells:
+        rows = map(operator.attrgetter("id", "area_km2"), cells)
+        self._hold({c.id: c.area_km2 for c in cells}, len(cells), rows, total_area_km2)
+        set_field(self, "_cells", cells)
+
+    @classmethod
+    def _of_columns(cls, ids: Sequence[CellId], areas: Sequence[float]) -> "GridSpec":
+        """The grid of the cells ``ids`` with ``areas``, in that order: the
+        one constructor besides ``GridSpec(cells)``."""
+        self = cls.__new__(cls)
+        self._hold(dict(zip(ids, areas)), len(ids), zip(ids, areas), None)
+        return self
+
+    def _hold(
+        self,
+        areas: dict[CellId, float],
+        count: int,
+        rows: Iterable[tuple[CellId, float]],
+        total_area_km2: float | None,
+    ) -> None:
+        """Hold ``areas``, the id → area map of ``count`` cells, under every
+        grid rule, in this order: a cell at least, areas :class:`Cell`
+        accepts, no id twice, an area sum in the float range, and the
+        declared total. ``rows`` gives each cell's (id, area) in cell order,
+        and is read only to word a fault. The one place a grid's cells are
+        set."""
+        if not count:
             raise ValidationError("a grid needs at least one cell")
-        areas = {c.id: c.area_km2 for c in cells}
-        if len(areas) != len(cells):
-            counts = Counter(c.id for c in cells)
-            dupes = sorted(i for i, n in counts.items() if n > 1)
-            raise ValidationError(f"duplicate cell ids: {dupes}")
-        set_field(self, "_areas", areas)
-        set_field(self, "_ids", frozenset(areas))
-        derived = _finite_fsum((c.area_km2 for c in cells), "cell areas")
+        values = areas.values()
+        # True for a repeated id, an area at or below 0, or a NaN or infinite
+        # area (the sum is then NaN or infinite), and for finite areas whose
+        # sum overflows: only then are the rows read.
+        if len(areas) < count or not (min(values) > 0 and sum(values) < math.inf):
+            rows = list(rows)
+            for _ in itertools.starmap(Cell, rows):  # Cell words the first it refuses
+                pass
+            if len(areas) < count:
+                counts = Counter(cell_id for cell_id, _ in rows)
+                dupes = sorted(i for i, n in counts.items() if n > 1)
+                raise ValidationError(f"duplicate cell ids: {dupes}")
+        derived = _finite_fsum(values, "cell areas")
         if total_area_km2 is None:
-            set_field(self, "total_area_km2", derived)
+            total_area_km2 = derived
         elif not math.isclose(total_area_km2, derived, rel_tol=AREA_RTOL):
             raise ValidationError(
                 f"declared total area {total_area_km2!r} km^2 does not "
                 f"match the cell sum {derived!r} km^2"
             )
+        set_field(self, "total_area_km2", total_area_km2)
+        set_field(self, "_areas", areas)
+        set_field(self, "_ids", frozenset(areas))
+        set_field(self, "_cells", None)
+
+    @property
+    def cells(self) -> tuple[Cell, ...]:
+        """Every cell, in grid order."""
+        if self._cells is None:
+            set_field(self, "_cells", tuple(map(Cell, self._areas, self._areas.values())))
+        return self._cells
 
     @property
     def cell_ids(self) -> frozenset[CellId]:
@@ -422,7 +469,7 @@ class _PeriodCounts(Record):
             table=ContingencyTable(
                 tp=len(caught),
                 fp=len(flagged) - len(caught),
-                tn=len(grid.cells) - len(flagged) - len(self.hit) + len(caught),
+                tn=len(grid._areas) - len(flagged) - len(self.hit) + len(caught),
                 fn=len(self.hit) - len(caught),
             ),
         )

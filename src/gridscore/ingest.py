@@ -511,7 +511,7 @@ def load_cells(path: str) -> GridSpec:
     # Cell accepts exactly the finite areas above 0.
     ids, areas = _load_keyed(path, "cells", Cell, lambda areas: min(areas) > 0)
     try:
-        return GridSpec(cells=tuple(map(Cell, ids, areas)))
+        return GridSpec._of_columns(ids, areas)
     except ValidationError as exc:
         raise IngestError(path, str(exc)) from exc
 
@@ -629,11 +629,12 @@ def load_surfaces(
         ),
     )
     surface = ProbabilitySurface.renormalized if renormalize else ProbabilitySurface
+    known = grid.cell_ids
 
     def make(model_id, period_id, mass):
         # Every row names a known cell once: a short surface misses some.
-        if len(mass) < len(grid.cells):
-            missing = sorted(grid.cell_ids.difference(mass))
+        if len(mass) < len(known):
+            missing = sorted(known.difference(mass))
             raise IngestError(
                 path,
                 f"surface {model_id}/{period_id} misses {len(missing)} cells "
@@ -645,7 +646,7 @@ def load_surfaces(
             raise IngestError(path, f"surface {model_id}/{period_id}: {exc}") from exc
 
     return _load_tables(
-        path, "surfaces", grid.cell_ids, "assigns mass to unknown cell", "surface entry",
+        path, "surfaces", known, "assigns mass to unknown cell", "surface entry",
         lambda cells, values: dict(zip(cells, values)), rules, make,
     )
 
@@ -1096,7 +1097,7 @@ def _prefixed(model_id: str, period_id: str, *columns: Iterable[str]) -> Iterato
 
 
 def write_cells(path: str, grid: GridSpec) -> None:
-    _write_csv(path, "cells", ((c.id, repr(c.area_km2)) for c in grid.cells))
+    _write_csv(path, "cells", zip(grid._areas, map(repr, grid._areas.values())))
 
 
 def write_events(path: str, events: EventSet) -> None:

@@ -87,15 +87,51 @@ def summarize(series: PeriodSeries) -> tuple[float, Optional[float]]:
         mean = math.fsum(xs) / len(xs)
     except OverflowError:
         # The sum leaves the float range, though the mean cannot: at that
-        # size, halving each value first changes no digit of the mean.
-        mean = math.fsum(x / 2 for x in xs) / len(xs) * 2
+        # size, scaling each value by 2**-k first changes no digit of the
+        # mean, and with 2**k >= len(xs) the scaled sum stays in the range.
+        k = (len(xs) - 1).bit_length()
+        mean = math.ldexp(math.fsum(math.ldexp(x, -k) for x in xs) / len(xs), k)
     if len(xs) < 2:
         return mean, None
-    # Imported here: statistics pulls in fractions and decimal, which every
-    # command would otherwise pay for at start-up.
-    import statistics
+    try:
+        return mean, _stdev(xs)
+    except OverflowError:
+        raise ValidationError(
+            f"model {series.model_id}: {series.measure_id} std overflows the float range"
+        ) from None
 
-    return mean, statistics.stdev(xs)
+
+#: Bits of the square root that :func:`_stdev` rounds to odd: 2·53 + 3, so
+#: that its one rounding to a float is correct.
+_SQRT_BITS = 2 * sys.float_info.mant_dig + 3
+
+
+def _stdev(xs: Sequence[float]) -> float:
+    """The sample standard deviation of two or more finite numbers,
+    correctly rounded, as ``statistics.stdev`` gives it since Python 3.11.
+
+    The variance is exact, an integer ratio in lowest terms taken from each
+    value's ``as_integer_ratio()``. Its square root is taken with
+    ``math.isqrt``, rounded to odd at ``_SQRT_BITS`` bits, and rounded once
+    more, to a float. Raises OverflowError past the float range.
+    """
+    ratios = [x.as_integer_ratio() for x in xs]
+    scale = max(d for _, d in ratios)  # every denominator is a power of two
+    ns = [n * (scale // d) for n, d in ratios]
+    count = len(ns)
+    total = sum(ns)
+    num = count * sum(n * n for n in ns) - total * total
+    den = count * (count - 1) * scale * scale
+    common = math.gcd(num, den)
+    n, m = num // common, den // common
+    q = (n.bit_length() - m.bit_length() - _SQRT_BITS) // 2
+    if q >= 0:
+        m <<= 2 * q
+    else:
+        n <<= -2 * q
+    root = math.isqrt(n // m)
+    root |= root * root * m != n
+    return float(root << q) if q >= 0 else root / (1 << -q)
 
 
 #: Distinct rank multisets whose exact null counts are kept for reuse.
@@ -175,12 +211,9 @@ def wilcoxon_signed_rank(
         # The tie term peaks at (n³ − n)/48, every |d| tied: var ≥ n(n+1)²/16.
         var = n * (n + 1) * (2 * n + 1) / 24 - tie_term
         sd = math.sqrt(var)
-        import statistics
-
-        norm = statistics.NormalDist()
         # Continuity correction: pull each tail half a step toward the mean.
-        lower = norm.cdf((w_plus + 0.5 - mean) / sd)
-        upper = 1.0 - norm.cdf((w_plus - 0.5 - mean) / sd)
+        lower = _normal_cdf((w_plus + 0.5 - mean) / sd)
+        upper = 1.0 - _normal_cdf((w_plus - 0.5 - mean) / sd)
         method = "normal-approximation"
 
     if two_sided:
@@ -188,6 +221,12 @@ def wilcoxon_signed_rank(
     else:
         p = min(1.0, upper)
     return WsrResult(n_used=n, w_plus=w_plus, p_value=p, method=method)
+
+
+def _normal_cdf(z: float) -> float:
+    """P(Z <= z) for a standard normal Z, by the expression of
+    ``statistics.NormalDist().cdf``, so with the same bits."""
+    return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
 
 
 def bonferroni(p_values: Sequence[float]) -> list[float]:

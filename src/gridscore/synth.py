@@ -24,7 +24,6 @@ from bisect import bisect_right
 
 from ._record import Record, set_field
 from .domain import (
-    Cell,
     EventSet,
     GridSpec,
     HotspotSelection,
@@ -32,9 +31,6 @@ from .domain import (
     ProbabilitySurface,
 )
 from .errors import ValidationError
-
-#: A cell's id.
-_ID = operator.attrgetter("id")
 
 
 class GeneratorSpec(Record):
@@ -104,8 +100,7 @@ class GeneratorSpec(Record):
 
 def make_grid(spec: GeneratorSpec) -> GridSpec:
     """The equal-area grid the generated events live on."""
-    area = itertools.repeat(spec.cell_area_km2)
-    return GridSpec(cells=tuple(map(Cell, spec.cell_ids(), area)))
+    return GridSpec._of_columns(spec.cell_ids(), (spec.cell_area_km2,) * spec.n_cells)
 
 
 def generate_events(spec: GeneratorSpec) -> EventSet:
@@ -158,9 +153,9 @@ def top_k_baseline(
     only when fewer than k cells have events. Training events on cells
     outside the grid are ignored.
     """
-    if not 0 < k <= len(grid.cells):
+    if not 0 < k <= len(grid.cell_ids):
         raise ValidationError(
-            f"k must be in [1, {len(grid.cells)}], got {k!r}"
+            f"k must be in [1, {len(grid.cell_ids)}], got {k!r}"
         )
     counts = train.counts_by_cell()
     ranked = sorted(grid.cell_ids.intersection(counts))
@@ -185,14 +180,13 @@ def empirical_surface(
     if smoothing < 0:
         raise ValidationError(f"smoothing must be >= 0, got {smoothing!r}")
     counts = train.counts_by_cell()
-    ids = tuple(map(_ID, grid.cells))
-    weights = map(operator.add, map(counts.get, ids, itertools.repeat(0)),
+    weights = map(operator.add, map(counts.get, grid._areas, itertools.repeat(0)),
                   itertools.repeat(smoothing))
-    return ProbabilitySurface.renormalized(period, dict(zip(ids, weights)))
+    return ProbabilitySurface.renormalized(period, dict(zip(grid._areas, weights)))
 
 
 def uniform_surface(grid: GridSpec, period: PeriodId) -> ProbabilitySurface:
     """The no-information model: equal mass on every cell."""
     return ProbabilitySurface.renormalized(
-        period, dict.fromkeys(map(_ID, grid.cells), 1.0)
+        period, dict.fromkeys(grid._areas, 1.0)
     )

@@ -7,7 +7,7 @@ import pytest
 
 from gridscore import cli
 from gridscore.cli import main
-from gridscore.domain import Event, EventSet
+from gridscore.domain import Cell, Event, EventSet
 from gridscore.metrics import FRACTION_TOL
 from gridscore.report import fmt
 
@@ -785,9 +785,15 @@ class TestCompare:
         assert sorted(scans) == scored
 
     @pytest.mark.parametrize("command", ["compare", "evaluate", "gen"])
-    def test_no_event_objects_are_built(self, capsys, tmp_path, monkeypatch, command):
+    @pytest.mark.parametrize(
+        "record, sample", [(Event, ("e", "c1", "p1")), (Cell, ("c1", 1.0))],
+        ids=["Event", "Cell"],
+    )
+    def test_no_event_objects_are_built(
+        self, capsys, tmp_path, monkeypatch, command, record, sample
+    ):
         """Events stay columns from the file to the report, ALS included,
-        and from gen's draws to its files."""
+        and from gen's draws to its files; the grid stays an id → area map."""
         cells = [f"c{i}" for i in range(1, 5)]
         periods = ["p1", "p2", "p3"]
         files = {
@@ -811,14 +817,14 @@ class TestCompare:
                 tmp_path, "gen.conf", "gen.cells = 20\ngen.periods = 3\n"
             )]
         built = []
-        init = Event.__init__
+        init = record.__init__
 
         def counted(self, *args, **kwargs):
             built.append(args)
             init(self, *args, **kwargs)
 
-        monkeypatch.setattr(Event, "__init__", counted)
-        Event("e", "c1", "p1")
+        monkeypatch.setattr(record, "__init__", counted)
+        record(*sample)
         assert len(built) == 1
         code, out, err = run(capsys, *argv)
         assert code == 0, err
@@ -1482,6 +1488,61 @@ class TestWholeStderr:
         assert err == (
             "gridscore: error: model m period p1: ser overflows the float range (inf)\n"
         )
+
+    # Two finite expected utilities whose sample deviation is not finite.
+    def test_summary_std_past_the_float_range(self, capsys, tmp_path):
+        f = self.files(
+            tmp_path,
+            cells="cell_id,area_km2\nc1,1.0\nc2,1.0\n",
+            events="event_id,cell_id,period_id\ne1,c1,p1\ne2,c1,p2\n",
+            selections="model_id,period_id,cell_id\nA,p1,c1\nA,p2,c2\nB,p1,c2\nB,p2,c1\n",
+            conf="measures = hit_rate\neu.u_tp = 1.7e308\neu.u_fp = -1.7e308\n"
+            "eu.u_tn = 1.7e308\neu.u_fn = -1.7e308\n",
+        )
+        err = self.refused(
+            capsys, "compare", "--cells", f["cells"], "--events", f["events"],
+            "--selections", f["selections"], "--config", f["conf"],
+        )
+        assert err == (
+            "gridscore: error: model A: expected_utility std overflows the float range\n"
+        )
+
+    # Not refusals: finite scores whose sums or squares pass the float range
+    # still give a finite summary mean and finite z-scores.
+    def test_standardized_scores_past_the_float_range(self, capsys, tmp_path):
+        f = self.files(
+            tmp_path,
+            cells="cell_id,area_km2\nc1,1e-300\nc2,1.0\n",
+            events="event_id,cell_id,period_id\ne1,c1,p1\n",
+            selections="model_id,period_id,cell_id\nA,p1,c1\nB,p1,c2\n",
+            conf="measures = hit_rate\nweights.ser = 0.5\nweights.hit_rate = 0.5\n"
+            "combine.score_transform = standardized\n",
+        )
+        code, out, err = run(
+            capsys, "compare", "--cells", f["cells"], "--events", f["events"],
+            "--selections", f["selections"], "--config", f["conf"],
+        )
+        assert (code, err) == (0, "")
+        assert "A,p1,ser,9.999999999999999e+299\n" in out
+        assert "model_id,score,rank\nA,1.0,1.0\nB,-1.0,2.0\n" in out
+
+    def test_summary_mean_of_three_sums_past_the_float_range(self, capsys, tmp_path):
+        f = self.files(
+            tmp_path,
+            cells="cell_id,area_km2\nc1,1.0\nc2,1.0\n",
+            events="event_id,cell_id,period_id\ne1,c1,p1\ne2,c1,p2\ne3,c1,p3\n",
+            selections="model_id,period_id,cell_id\n"
+            + "".join(f"{m},p{i},{c}\n" for m, c in (("A", "c1"), ("B", "c2"))
+                      for i in (1, 2, 3)),
+            conf="measures = hit_rate\n"
+            + "".join(f"eu.u_{k} = 1.7e308\n" for k in ("tp", "fp", "tn", "fn")),
+        )
+        code, out, err = run(
+            capsys, "compare", "--cells", f["cells"], "--events", f["events"],
+            "--selections", f["selections"], "--config", f["conf"],
+        )
+        assert (code, err) == (0, "")
+        assert "A,expected_utility,1.6999999999999997e+308,0.0\n" in out
 
     def test_weights_summing_past_the_float_range(self, capsys, tmp_path):
         f = self.files(tmp_path, conf="weights.hit_rate = 1e308\nweights.pai = 1e308\n")

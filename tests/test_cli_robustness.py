@@ -18,8 +18,8 @@ import unicodedata
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from gridscore import cli
-from gridscore.ingest import HEADERS, MEASURE_IDS
+from gridscore import cli, ingest
+from gridscore.ingest import CONFIG_SCHEMA, HEADERS, MEASURE_IDS
 from gridscore.metrics import UNIT_MEASURES
 
 EXTREMES = (1.0, 0.0, 5e-324, 2.2e-308, 1e-300, 1e300, 1.7976931348623157e308)
@@ -98,9 +98,32 @@ REPRODUCERS = [
          conf=WEIGHTED_PPAI + "ppai.alpha_mode = fixed\n"),
     case("evaluate", **GRID_SEARCH_UNITS),
     case("compare", **GRID_SEARCH_UNITS),
+    # Two finite expected utilities whose sample deviation is not finite;
+    # finite SER scores whose standardizing squared a difference past the
+    # float range; and three expected utilities whose halves summed past it.
+    case("compare", cells=TWO_CELLS,
+         events=table("events", [("e1", "c1", "p1"), ("e2", "c1", "p2")]),
+         selections=table("selections", [("A", "p1", "c1"), ("A", "p2", "c2"),
+                                         ("B", "p1", "c2"), ("B", "p2", "c1")]),
+         conf="measures = hit_rate\neu.u_tp = 1.7e308\neu.u_fp = -1.7e308\n"
+         "eu.u_tn = 1.7e308\neu.u_fn = -1.7e308\n"),
+    case("compare", cells=table("cells", [("c1", 1e-300), ("c2", 1.0)]),
+         events=table("events", [("e1", "c1", "p1")]),
+         selections=table("selections", [("A", "p1", "c1"), ("B", "p1", "c2")]),
+         conf="measures = hit_rate\nweights.ser = 0.5\nweights.hit_rate = 0.5\n"
+         "combine.score_transform = standardized\n"),
+    case("compare", cells=TWO_CELLS,
+         events=table("events", [("e1", "c1", "p1"), ("e2", "c1", "p2"),
+                                 ("e3", "c1", "p3")]),
+         selections=table("selections", [(m, p, c) for m, c in (("A", "c1"), ("B", "c2"))
+                                         for p in ("p1", "p2", "p3")]),
+         conf="measures = hit_rate\n"
+         + "".join(f"eu.u_{k} = 1.7e308\n" for k in ("tp", "fp", "tn", "fn"))),
 ]
 
 numbers = st.sampled_from(EXTREMES)
+# The extremes with either sign, and 0.5, which lies inside every unit interval.
+SIGNED = (*EXTREMES, *(-x for x in EXTREMES), 0.5)
 positive = st.sampled_from(EXTREMES[:1] + EXTREMES[2:])
 # The extremes that a units table's fractions may take.
 shares = st.sampled_from(EXTREMES[:1] + EXTREMES[2:5])
@@ -115,19 +138,37 @@ def distinct(strategy, low, high):
     return st.lists(strategy, min_size=low, max_size=high, unique=True)
 
 
-#: Each PPAI alpha mode with the key it needs and that key's values.
-ALPHA_MODES = (
-    ("fixed", "ppai.alpha", ("0", "1")),
-    ("grid_search", "ppai.target_coverage", ("0.5", "1e-300")),
-)
+def values(key):
+    """The values drawn for config ``key``, as text: on or off for a flag,
+    ``SIGNED`` for a number, small counts for a whole number, and for a word
+    each one its bound's wording names; only those inside the bound, and
+    none for a key of another parser."""
+    if key.parse is ingest._parse_bool:
+        pool = ["on", "off"]
+    elif key.parse in (ingest._config_float, ingest._config_floats):
+        pool = list(SIGNED)
+    elif key.parse is ingest._config_int:
+        pool = list(range(5))
+    elif key.parse is ingest._config_text:
+        pool = re.findall(r"\w+", key.bound[1])
+    else:  # a parser this test does not know yet
+        pool = []
+    if key.bound is not None:
+        pool = [v for v in pool if key.bound[0](v)]
+    return [v if isinstance(v, str) else repr(v) for v in pool]
+
+
+#: The keys a drawn config holds besides its measures: every key of the
+#: schema but ``gen.*``.
+RUN_KEYS = [k for k in CONFIG_SCHEMA if k.key != "measures" and not k.key.startswith("gen.")]
 
 
 @st.composite
 def configs(draw, ids=MEASURE_IDS):
-    """Config text: some of the measures ``ids``, and at times weights,
-    utilities and ALS and PPAI keys, and at times a PPAI alpha mode without
-    its key. Utilities need cell-level data, so with the units measures
-    they are left out."""
+    """Config text: some of the measures ``ids``, at times weights and an
+    orientation of them, and at times each key of ``RUN_KEYS``. The
+    utilities come all four or none, and they need cell-level data, so
+    with the units measures they are left out."""
     measures = st.sampled_from(ids)
     lines = [f"measures = {','.join(draw(distinct(measures, 1, len(ids))))}"]
     if draw(st.booleans()):
@@ -135,15 +176,13 @@ def configs(draw, ids=MEASURE_IDS):
         first, *second = draw(distinct(measures, 1, 2))
         lines.append(f"weights.{first} = 1")
         lines += [f"weights.{m} = {draw(positive)!r}" for m in second]
-    if ids == MEASURE_IDS and draw(st.booleans()):
-        lines += [f"eu.u_{k} = {draw(numbers)!r}" for k in ("tp", "fp", "tn", "fn")]
-    if draw(st.booleans()):
-        lines += ["als.floor = on", f"als.floor_epsilon = {draw(positive)!r}"]
-    if draw(st.booleans()):
-        mode, key, values = draw(st.sampled_from(ALPHA_MODES))
-        lines.append(f"ppai.alpha_mode = {mode}")
-        if draw(st.booleans()):
-            lines.append(f"{key} = {draw(st.sampled_from(values))}")
+    if rarely(draw):
+        direction = draw(st.sampled_from(["higher", "lower"]))
+        lines.append(f"orientation.{draw(measures)} = {direction}")
+    utilities = ids == MEASURE_IDS and draw(st.booleans())
+    for key in RUN_KEYS:
+        if utilities if key.field.startswith("utilities.") else rarely(draw):
+            lines.append(f"{key.key} = {draw(st.sampled_from(values(key)))}")
     return "".join(f"{line}\n" for line in lines)
 
 
@@ -207,18 +246,25 @@ def unit_mode_cases(draw):
     )
 
 
+#: The gen keys that set the dataset's shape, drawn within it.
+GEN_SHAPE = ("gen.cells", "gen.weights", "gen.periods", "gen.events_per_period")
+
+
 @st.composite
 def gen_cases(draw):
-    """A gen run of up to three cells and three periods."""
+    """A gen run of up to three cells and three periods, and at times each
+    other ``gen.*`` key of the schema."""
     n = draw(st.integers(1, 3))
-    weights = ", ".join(repr(draw(numbers)) for _ in range(n))
-    conf = (
-        f"gen.cells = {n}\ngen.cell_area = {draw(numbers)!r}\ngen.weights = {weights}\n"
-        f"gen.periods = {draw(st.integers(2, 3))}\n"
-        f"gen.events_per_period = {draw(st.integers(0, 3))}\n"
-        f"gen.smoothing = {draw(numbers)!r}\n"
-    )
-    return case("gen", conf=conf)
+    lines = [
+        f"gen.cells = {n}",
+        f"gen.weights = {', '.join(repr(draw(numbers)) for _ in range(n))}",
+        f"gen.periods = {draw(st.integers(2, 3))}",
+        f"gen.events_per_period = {draw(st.integers(0, 3))}",
+    ]
+    for key in CONFIG_SCHEMA:
+        if key.key.startswith("gen.") and key.key not in GEN_SHAPE and draw(st.booleans()):
+            lines.append(f"{key.key} = {draw(st.sampled_from(values(key)))}")
+    return case("gen", conf="".join(f"{line}\n" for line in lines))
 
 
 def run(command, flags, files):
@@ -257,6 +303,9 @@ def run(command, flags, files):
 @example(case=REPRODUCERS[14])
 @example(case=REPRODUCERS[15])
 @example(case=REPRODUCERS[16])
+@example(case=REPRODUCERS[17])
+@example(case=REPRODUCERS[18])
+@example(case=REPRODUCERS[19])
 def test_a_finite_report_or_a_refusal(case):
     code, out, err = run(*case)
     assert code in (0, 1)
@@ -267,3 +316,11 @@ def test_a_finite_report_or_a_refusal(case):
         # No id in it prints like another.
         assert unicodedata.is_normalized("NFC", out)
         assert all(line.isprintable() for line in out.splitlines())
+
+
+def test_every_schema_key_is_drawn():
+    """Every key but the measures and the gen keys that set the dataset's
+    shape, which are drawn by hand, has values to draw from."""
+    by_hand = {"measures", *GEN_SHAPE}
+    assert by_hand <= set(ingest._SCHEMA_BY_KEY)
+    assert [k.key for k in CONFIG_SCHEMA if k.key not in by_hand and not values(k)] == []

@@ -45,6 +45,50 @@ class TestGridSpec:
         with pytest.raises(ValidationError):
             Cell("a", -1.0)
 
+    def test_columns_and_cells_give_equal_grids(self):
+        ids, areas = ["b", "a", "c"], [2.5, 1.0, 0.5]
+        by_cells = GridSpec(tuple(map(Cell, ids, areas)))
+        by_columns = GridSpec._of_columns(ids, areas)
+        assert by_columns._cells is None  # built when first read
+        assert by_columns == by_cells and hash(by_columns) == hash(by_cells)
+        assert repr(by_columns) == repr(by_cells)
+        assert by_columns.cells == by_cells.cells == (
+            Cell("b", 2.5), Cell("a", 1.0), Cell("c", 0.5)
+        )
+        assert by_columns.cells is by_columns.cells
+        assert by_columns.cell_ids == by_cells.cell_ids == frozenset(ids)
+        assert by_columns.total_area_km2 == by_cells.total_area_km2 == 4.0
+        for cell_id, area in zip(ids, areas):
+            assert by_columns.area_of(cell_id) == by_cells.area_of(cell_id) == area
+
+    @pytest.mark.parametrize(
+        "ids, areas, message",
+        [
+            ([], [], "a grid needs at least one cell"),
+            (["a", "b"], [1.0, 0.0],
+             "cell 'b': area must be a positive finite number, got 0.0"),
+            (["a", "b"], [-1.0, 1.0],
+             "cell 'a': area must be a positive finite number, got -1.0"),
+            (["a", "b", "c"], [1.0, float("nan"), -1.0],
+             "cell 'b': area must be a positive finite number, got nan"),
+            (["a"], [float("inf")],
+             "cell 'a': area must be a positive finite number, got inf"),
+            (["a", "b", "a", "b", "c"], [1.0] * 5, "duplicate cell ids: ['a', 'b']"),
+            # The area rule comes first, though a later row repeats the id.
+            (["a", "a"], [0.0, 1.0],
+             "cell 'a': area must be a positive finite number, got 0.0"),
+            (["a", "b"], [1e308, 1e308], "cell areas sum beyond the float range"),
+        ],
+        ids=["empty", "zero", "negative", "nan", "inf", "duplicate", "zero_then_duplicate",
+             "sum_overflow"],
+    )
+    def test_both_constructors_refuse_alike(self, ids, areas, message):
+        with pytest.raises(ValidationError) as by_cells:
+            GridSpec(tuple(map(Cell, ids, areas)))
+        with pytest.raises(ValidationError) as by_columns:
+            GridSpec._of_columns(ids, areas)
+        assert str(by_cells.value) == str(by_columns.value) == message
+
 
 class TestEventSet:
     def test_canonical_order(self):

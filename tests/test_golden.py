@@ -20,6 +20,7 @@ import hashlib
 import math
 import os
 import random
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -86,11 +87,12 @@ def append_rows(path, rows):
         csv.writer(handle, lineterminator="\n").writerows(rows)
 
 
-def build_dataset(root):
-    """Generate the dataset under ``root``; return the gen report text."""
+def build_dataset(root, run=main):
+    """Generate the dataset under ``root`` with ``run``, the CLI's ``main``
+    or a stand-in for it; return the gen report text."""
     (root / "gen.conf").write_text(GEN_CONF, encoding="utf-8")
     data = root / "data"
-    assert main(["gen", "--config", str(root / "gen.conf"), "--out-dir", str(data),
+    assert run(["gen", "--config", str(root / "gen.conf"), "--out-dir", str(data),
                  "--out", str(root / "gen.txt")]) == 0
 
     cells = sorted(cell for cell, _ in read_rows(data / "cells.csv"))
@@ -119,8 +121,8 @@ def build_dataset(root):
     return (root / "gen.txt").read_text(encoding="utf-8")
 
 
-def render(root, name):
-    """Run golden case ``name`` against the dataset under ``root``."""
+def render(root, name, run=main):
+    """Run golden case ``name`` with ``run`` against the dataset under ``root``."""
     if name == "gen":
         return (root / "gen.txt").read_text(encoding="utf-8")
     data = root / "data"
@@ -140,7 +142,7 @@ def render(root, name):
                 inputs += ["--surfaces", str(data / "surfaces.csv")]
         argv = [command, *inputs, "--selections", str(data / "selections.csv"),
                 "--config", str(conf)]
-    assert main([*argv, "--out", str(out)]) == 0
+    assert run([*argv, "--out", str(out)]) == 0
     return out.read_text(encoding="utf-8")
 
 
@@ -158,6 +160,43 @@ def dataset(tmp_path_factory):
 def test_report_matches_golden(dataset, name):
     expected = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
     assert render(dataset, name) == expected
+
+
+def other_interpreters():
+    """Each ``python3.N`` on PATH, N >= 11, but the running one's, that
+    starts: one that fails ``-c pass`` (a version manager's shim for a
+    version it does not have selected, say) counts as absent."""
+    found = []
+    for minor in range(11, 100):
+        path = shutil.which(f"python3.{minor}")
+        if minor != sys.version_info.minor and path and subprocess.run(
+            [path, "-c", "pass"], capture_output=True, timeout=60
+        ).returncode == 0:
+            found.append(path)
+    return found
+
+
+def test_other_interpreters_write_the_golden_bytes(tmp_path):
+    """The dataset and every golden report, made by another interpreter's
+    CLI, are byte for byte the goldens."""
+    pythons = other_interpreters()
+    if not pythons:
+        pytest.skip("no other python3.N (N >= 11) on PATH")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    for python in pythons:
+
+        def run(argv):
+            return subprocess.run(
+                [python, "-m", "gridscore.cli", *argv], env=env, timeout=120
+            ).returncode
+
+        root = tmp_path / Path(python).name
+        root.mkdir()
+        build_dataset(root, run)
+        for name in CASES:
+            assert render(root, name, run) == (GOLDEN / f"{name}.txt").read_text(
+                encoding="utf-8"
+            ), (python, name)
 
 
 #: ``gridscore gen`` configs whose output is pinned by sha256 below.

@@ -22,6 +22,9 @@ from gridscore import (
 from gridscore import stats
 
 
+MAX = 1.7976931348623157e308
+
+
 def series(values, measure="hit_rate", model="m"):
     return PeriodSeries(
         measure_id=measure,
@@ -77,6 +80,37 @@ class TestSummarize:
         big = 1.7e308
         assert summarize(series([big, big])) == (big, 0.0)
         assert summarize(series([big, big, -big, 5e-324]))[0] == big / 4
+        # Halving each value is not enough for three.
+        assert summarize(series([big] * 3))[0] == pytest.approx(big, rel=1e-15)
+        assert summarize(series([MAX] * 40))[0] == pytest.approx(MAX, rel=1e-15)
+
+    # Every bit as statistics.stdev gives it since Python 3.11, or both
+    # past the float range.
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(
+        st.floats(allow_nan=False, allow_infinity=False)
+        | st.sampled_from([0.0, 5e-324, -5e-324, 1e300, -1e300, MAX, -MAX]),
+        min_size=2, max_size=40,
+    ))
+    @example([5e-324, 0.0])
+    @example([1e300, -1e300, 5e-324])
+    @example([MAX, -MAX, 0.0])
+    @example([1.7e308, -1.7e308])
+    def test_std_matches_statistics_stdev(self, values):
+        try:
+            expected = statistics.stdev(values).hex()
+        except OverflowError:
+            expected = "model m: hit_rate std overflows the float range"
+        try:
+            got = summarize(series(values))[1].hex()
+        except ValidationError as exc:
+            got = str(exc)
+        assert got == expected
+
+    def test_std_past_the_float_range_is_refused(self):
+        with pytest.raises(ValidationError) as info:
+            summarize(series([1.7e308, -1.7e308], "expected_utility", "A"))
+        assert str(info.value) == "model A: expected_utility std overflows the float range"
 
     def test_duplicate_periods_rejected(self):
         with pytest.raises(ValidationError):
@@ -188,6 +222,12 @@ def normal_approx_p(pairs):
 
 
 class TestNormalApproximation:
+    @given(st.floats(-40.0, 40.0))
+    @example(0.0)
+    @example(-0.0)
+    def test_cdf_matches_statistics_normal_dist(self, z):
+        assert stats._normal_cdf(z).hex() == statistics.NormalDist().cdf(z).hex()
+
     def test_large_n_uses_normal_path(self):
         rng = np.random.default_rng(31)
         pairs = [(float(a), float(b)) for a, b in rng.normal(size=(30, 2))]

@@ -66,6 +66,12 @@ class TestGeneratorSpec:
         assert len(grid.cells) == 3
         assert grid.total_area_km2 == 3.0
 
+    def test_grid_refuses_an_infinite_cell_area(self):
+        # The spec checks only that the area is above 0; the grid words it.
+        with pytest.raises(ValidationError) as info:
+            make_grid(spec(cell_area_km2=float("inf")))
+        assert str(info.value) == "cell 'c1': area must be a positive finite number, got inf"
+
 
 class TestGenerateEvents:
     def test_counts_and_periods(self):
