@@ -14,6 +14,7 @@ rank-transformed; helpers for the latter two live here as well.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Mapping
 
 from ._record import Record, set_field
@@ -182,10 +183,11 @@ def standardize(scores: Mapping[str, float]) -> dict[str, float]:
         mean, var = _moments(values)
     except OverflowError:
         var = math.inf
-    if not math.isfinite(var):
-        # A sum or a square passed the float range. z-scores do not depend
-        # on scale, so take those of the scores scaled exactly, by a power
-        # of two, to magnitudes below 1.
+    if not math.isfinite(var) or (var < sys.float_info.min and min(values) != max(values)):
+        # A sum or a square passed the float range, or squares of distinct
+        # scores fell below it, losing precision or all of it. z-scores do
+        # not depend on scale, so take those of the scores scaled exactly,
+        # by a power of two, to magnitudes below 1.
         shift = math.frexp(max(map(abs, values)))[1]
         values = [math.ldexp(v, -shift) for v in values]
         mean, var = _moments(values)

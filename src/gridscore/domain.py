@@ -10,7 +10,8 @@ the two operations at the bottom are pure functions. A :class:`GridSpec`
 holds its cells as one id → area map, and an :class:`EventSet` its events
 as per-period columns of ids, which is all the measures read; each builds
 :class:`Cell` or :class:`Event` objects only for a caller that asks for
-them.
+them. A :class:`ProbabilitySurface` holds its masses as one array of floats,
+in the order of its grid's id → position map.
 """
 
 from __future__ import annotations
@@ -18,8 +19,10 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from array import array
 from collections import Counter
-from typing import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Mapping
+from typing import Iterable, Iterator, Sequence
 
 from ._record import Record, set_field
 from .errors import PeriodMismatchError, ValidationError
@@ -60,15 +63,17 @@ class GridSpec(Record):
     be derived from the cells.
 
     The grid holds its cells once, as an id → area map in cell order, which
-    is all the measures read. :attr:`cells` is the caller's own tuple for a
-    grid built by ``GridSpec(cells)``; for a grid built from columns it is
-    built when first read, and kept.
+    is all the measures read, and an id → position map in the same order,
+    which surfaces are stored by. :attr:`cells` is the caller's own tuple
+    for a grid built by ``GridSpec(cells)``; for a grid built from columns
+    it is built when first read, and kept.
     """
 
     total_area_km2: float
-    # Cell id -> area, in cell order, and the set of ids. Not fields: no
-    # part of equality, hash or repr.
+    # Cell id -> area and cell id -> position, in cell order, and the set of
+    # ids. Not fields: no part of equality, hash or repr.
     _areas: Mapping[CellId, float]
+    _index: Mapping[CellId, int]
     _ids: frozenset[CellId]
     # Every Cell; None until first read, for a grid built from columns.
     _cells: tuple[Cell, ...] | None
@@ -128,6 +133,7 @@ class GridSpec(Record):
             )
         set_field(self, "total_area_km2", total_area_km2)
         set_field(self, "_areas", areas)
+        set_field(self, "_index", dict(zip(areas, range(count))))
         set_field(self, "_ids", frozenset(areas))
         set_field(self, "_cells", None)
 
@@ -308,27 +314,54 @@ class ProbabilitySurface(Record):
     Completeness against a particular grid (an entry for every cell) is
     checked where grid and surface meet: in the loader and in the scoring
     functions.
+
+    The masses are held once, as one array of floats in the order of an id
+    → position map: the caller's own order for ``ProbabilitySurface(period,
+    mass)``, and the grid's for a loaded or generated surface, whose map is
+    the grid's own and shared by every such surface of the grid. :attr:`mass`
+    is a read-only mapping over that array: it prints, compares and iterates
+    as the dict of cell id → mass it stands for, and does not hash.
     """
 
     period: PeriodId
     mass: Mapping[CellId, float]
 
     def __init__(self, period: PeriodId, mass: Mapping[CellId, float]) -> None:
-        mass = dict(mass)
+        self._hold(period, *_indexed(mass))
+
+    @classmethod
+    def _of_masses(
+        cls, period: PeriodId, index: Mapping[CellId, int], masses: array
+    ) -> "ProbabilitySurface":
+        """The surface whose cell ``c`` has mass ``masses[index[c]]``, for
+        an ``index`` of positions 0, 1, ... in its own order: the one
+        constructor besides ``ProbabilitySurface(period, mass)``. The surface
+        keeps ``masses``; no caller may change it after."""
+        self = cls.__new__(cls)
+        self._hold(period, index, masses)
+        return self
+
+    def _hold(self, period: PeriodId, index: Mapping[CellId, int], masses: array) -> None:
+        """Hold ``masses`` by ``index`` under the surface rules: a cell at
+        least, every mass in [0, 1], and a sum of 1. The one place a
+        surface's masses are set."""
         set_field(self, "period", period)
-        set_field(self, "mass", mass)
-        if not mass:
+        set_field(self, "mass", _Masses(index, masses))
+        if not masses:
             raise ValidationError("a probability surface needs at least one cell")
-        masses = mass.values()
-        # One C-level pass each; the bad cells are listed only on failure.
-        if not (all(map(math.isfinite, masses)) and 0.0 <= min(masses)
-                and max(masses) <= 1.0):
-            cid = min(c for c, m in mass.items()
+        # One C-level pass each. A NaN or infinite mass makes the sum NaN or
+        # infinite, or fsum refuse inf - inf, and a sum that overflows needs
+        # masses above 1; the bad cells are listed only on failure.
+        try:
+            total = math.fsum(masses)
+        except (OverflowError, ValueError):
+            total = math.nan
+        if not (math.isfinite(total) and 0.0 <= min(masses) and max(masses) <= 1.0):
+            cid = min(c for c, m in zip(index, masses)
                       if not (math.isfinite(m) and 0.0 <= m <= 1.0))
             raise ValidationError(
-                f"surface mass for cell {cid!r} is {mass[cid]!r}, outside [0, 1]"
+                f"surface mass for cell {cid!r} is {self.mass[cid]!r}, outside [0, 1]"
             )
-        total = math.fsum(masses)
         if abs(total - 1.0) > MASS_ATOL:
             raise ValidationError(
                 f"surface masses sum to {total!r}, not 1 within {MASS_ATOL}"
@@ -339,11 +372,65 @@ class ProbabilitySurface(Record):
         cls, period: PeriodId, mass: Mapping[CellId, float]
     ) -> "ProbabilitySurface":
         """Build a surface from non-negative weights, scaling them to sum 1."""
-        total = _finite_fsum(mass.values(), "cannot renormalize: masses")
+        return cls._renormalized(period, *_indexed(mass))
+
+    @classmethod
+    def _renormalized(
+        cls, period: PeriodId, index: Mapping[CellId, int], weights: array
+    ) -> "ProbabilitySurface":
+        """:meth:`renormalized` of ``weights`` by ``index``, as :meth:`_of_masses`."""
+        total = _finite_fsum(weights, "cannot renormalize: masses")
         if total <= 0:
             raise ValidationError("cannot renormalize: masses sum to zero")
-        scaled = map(operator.truediv, mass.values(), itertools.repeat(total))
-        return cls(period, dict(zip(mass, scaled)))
+        scaled = map(operator.truediv, weights, itertools.repeat(total))
+        return cls._of_masses(period, index, array("d", scaled))
+
+
+def _indexed(mass: Mapping[CellId, float]) -> tuple[dict[CellId, int], array]:
+    """An id → position map of ``mass``'s cells, in its order, and their
+    masses in that order."""
+    mass = dict(mass)
+    return dict(zip(mass, range(len(mass)))), array("d", mass.values())
+
+
+class _Masses(Mapping):
+    """A surface's masses by cell id: cell ``c`` has mass
+    ``masses[index[c]]``. Read-only; equal to any mapping of the same
+    cells to the same masses, and unhashable, as a dict is."""
+
+    __slots__ = ("_index", "_masses")
+
+    def __init__(self, index: Mapping[CellId, int], masses: array) -> None:
+        set_field(self, "_index", index)
+        set_field(self, "_masses", masses)
+
+    def __getitem__(self, cell_id: CellId) -> float:
+        return self._masses[self._index[cell_id]]
+
+    def __contains__(self, cell_id: object) -> bool:
+        return cell_id in self._index
+
+    def __iter__(self) -> Iterator[CellId]:
+        return iter(self._index)
+
+    def __len__(self) -> int:
+        return len(self._masses)
+
+    def __eq__(self, other):
+        if isinstance(other, _Masses) and other._index is self._index:
+            return self._masses == other._masses
+        return super().__eq__(other)
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return repr(dict(zip(self._index, self._masses)))
+
+    def __reduce__(self):
+        return self.__class__, (self._index, self._masses)
+
+    __setattr__ = Record.__setattr__
+    __delattr__ = Record.__delattr__
 
 
 class ContingencyTable(Record):

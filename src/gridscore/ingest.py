@@ -22,11 +22,13 @@ from __future__ import annotations
 import contextlib
 import csv
 import errno
+import functools
 import itertools
 import math
 import os
 import shutil
 import tempfile
+from array import array
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TextIO
 
 from ._record import FACTORY, Record, set_field
@@ -204,9 +206,10 @@ def _os_errors(path: str, verb: str) -> Iterator[None]:
 
 
 @contextlib.contextmanager
-def _read_errors(path: str, reader=None) -> Iterator[None]:
+def _read_errors(path: str, reader=None, offset: int = 0) -> Iterator[None]:
     """Re-raise bytes that are not UTF-8, or a CSV error of ``reader``, from
-    the block as an :class:`IngestError` naming ``path``. An undecodable
+    the block as an :class:`IngestError` naming ``path``; a CSV error at the
+    reader's line n is at line ``offset`` + n of the file. An undecodable
     file gets no line number: the decoder reads ahead of the parser."""
     try:
         yield
@@ -215,7 +218,7 @@ def _read_errors(path: str, reader=None) -> Iterator[None]:
         reason = f"not UTF-8 text (cannot decode byte {byte:#04x})"
         raise IngestError(path, reason) from None
     except csv.Error as exc:
-        raise IngestError(path, str(exc), line=reader.line_num) from None
+        raise IngestError(path, str(exc), line=offset + reader.line_num) from None
 
 
 def _open(path: str) -> TextIO:
@@ -233,13 +236,17 @@ def _read_chunks(path: str, kind: str):
     enforcing its kind's header.
 
     A chunk is up to ``_CHUNK_ROWS`` rows as read, and ``line_number`` is
-    the line of its first row. ``columns`` is the chunk as one tuple per
+    the line of its first row. ``columns`` is the chunk as one sequence per
     header field if the chunk is clean: every row has the header's width
     and its text is printable ASCII with no comma or space, so no field
     needs stripping and no id can print like another. Otherwise it is None,
     and the rows must be normalized by :func:`_checked_rows`.
-    A read error is raised after the chunk of rows read before it, so the
-    first fault of the file is the one reported.
+
+    Each chunk of lines is split by :func:`_split_lines`, without the csv
+    module, and handed out with ``rows`` None, up to the first chunk that
+    it refuses. From that chunk on, ``csv.reader`` reads the rest of the
+    file (:func:`_csv_chunks`). A read error is raised after the chunk of
+    rows read before it, so the first fault of the file is the one reported.
     """
     header = HEADERS[kind]
     with _open(path) as handle, _read_errors(path, reader := csv.reader(handle)):
@@ -255,6 +262,59 @@ def _read_chunks(path: str, kind: str):
             )
         lineno = 2
         while True:
+            lines: list[str] = []
+            try:
+                lines.extend(itertools.islice(handle, _CHUNK_ROWS))
+            except UnicodeDecodeError as exc:
+                # csv.reader meets the error where it would have, after the
+                # lines read before it.
+                rest = itertools.chain(lines, _raising(exc))
+                break
+            columns = _split_lines(lines, len(header))
+            if columns is None:
+                rest = itertools.chain(lines, handle)
+                break
+            yield lineno, None, columns
+            if len(lines) < _CHUNK_ROWS:
+                return
+            lineno += len(lines)
+        yield from _csv_chunks(path, len(header), rest, lineno)
+
+
+def _raising(exc: Exception) -> Iterator:
+    """An iterator that raises ``exc`` when first read."""
+    raise exc
+    yield
+
+
+def _split_lines(lines: list[str], width: int) -> Optional[tuple]:
+    """``lines`` as ``width`` columns, split without the csv module, if the
+    split is sure to give the columns that ``csv.reader`` and
+    :func:`_clean_columns` would; else None. So every line ends in a line
+    feed and holds ``width - 1`` commas, every other character is printable
+    ASCII but a space or a quote, and no field is longer than csv's limit.
+    """
+    text = "".join(lines)
+    # Without the characters a field may hold, the text is its commas and line feeds.
+    field_bytes = bytes(range(0x21, 0x7F)).translate(None, b'",')
+    skeleton = ("," * (width - 1) + "\n").encode() * len(lines)
+    if not lines or text.encode().translate(None, field_bytes) != skeleton:
+        return None
+    fields = text.replace("\n", ",").split(",")
+    del fields[-1]  # after the last line feed
+    limit = csv.field_size_limit()
+    if len(text) > limit and max(map(len, fields)) > limit:
+        return None
+    return tuple(fields[i::width] for i in range(width))
+
+
+def _csv_chunks(path: str, width: int, lines: Iterable[str], lineno: int):
+    """Yield (line_number, rows, columns) for each chunk of ``lines``, the
+    rest of a file from its line ``lineno``, read by ``csv.reader``, as
+    :func:`_read_chunks` does."""
+    reader = csv.reader(lines)
+    with _read_errors(path, reader, lineno - 1):
+        while True:
             rows: list[list[str]] = []
             failure = None
             try:
@@ -262,7 +322,7 @@ def _read_chunks(path: str, kind: str):
             except (csv.Error, UnicodeDecodeError) as exc:
                 failure = exc
             if rows:
-                yield lineno, rows, _clean_columns(rows, len(header))
+                yield lineno, rows, _clean_columns(rows, width)
             if failure is not None:
                 raise failure
             if len(rows) < _CHUNK_ROWS:
@@ -349,12 +409,14 @@ def _load_chunks(path: str, kind: str, add_chunk: Callable, explain: Callable) -
     a chunk of n rows with a fault takes at most 2·log2(n) calls more.
     """
     for lineno, rows, columns in _read_chunks(path, kind):
-        lines, fault = range(lineno, lineno + len(rows)), None
+        fault = None
         if columns is None:
             lines, rows, fault = _checked_rows(path, HEADERS[kind], rows, lineno)
             columns = tuple(zip(*rows))
-        if rows and not add_chunk(*columns):
-            _bisect(add_chunk, explain, lines, rows)
+        else:
+            lines = range(lineno, lineno + len(columns[0]))
+        if lines and not add_chunk(*columns):
+            _bisect(add_chunk, explain, lines, rows or list(zip(*columns)))
         if fault is not None:
             raise fault
 
@@ -377,9 +439,10 @@ def _rule_checks(path: str, kind: str, rules: tuple, commit: Callable, numbers: 
     the last ``numbers`` is empty. Those reach the tests and ``commit`` as
     columns of finite floats, or None if a field is not one.
 
-    ``test(*columns)`` answers whether a slice's rows pass; a key's test
-    reads the first row only, since ``commit`` refuses, adding nothing, a
-    slice with a key added before or repeated. ``fault(*row)`` returns the
+    ``test(*columns)`` answers whether a slice's rows pass; a key's test,
+    and a test of known cells, reads the first row only, since ``commit``
+    refuses, adding nothing, a slice with a key added before or repeated, or
+    with a cell it does not know. ``fault(*row)`` returns the
     message of a row that fails, or raises the ``ValidationError`` that
     words it; ``explain`` raises it as the row's :class:`IngestError`.
     """
@@ -428,10 +491,16 @@ def _floats(texts: Sequence[str]) -> Optional[list[float]]:
     return values if all(map(math.isfinite, values)) else None
 
 
-def _runs(keys: Iterable) -> Iterator[tuple[object, int, int]]:
-    """(key, start, stop) of each run of equal consecutive ``keys``."""
+def _runs(*columns: Sequence) -> Iterator[tuple[tuple, int, int]]:
+    """(key, start, stop) of each run of equal consecutive keys, a key being
+    the tuple of one item of each of ``columns``. A slice that is one run, as
+    most are, is told by one ``count`` per column."""
+    size = len(columns[0])
+    if size and all(column.count(column[0]) == size for column in columns):
+        yield tuple(column[0] for column in columns), 0, size
+        return
     stop = 0
-    for key, run in itertools.groupby(keys):
+    for key, run in itertools.groupby(zip(*columns)):
         start, stop = stop, stop + len(list(run))
         yield key, start, stop
 
@@ -540,7 +609,7 @@ def load_events(
             dropped = [row for row in rows if row[1] not in known]
             rejected.extend(RejectedRow(*row, "unknown cell") for row in dropped)
             ids, cells, periods = tuple(zip(*(r for r in rows if r[1] in known))) or ((),) * 3
-        for period, start, stop in _runs(periods):
+        for (period,), start, stop in _runs(periods):
             period_ids, period_cells = by_period.setdefault(period, ([], []))
             period_ids.extend(ids[start:stop])
             period_cells.extend(cells[start:stop])
@@ -558,49 +627,128 @@ def load_events(
 
 
 def _load_tables(
-    path: str, kind: str, known: frozenset[str], unknown: str, entry: str,
-    run: Callable[..., dict], rules: tuple, make: Callable[[str, PeriodId, dict], object],
+    path: str, kind: str, store: "_Flags | _SurfaceMasses", unknown: str, entry: str,
+    rules: tuple, make: Callable[[str, PeriodId, object], object],
 ) -> dict[str, dict[PeriodId, object]]:
     """A table of ``kind`` keyed by (model, period, cell), as model → period
-    → ``make(model, period, table)``, sorted; ``table`` is the dict that
-    ``run(cells, *values)`` makes of a (model, period)'s rows. A row's faults
-    are named in order: "model <m> ``unknown`` <c>" for a cell not in
-    ``known``, then ``rules``, then "duplicate ``entry`` m/p/c". A slice is
-    added only if no (model, period) in it holds a cell twice or one it held.
+    → ``make(model, period, table)``, sorted; ``table`` is what ``store``
+    holds of a (model, period)'s rows. A row's faults are named in order:
+    "model <m> ``unknown`` <c>" for a cell ``store`` does not know, then
+    ``rules``, then "duplicate ``entry`` m/p/c". A slice is added only if
+    ``store`` adds each of its (model, period) runs: none holds a cell it
+    does not know, a cell twice, or one it held.
+
+    ``store.known`` holds the known cells; ``store.holds(key, cell)`` answers
+    whether ``key``'s table holds ``cell``; ``store.add(key, cells,
+    *values)`` adds a run and answers how to take it back, or adds none and
+    answers None; and ``store.held`` maps each key to its table.
     """
-    held: dict[tuple[str, PeriodId], dict] = {}
 
-    def commit(models, periods, *columns):
-        staged: dict[tuple[str, PeriodId], dict] = {}
-        for key, start, stop in _runs(zip(models, periods)):
-            table = run(*(column[start:stop] for column in columns))
-            if len(table) != stop - start or not (
-                held.get(key, {}).keys().isdisjoint(table)
-                and staged.get(key, {}).keys().isdisjoint(table)
-            ):
+    def commit(models, periods, cells, *values):
+        added = []
+        for key, start, stop in _runs(models, periods):
+            undo = store.add(key, cells[start:stop], *(v[start:stop] for v in values))
+            if undo is None:
+                for undo in added:
+                    undo()
                 return False
-            staged.setdefault(key, {}).update(table)
-        for key, table in staged.items():
-            held.setdefault(key, {}).update(table)
+            added.append(undo)
         return True
-
-    def new(models, periods, cells, *_):
-        return cells[0] not in held.get((models[0], periods[0]), ())
 
     rules = (
         (
-            lambda models, periods, cells, *_: known.issuperset(cells),
+            lambda models, periods, cells, *_: cells[0] in store.known,
             lambda m, p, c, *_: f"model {m!r} {unknown} {c!r}",
         ),
         *rules,
-        (new, lambda m, p, c, *_: f"duplicate {entry} {m}/{p}/{c}"),
+        (
+            lambda models, periods, cells, *_: not store.holds((models[0], periods[0]), cells[0]),
+            lambda m, p, c, *_: f"duplicate {entry} {m}/{p}/{c}",
+        ),
     )
     numbers = len(HEADERS[kind]) - 3
     _load_chunks(path, kind, *_rule_checks(path, kind, rules, commit, numbers))
+    held = store.held
     out: dict[str, dict[PeriodId, object]] = {}
     for key in sorted(held):
         out.setdefault(key[0], {})[key[1]] = make(*key, held.pop(key))
     return out
+
+
+class _Flags:
+    """The flagged cells of each (model, period) of a selections table, as
+    sets of ids from ``known``."""
+
+    def __init__(self, known: frozenset[str]) -> None:
+        self.known = known
+        self.held: dict[tuple[str, PeriodId], set[str]] = {}
+
+    def holds(self, key: tuple[str, PeriodId], cell: str) -> bool:
+        return cell in self.held.get(key, ())
+
+    def add(self, key: tuple[str, PeriodId], cells: Sequence[str]) -> Optional[Callable]:
+        """Add the run ``cells`` of ``key`` and answer how to take it back;
+        or add none and answer None if one is unknown, held or repeated."""
+        if not self.known.issuperset(cells):
+            return None
+        flagged = self.held.setdefault(key, set())
+        if flagged.isdisjoint(cells):
+            size = len(flagged)
+            flagged.update(cells)
+            if len(flagged) == size + len(cells):
+                return functools.partial(flagged.difference_update, cells)
+            flagged.difference_update(cells)  # a cell repeats within the run
+        return None
+
+
+class _SurfaceMasses:
+    """The masses of each (model, period) of a surfaces table, as arrays in
+    the order of a grid's cells, where NaN marks a cell not given yet: no
+    mass is NaN, since a probability is a finite number."""
+
+    def __init__(self, grid: GridSpec) -> None:
+        self.known = grid._index
+        self.ids = tuple(self.known)
+        self.blank = array("d", (math.nan,)) * len(self.ids)
+        self.held: dict[tuple[str, PeriodId], array] = {}
+
+    def holds(self, key: tuple[str, PeriodId], cell: str) -> bool:
+        masses = self.held.get(key)
+        return masses is not None and not math.isnan(masses[self.known[cell]])
+
+    def add(
+        self, key: tuple[str, PeriodId], cells: Sequence[str], values: Sequence[float]
+    ) -> Optional[Callable]:
+        """Add the run ``cells`` of ``key``, with masses ``values``, and
+        answer how to take it back; or add none and answer None if a cell is
+        unknown, given before or repeated."""
+        masses = self.held.get(key)
+        if masses is None:
+            masses = self.held[key] = self.blank[:]
+        start = self.known.get(cells[0], 0)
+        stop = start + len(cells)
+        if self.ids[start:stop] == tuple(cells):
+            # The grid's cells from start to stop, in order: one slice, if
+            # none of them is set.
+            if masses[start:stop].tobytes() != self.blank[start:stop].tobytes():
+                return None
+            masses[start:stop] = array("d", values)
+            return functools.partial(_unset, masses, range(start, stop))
+        try:
+            positions = list(map(self.known.__getitem__, cells))
+        except KeyError:
+            return None
+        for done, (position, value) in enumerate(zip(positions, values)):
+            if not math.isnan(masses[position]):
+                _unset(masses, positions[:done])
+                return None
+            masses[position] = value
+        return functools.partial(_unset, masses, positions)
+
+
+def _unset(masses: array, positions: Iterable[int]) -> None:
+    for position in positions:
+        masses[position] = math.nan
 
 
 def load_selections(
@@ -612,8 +760,8 @@ def load_selections(
     error, not a data-quality nuisance, so there is no lenient drop here.
     """
     return _load_tables(
-        path, "selections", known_ids, f"flags unknown {id_kind}", "selection",
-        dict.fromkeys, (), lambda model, period, cells: HotspotSelection(period, cells),
+        path, "selections", _Flags(known_ids), f"flags unknown {id_kind}", "selection",
+        (), lambda model, period, cells: HotspotSelection(period, cells),
     )
 
 
@@ -628,26 +776,25 @@ def load_surfaces(
             lambda m, p, c, x: f"probability must be non-negative, got {float(x)!r}",
         ),
     )
-    surface = ProbabilitySurface.renormalized if renormalize else ProbabilitySurface
-    known = grid.cell_ids
+    store = _SurfaceMasses(grid)
+    surface = ProbabilitySurface._renormalized if renormalize else ProbabilitySurface._of_masses
 
-    def make(model_id, period_id, mass):
-        # Every row names a known cell once: a short surface misses some.
-        if len(mass) < len(known):
-            missing = sorted(known.difference(mass))
+    def make(model_id, period_id, masses):
+        # Every row names a known cell once: a NaN is a cell no row named.
+        if math.isnan(sum(masses)):
+            missing = [c for c, m in zip(store.ids, masses) if math.isnan(m)]
             raise IngestError(
                 path,
                 f"surface {model_id}/{period_id} misses {len(missing)} cells "
-                f"(first: {missing[0]!r})",
+                f"(first: {min(missing)!r})",
             )
         try:
-            return surface(period_id, mass)
+            return surface(period_id, store.known, masses)
         except ValidationError as exc:
             raise IngestError(path, f"surface {model_id}/{period_id}: {exc}") from exc
 
     return _load_tables(
-        path, "surfaces", known, "assigns mass to unknown cell", "surface entry",
-        lambda cells, values: dict(zip(cells, values)), rules, make,
+        path, "surfaces", store, "assigns mass to unknown cell", "surface entry", rules, make,
     )
 
 
@@ -1117,26 +1264,34 @@ def write_selections(
     ))
 
 
-def _surface_rows(model_id: str, period_id: str, surface: ProbabilitySurface):
-    """The rows of one surface, sorted by cell. Each distinct mass gets one
-    ``repr``, except on a surface that holds a zero: ``0.0 == -0.0``, but
-    their reprs differ, so there every row gets its own."""
-    cells = sorted(surface.mass)
-    masses = map(surface.mass.__getitem__, cells)
-    distinct = set(surface.mass.values())
-    if 0.0 in distinct:
-        texts = map(repr, masses)
-    else:
-        texts = map(dict(zip(distinct, map(repr, distinct))).__getitem__, masses)
-    return _prefixed(model_id, period_id, cells, texts)
-
-
 def write_surfaces(
     path: str, surfaces: Mapping[str, Mapping[PeriodId, ProbabilitySurface]]
 ) -> None:
-    """Write one row per cell, sorted by model, period and cell."""
-    rows = itertools.starmap(_surface_rows, _by_model_period(surfaces))
-    _write_csv(path, "surfaces", itertools.chain.from_iterable(rows))
+    """Write one row per cell, sorted by model, period and cell. Each
+    distinct mass of a surface gets one ``repr``, except on a surface that
+    holds a zero: ``0.0 == -0.0``, but their reprs differ, so there every
+    row gets its own."""
+    # The last surface's id → position map, its cells sorted, and where their
+    # masses are: sorted once for the surfaces of one grid, which share it.
+    last, cells, positions = None, [], []
+
+    def rows(model_id, period_id, surface):
+        nonlocal last, cells, positions
+        index, held = surface.mass._index, surface.mass._masses
+        if index is not last and index != last:
+            last, cells = index, sorted(index)
+            positions = list(map(index.__getitem__, cells))
+        masses = map(held.__getitem__, positions)
+        distinct = set(held)
+        if 0.0 in distinct:
+            texts = map(repr, masses)
+        else:
+            texts = map(dict(zip(distinct, map(repr, distinct))).__getitem__, masses)
+        return _prefixed(model_id, period_id, cells, texts)
+
+    _write_csv(path, "surfaces", itertools.chain.from_iterable(
+        itertools.starmap(rows, _by_model_period(surfaces))
+    ))
 
 
 def write_units(path: str, units: Sequence[HotspotUnit]) -> None:

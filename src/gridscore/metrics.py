@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Iterable, Optional
+import operator
+from typing import Callable, Iterable, Optional, Sequence
 
 from ._record import Record, set_field
 from .domain import (
@@ -259,7 +260,13 @@ def als(
         raise ValidationError(
             f"no events in scope for period {period!r}; ALS is undefined"
         )
-    masses = list(map(surface.mass.get, cells, itertools.repeat(0.0)))
+    # Each event's mass, read by its cell's position in the surface; a cell
+    # the surface does not hold has mass 0.
+    index, held = surface.mass._index, surface.mass._masses
+    try:
+        masses = _items(held, _items(index, cells))
+    except KeyError:
+        masses = [held[index[c]] if c in index else 0.0 for c in cells]
     lowest = min(masses)
     if floor is not None and lowest < floor:
         # max(mass, floor) is mass itself for every mass >= floor, so the
@@ -269,6 +276,13 @@ def als(
         cell = next(c for c, mass in zip(cells, masses) if mass <= 0.0)
         raise ZeroMassError(cell, period)
     return math.fsum(map(math.log, masses)) / len(masses)
+
+
+def _items(container, keys: Sequence) -> tuple:
+    """``container[key]`` for each of ``keys``, in one C-level pass."""
+    if len(keys) == 1:
+        return (container[keys[0]],)
+    return operator.itemgetter(*keys)(container)
 
 
 class Measure(Record):

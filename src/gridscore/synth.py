@@ -20,6 +20,7 @@ import itertools
 import math
 import operator
 import random
+from array import array
 from bisect import bisect_right
 
 from ._record import Record, set_field
@@ -180,13 +181,12 @@ def empirical_surface(
     if smoothing < 0:
         raise ValidationError(f"smoothing must be >= 0, got {smoothing!r}")
     counts = train.counts_by_cell()
-    weights = map(operator.add, map(counts.get, grid._areas, itertools.repeat(0)),
+    weights = map(operator.add, map(counts.get, grid._index, itertools.repeat(0)),
                   itertools.repeat(smoothing))
-    return ProbabilitySurface.renormalized(period, dict(zip(grid._areas, weights)))
+    return ProbabilitySurface._renormalized(period, grid._index, array("d", weights))
 
 
 def uniform_surface(grid: GridSpec, period: PeriodId) -> ProbabilitySurface:
     """The no-information model: equal mass on every cell."""
-    return ProbabilitySurface.renormalized(
-        period, dict.fromkeys(grid._areas, 1.0)
-    )
+    weights = array("d", (1.0,)) * len(grid._index)
+    return ProbabilitySurface._renormalized(period, grid._index, weights)

@@ -205,6 +205,13 @@ class TestStandardize:
         with pytest.raises(DegenerateScoresError):
             standardize({"a": 1.0})
 
+    @pytest.mark.parametrize("tiny", [1e-170, 5e-324, 1e-160])
+    def test_distinct_tiny_scores_standardize_exactly(self, tiny):
+        # The squared deviations underflow to 0.0 (1e-170, 5e-324) or to a
+        # subnormal that has lost precision (1e-160): distinct scores are
+        # not constant, and two of them are exactly one deviation apart.
+        assert standardize({"A": tiny, "B": 0.0}) == {"A": 1.0, "B": -1.0}
+
     def test_order_preserved(self):
         rng = np.random.default_rng(10)
         for _ in range(30):

@@ -267,6 +267,16 @@ class TestProbabilitySurface:
             ProbabilitySurface(period="p1", mass=mass)
         assert str(info.value) == f"surface mass for cell 'b' is {shown}, outside [0, 1]"
 
+    @pytest.mark.parametrize(
+        "mass",
+        [{"b": 1e308, "a": 1e308}, {"b": float("inf"), "a": 1e308, "c": float("-inf")}],
+        ids=["sum-overflows", "inf-minus-inf"],
+    )
+    def test_masses_whose_sum_fsum_refuses_name_the_smallest_cell(self, mass):
+        with pytest.raises(ValidationError) as info:
+            ProbabilitySurface(period="p1", mass=mass)
+        assert str(info.value) == "surface mass for cell 'a' is 1e+308, outside [0, 1]"
+
     def test_renormalized(self):
         surface = ProbabilitySurface.renormalized("p1", {"a": 2.0, "b": 6.0})
         assert surface.mass["a"] == pytest.approx(0.25)

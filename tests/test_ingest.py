@@ -1,6 +1,7 @@
 import csv
 import io
 import os
+import random
 import string
 import sys
 import tempfile
@@ -1056,3 +1057,44 @@ class TestChunkedCsvWriter:
         ])
         assert open(path, encoding="utf-8").read() == expected
         assert "z,p1,b,-0.0\n" in expected and "z,p1,a,0.0\n" in expected
+
+
+class TestSurfaceStorage:
+    """Loaded surfaces hold their masses as floats in grid order."""
+
+    def test_loaded_surfaces_retain_at_most_16_bytes_a_row(self, tmp_path):
+        from gridscore.cli import main
+
+        conf = w(tmp_path / "gen.conf",
+                 "gen.cells = 3000\ngen.periods = 4\ngen.events_per_period = 50\n")
+        assert main(["gen", "--config", conf, "--out-dir", str(tmp_path),
+                     "--out", str(tmp_path / "gen.txt")]) == 0
+        grid = load_cells(str(tmp_path / "cells.csv"))
+        path = str(tmp_path / "surfaces.csv")
+        ordered = load_surfaces(path, grid)  # also warms every lazy import and cache
+        rows = sum(map(len, ordered.values())) * len(grid.cell_ids)
+        tracemalloc.start()
+        try:
+            again = load_surfaces(path, grid)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert again == ordered
+        assert retained <= 16 * rows, (retained, rows)
+        # The same rows shuffled: no run is the grid's cells in order, so
+        # every mass takes the scatter path.
+        with open(path, encoding="utf-8") as handle:
+            header, *lines = handle.readlines()
+        random.Random(3).shuffle(lines)
+        shuffled = w(tmp_path / "shuffled.csv", header + "".join(lines))
+        assert load_surfaces(shuffled, grid) == ordered
+
+    def test_masses_whose_sum_overflows_are_refused_by_range(self, tmp_path):
+        grid = load_cells(w(tmp_path / "cells.csv", CELLS_CSV))
+        path = w(tmp_path / "surfaces.csv", "model_id,period_id,cell_id,probability\n"
+                 "m1,p1,c1,1e308\nm1,p1,c2,1e308\nm1,p1,c3,0\n")
+        with pytest.raises(IngestError) as info:
+            load_surfaces(path, grid)
+        assert str(info.value) == (
+            f"{path}: surface m1/p1: surface mass for cell 'c1' is 1e+308, outside [0, 1]"
+        )

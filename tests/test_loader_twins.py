@@ -5,8 +5,8 @@ first normalized row by row, blank lines skipped and fields stripped, and
 then goes to the same column checks; a row of the wrong width or with a
 comma in a field ends it, and is refused after the rows before it. Here
 every loader reads a random table twice: as is, and with
-``ingest._clean_columns`` answering None, so that every chunk is
-normalized. The two loads must return equal results and rejects, or refuse
+``ingest._split_lines`` and ``ingest._clean_columns`` answering None, so
+that every chunk is read by ``csv.reader`` and normalized. The two loads must return equal results and rejects, or refuse
 the file with the same message and line. The tables are valid, or hold one
 injected fault; small chunk sizes mix clean and faulty chunks.
 """
@@ -122,6 +122,7 @@ def test_the_row_checks_load_as_the_column_checks(kind, data):
             handle.write(text)
         with mock.patch.object(ingest, "_CHUNK_ROWS", chunk):
             as_is = outcome(kind, path, strict)
-            with mock.patch.object(ingest, "_clean_columns", lambda rows, width: None):
+            with mock.patch.object(ingest, "_split_lines", lambda lines, width: None), \
+                    mock.patch.object(ingest, "_clean_columns", lambda rows, width: None):
                 row_by_row = outcome(kind, path, strict)
     assert as_is == row_by_row

@@ -225,3 +225,57 @@ def test_swapping_two_models(dataset):
         else:
             for new, old in zip([p, p_adj], result[3:]):
                 assert math.isclose(float(new), float(old), rel_tol=1e-9, abs_tol=1e-15)
+
+
+#: The sections that adding a model may change: [inputs] counts the rows of
+#: each file, [warnings] gains the new model's, the [combined] scores and
+#: ranks are relative to every model, and [wsr] gains the new model's pairs
+#: and a Bonferroni factor that counts them.
+MAY_MOVE = {"[inputs]", "[warnings]", "[combined]", "[wsr]"}
+
+
+def sections(report):
+    """The blocks of ``report``, by their first line: the preamble's is
+    ``# gridscore report``, a section's is its ``[name]``."""
+    return {block.split("\n", 1)[0]: block for block in report.split("\n\n")}
+
+
+@settings(max_examples=40, deadline=None)
+@given(dataset=datasets(), command=st.sampled_from(["evaluate", "compare"]), data=st.data())
+def test_adding_a_model(dataset, command, data):
+    cells, areas, files = dataset
+    periods = sorted(set(re.findall(r"\bp\d+\b", files["events"] + files["selections"]
+                                    + files["surfaces"]))) or ["p1"]
+    # The new model m4 flags cells and has surfaces in every period, drawn
+    # as datasets draws them.
+    flagged = [
+        ("m4", period, cell)
+        for period in periods
+        for cell in data.draw(st.lists(st.sampled_from(cells), unique=True))
+    ]
+    masses = [
+        ("m4", period, cell, data.draw(st.integers(cell == cells[0], 4)))
+        for period in periods
+        for cell in cells
+    ]
+    added = dict(
+        files,
+        selections=files["selections"] + table("selections", flagged).partition("\n")[2],
+        surfaces=files["surfaces"] + table("surfaces", masses).partition("\n")[2],
+    )
+    with tempfile.TemporaryDirectory() as root:
+        code, base, _ = run(command, root, cells, areas, files)
+        new_code, new, err = run(command, root, cells, areas, added)
+    if code != 0:
+        return
+    assert new_code == 0, err
+    base, new = sections(base), sections(new)
+    assert base.keys() - MAY_MOVE <= new.keys()
+    for name in base.keys() - MAY_MOVE:
+        if name in ("[measures]", "[summary]"):
+            rows = [line for line in new[name].split("\n") if not line.startswith("m4,")]
+            assert "\n".join(rows) == base[name]
+        else:
+            assert new[name] == base[name]
+    for name in new.keys() - base.keys() - MAY_MOVE:
+        assert name in ("[measures]", "[summary]")
