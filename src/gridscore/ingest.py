@@ -232,21 +232,21 @@ _CHUNK_ROWS = 1024
 
 
 def _read_chunks(path: str, kind: str):
-    """Yield (line_number, rows, columns) for each chunk of a CSV file,
+    """Yield (line_numbers, columns, fault) for each chunk of a CSV file,
     enforcing its kind's header.
 
-    A chunk is up to ``_CHUNK_ROWS`` rows as read, and ``line_number`` is
-    the line of its first row. ``columns`` is the chunk as one sequence per
-    header field if the chunk is clean: every row has the header's width
-    and its text is printable ASCII with no comma or space, so no field
-    needs stripping and no id can print like another. Otherwise it is None,
-    and the rows must be normalized by :func:`_checked_rows`.
+    A chunk is up to ``_CHUNK_ROWS`` lines as read: ``columns`` holds its
+    rows as one sequence per header field, blank lines skipped and fields
+    stripped, and ``line_numbers`` their lines. ``fault`` is None, or the
+    :class:`IngestError` of the row that ended the chunk, to be raised once
+    the rows before it are loaded; a read error is raised after the chunk
+    of rows read before it. So the first fault of the file is the one
+    reported.
 
     Each chunk of lines is split by :func:`_split_lines`, without the csv
-    module, and handed out with ``rows`` None, up to the first chunk that
-    it refuses. From that chunk on, ``csv.reader`` reads the rest of the
-    file (:func:`_csv_chunks`). A read error is raised after the chunk of
-    rows read before it, so the first fault of the file is the one reported.
+    module, up to the first chunk that it refuses. From that chunk on,
+    ``csv.reader`` reads the rest of the file, and each chunk of its rows
+    is split by :func:`_clean_columns` or normalized by :func:`_checked_rows`.
     """
     header = HEADERS[kind]
     with _open(path) as handle, _read_errors(path, reader := csv.reader(handle)):
@@ -274,11 +274,28 @@ def _read_chunks(path: str, kind: str):
             if columns is None:
                 rest = itertools.chain(lines, handle)
                 break
-            yield lineno, None, columns
+            yield range(lineno, lineno + len(lines)), columns, None
             if len(lines) < _CHUNK_ROWS:
                 return
             lineno += len(lines)
-        yield from _csv_chunks(path, len(header), rest, lineno)
+        reader = csv.reader(rest)
+        with _read_errors(path, reader, lineno - 1):
+            while True:
+                rows: list[list[str]] = []
+                failure = None
+                try:
+                    rows.extend(itertools.islice(reader, _CHUNK_ROWS))
+                except (csv.Error, UnicodeDecodeError) as exc:
+                    failure = exc
+                if (columns := _clean_columns(rows, len(header))) is not None:
+                    yield range(lineno, lineno + len(rows)), columns, None
+                elif rows:
+                    yield _checked_rows(path, header, rows, lineno)
+                if failure is not None:
+                    raise failure
+                if len(rows) < _CHUNK_ROWS:
+                    return
+                lineno += len(rows)
 
 
 def _raising(exc: Exception) -> Iterator:
@@ -291,10 +308,13 @@ def _split_lines(lines: list[str], width: int) -> Optional[tuple]:
     """``lines`` as ``width`` columns, split without the csv module, if the
     split is sure to give the columns that ``csv.reader`` and
     :func:`_clean_columns` would; else None. So every line ends in a line
-    feed and holds ``width - 1`` commas, every other character is printable
-    ASCII but a space or a quote, and no field is longer than csv's limit.
+    feed, or a carriage return and a line feed, and holds ``width - 1``
+    commas, every other character is printable ASCII but a space or a
+    quote, and no field is longer than csv's limit.
     """
     text = "".join(lines)
+    if "\r" in text:  # a test far cheaper than a replace that finds nothing
+        text = text.replace("\r\n", "\n")
     # Without the characters a field may hold, the text is its commas and line feeds.
     field_bytes = bytes(range(0x21, 0x7F)).translate(None, b'",')
     skeleton = ("," * (width - 1) + "\n").encode() * len(lines)
@@ -306,28 +326,6 @@ def _split_lines(lines: list[str], width: int) -> Optional[tuple]:
     if len(text) > limit and max(map(len, fields)) > limit:
         return None
     return tuple(fields[i::width] for i in range(width))
-
-
-def _csv_chunks(path: str, width: int, lines: Iterable[str], lineno: int):
-    """Yield (line_number, rows, columns) for each chunk of ``lines``, the
-    rest of a file from its line ``lineno``, read by ``csv.reader``, as
-    :func:`_read_chunks` does."""
-    reader = csv.reader(lines)
-    with _read_errors(path, reader, lineno - 1):
-        while True:
-            rows: list[list[str]] = []
-            failure = None
-            try:
-                rows.extend(itertools.islice(reader, _CHUNK_ROWS))
-            except (csv.Error, UnicodeDecodeError) as exc:
-                failure = exc
-            if rows:
-                yield lineno, rows, _clean_columns(rows, width)
-            if failure is not None:
-                raise failure
-            if len(rows) < _CHUNK_ROWS:
-                return
-            lineno += len(rows)
 
 
 def _clean_columns(rows: list[list[str]], width: int) -> Optional[tuple]:
@@ -346,10 +344,10 @@ def _clean_columns(rows: list[list[str]], width: int) -> Optional[tuple]:
 
 
 def _checked_rows(path: str, header: Sequence[str], rows: list[list[str]], lineno: int):
-    """The line numbers and stripped rows of ``rows`` from line ``lineno``
-    on, skipping blank lines, up to the first row of the wrong width, with
-    a comma or line break in a field, or with an id that could print like
-    another (:func:`_id_fault`); and that row's fault, or None."""
+    """The line numbers and columns of the stripped ``rows`` from line
+    ``lineno`` on, skipping blank lines, up to the first row of the wrong
+    width, with a comma or line break in a field, or with an id that could
+    print like another (:func:`_id_fault`); and that row's fault, or None."""
     lines, checked = [], []
     for lineno, row in enumerate(rows, start=lineno):
         if not row:
@@ -364,8 +362,8 @@ def _checked_rows(path: str, header: Sequence[str], rows: list[list[str]], linen
             lines.append(lineno)
             checked.append(row)
             continue
-        return lines, checked, IngestError(path, reason, line=lineno)
-    return lines, checked, None
+        return lines, tuple(zip(*checked)), IngestError(path, reason, line=lineno)
+    return lines, tuple(zip(*checked)), None
 
 
 def _id_fault(header: Sequence[str], row: list[str]) -> Optional[str]:
@@ -400,36 +398,31 @@ def _load_chunks(path: str, kind: str, add_chunk: Callable, explain: Callable) -
 
     ``add_chunk(*columns)`` checks a slice of rows in passes over its
     columns and, only if every row passes, adds it and answers True; else
-    it leaves the loader's state untouched. A clean chunk needs no
-    normalizing; any other is normalized by :func:`_checked_rows`, whose
-    width or comma fault is raised after the rows before it are added, so
-    the first fault in file order wins. A chunk that ``add_chunk`` refuses
-    is bisected through it, left half first, down to the single row that
-    ``explain(line_number, row)`` refuses by the first rule it breaks. So
-    a chunk of n rows with a fault takes at most 2·log2(n) calls more.
+    it leaves the loader's state untouched. Each chunk of
+    :func:`_read_chunks` is added, and then its fault raised, so the first
+    fault in file order wins. A chunk that ``add_chunk`` refuses is
+    bisected through it, left half first, down to the single row that
+    ``explain(line_number, *columns)`` refuses by the first rule it breaks.
+    So a chunk of n rows with a fault takes at most 2·log2(n) calls more.
     """
-    for lineno, rows, columns in _read_chunks(path, kind):
-        fault = None
-        if columns is None:
-            lines, rows, fault = _checked_rows(path, HEADERS[kind], rows, lineno)
-            columns = tuple(zip(*rows))
-        else:
-            lines = range(lineno, lineno + len(columns[0]))
+    for lines, columns, fault in _read_chunks(path, kind):
         if lines and not add_chunk(*columns):
-            _bisect(add_chunk, explain, lines, rows or list(zip(*columns)))
+            _bisect(add_chunk, explain, lines, columns)
         if fault is not None:
             raise fault
 
 
-def _bisect(add_chunk: Callable, explain: Callable, lines: Sequence, rows: Sequence):
-    """Add ``rows``, which ``add_chunk`` refused as one slice: each half in
-    turn, left first, whole if ``add_chunk`` takes it, else bisected again,
-    down to the row ``explain`` refuses. ``lines`` are their line numbers."""
-    if len(rows) == 1:
-        return explain(lines[0], rows[0])
-    for half in (slice(len(rows) // 2), slice(len(rows) // 2, None)):
-        if not add_chunk(*zip(*rows[half])):
-            _bisect(add_chunk, explain, lines[half], rows[half])
+def _bisect(add_chunk: Callable, explain: Callable, lines: Sequence, columns: Sequence):
+    """Add the rows of ``columns``, which ``add_chunk`` refused as one
+    slice: each half in turn, left first, whole if ``add_chunk`` takes it,
+    else bisected again, down to the row ``explain`` refuses. ``lines`` are
+    their line numbers."""
+    if len(lines) == 1:
+        return explain(lines[0], *columns)
+    for half in (slice(len(lines) // 2), slice(len(lines) // 2, None)):
+        part = [column[half] for column in columns]
+        if not add_chunk(*part):
+            _bisect(add_chunk, explain, lines[half], part)
 
 
 def _rule_checks(path: str, kind: str, rules: tuple, commit: Callable, numbers: int = 0):
@@ -458,11 +451,11 @@ def _rule_checks(path: str, kind: str, rules: tuple, commit: Callable, numbers: 
         columns = parsed(columns)
         return all(test(*columns) for test, _ in rules) and commit(*columns)
 
-    def explain(lineno, row):
-        columns = parsed(tuple(zip(row)))
-        fault = next(fault for test, fault in rules if not test(*columns))
+    def explain(lineno, *columns):
+        values = parsed(columns)
+        fault = next(fault for test, fault in rules if not test(*values))
         try:
-            reason = fault(*row)
+            reason = fault(*(column[0] for column in columns))
         except ValidationError as exc:
             reason = str(exc)
         raise IngestError(path, reason, line=lineno)
@@ -636,7 +629,8 @@ def _load_tables(
     "model <m> ``unknown`` <c>" for a cell ``store`` does not know, then
     ``rules``, then "duplicate ``entry`` m/p/c". A slice is added only if
     ``store`` adds each of its (model, period) runs: none holds a cell it
-    does not know, a cell twice, or one it held.
+    does not know, a cell twice, or one it held. A slice whose (model,
+    period)s interleave is taken grouped by them, so each is one run.
 
     ``store.known`` holds the known cells; ``store.holds(key, cell)`` answers
     whether ``key``'s table holds ``cell``; ``store.add(key, cells,
@@ -645,8 +639,16 @@ def _load_tables(
     """
 
     def commit(models, periods, cells, *values):
+        runs = list(_runs(models, periods))
+        if len(runs) > len({key for key, _, _ in runs}):
+            # A key recurs: take the rows grouped by key, each key added once.
+            keys = list(zip(models, periods))
+            order = sorted(range(len(keys)), key=keys.__getitem__)
+            columns = (models, periods, cells, *values)
+            models, periods, cells, *values = ([c[i] for i in order] for c in columns)
+            runs = _runs(models, periods)
         added = []
-        for key, start, stop in _runs(models, periods):
+        for key, start, stop in runs:
             undo = store.add(key, cells[start:stop], *(v[start:stop] for v in values))
             if undo is None:
                 for undo in added:

@@ -32,7 +32,7 @@ import re
 import string
 import tempfile
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridscore import cli
@@ -236,28 +236,57 @@ MAY_MOVE = {"[inputs]", "[warnings]", "[combined]", "[wsr]"}
 
 def sections(report):
     """The blocks of ``report``, by their first line: the preamble's is
-    ``# gridscore report``, a section's is its ``[name]``."""
-    return {block.split("\n", 1)[0]: block for block in report.split("\n\n")}
+    ``# gridscore report``, a section's is its ``[name]``. The report's
+    final newline belongs to no block, so the last block reads alike
+    whichever section it is."""
+    blocks = report.rstrip("\n").split("\n\n")
+    return {block.split("\n", 1)[0]: block for block in blocks}
 
 
-@settings(max_examples=40, deadline=None)
-@given(dataset=datasets(), command=st.sampled_from(["evaluate", "compare"]), data=st.data())
-def test_adding_a_model(dataset, command, data):
-    cells, areas, files = dataset
+@st.composite
+def added_models(draw):
+    """A dataset, and the selections and surfaces rows of a new model m4
+    that flags cells and has surfaces in every period, drawn as
+    ``datasets`` draws them."""
+    cells, areas, files = draw(datasets())
     periods = sorted(set(re.findall(r"\bp\d+\b", files["events"] + files["selections"]
                                     + files["surfaces"]))) or ["p1"]
-    # The new model m4 flags cells and has surfaces in every period, drawn
-    # as datasets draws them.
     flagged = [
         ("m4", period, cell)
         for period in periods
-        for cell in data.draw(st.lists(st.sampled_from(cells), unique=True))
+        for cell in draw(st.lists(st.sampled_from(cells), unique=True))
     ]
     masses = [
-        ("m4", period, cell, data.draw(st.integers(cell == cells[0], 4)))
+        ("m4", period, cell, draw(st.integers(cell == cells[0], 4)))
         for period in periods
         for cell in cells
     ]
+    return cells, areas, files, flagged, masses
+
+
+#: Every value of the base report is undefined, so it has no [summary] and
+#: ends at [measures]; m4's defined values give the new report a [summary].
+NO_SUMMARY = (
+    ["c0", "c1", "c2", "c3"],
+    [1.0] * 4,
+    {
+        "events": table("events", []),
+        "selections": table("selections", []),
+        "surfaces": table("surfaces", [
+            ("s1", p, c, int(c == "c0")) for p in ("p1", "p2") for c in ("c0", "c1", "c2", "c3")
+        ]),
+        "conf": CONFIG,
+    },
+    [("m4", "p2", "c0")],
+    [("m4", p, c, int(c == "c0")) for p in ("p1", "p2") for c in ("c0", "c1", "c2", "c3")],
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=added_models(), command=st.sampled_from(["evaluate", "compare"]))
+@example(case=NO_SUMMARY, command="evaluate")
+def test_adding_a_model(case, command):
+    cells, areas, files, flagged, masses = case
     added = dict(
         files,
         selections=files["selections"] + table("selections", flagged).partition("\n")[2],

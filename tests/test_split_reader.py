@@ -5,8 +5,8 @@ plain (``ingest._split_lines``), and reads the rest of the file with
 ``csv.reader`` from the first chunk that is not. Here each drawn file is
 read twice: as is, and with ``_split_lines`` answering None, so that
 ``csv.reader`` reads every chunk. The two reads must hand out the same line
-numbers and columns (or rows, for a chunk that is not clean), and end with
-the same :class:`IngestError`, if any.
+numbers and columns, and end with the same :class:`IngestError`, if any: a
+row's fault or a read error.
 
 The drawn files hold quotes, commas and spaces inside fields, ``\\r\\n`` and
 ``\\r`` line ends, blank lines, rows of the wrong width, a missing final
@@ -19,6 +19,7 @@ import os
 import tempfile
 from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -62,15 +63,14 @@ def files(draw):
 
 
 def chunks(path):
-    """What ``_read_chunks`` hands out for ``path``: each chunk's line, and
-    its columns or, if it has none, its rows; then the error it ends with."""
+    """What ``_read_chunks`` hands out for ``path``: each chunk's line
+    numbers and columns; then the fault or read error it ends with."""
     out = []
     try:
-        for lineno, rows, columns in ingest._read_chunks(path, "events"):
-            if columns is None:
-                out.append(("rows", lineno, rows))
-            else:
-                out.append(("columns", lineno, tuple(map(tuple, columns))))
+        for lines, columns, fault in ingest._read_chunks(path, "events"):
+            out.append((list(lines), tuple(map(tuple, columns))))
+            if fault is not None:
+                return out, str(fault)
     except IngestError as exc:
         return out, str(exc)
     return out, None
@@ -80,6 +80,7 @@ def chunks(path):
 @given(drawn=files(), chunk=st.sampled_from([1, 2, 3, 5, 1024]))
 @example(drawn=(f"{HEADER}\ne1,c1,p1\ne2,c2,p2".encode(), 16), chunk=1024)
 @example(drawn=(f"{HEADER}\r\ne1,c1,p1\r\n".encode(), 16), chunk=1)
+@example(drawn=(f"{HEADER}\r\ne1,c1,p1\r\ne2,c2,p2\r\ne3,c3,p3\re4,c4\r\n".encode(), 16), chunk=2)
 def test_the_split_path_reads_as_csv_does(drawn, chunk):
     data, limit = drawn
     before = csv.field_size_limit(limit)
@@ -101,10 +102,10 @@ def test_a_field_at_the_limit_is_split_and_one_past_it_is_refused(tmp_path):
     limit = csv.field_size_limit()
     path = tmp_path / "events.csv"
     path.write_text(f"{HEADER}\ne1,{'x' * limit},p1\n")
-    assert chunks(str(path)) == ([("columns", 2, (("e1",), ("x" * limit,), ("p1",)))], None)
+    assert chunks(str(path)) == ([([2], (("e1",), ("x" * limit,), ("p1",)))], None)
     path.write_text(f"{HEADER}\ne1,c1,p1\ne2,{'x' * (limit + 1)},p1\n")
     assert chunks(str(path)) == (
-        [("columns", 2, (("e1",), ("c1",), ("p1",)))],
+        [([2], (("e1",), ("c1",), ("p1",)))],
         f"{path}:3: field larger than field limit ({limit})",
     )
 
@@ -115,6 +116,22 @@ def test_a_csv_error_after_the_switch_names_the_line_of_the_file(tmp_path, monke
     long = "x" * (csv.field_size_limit() + 1)
     path.write_text(f"{HEADER}\ne1,c1,p1\ne2,c1,p1\ne3,\"c1\",p1\n e4,c1,p1\ne5,{long},p1\n")
     out, error = chunks(str(path))
-    # Lines 2-3 are split; csv.reader reads from line 4 and fails on its third.
-    assert [kind for kind, *_ in out] == ["columns", "rows"]
+    # Lines 2-3 are split; csv.reader reads from line 4, strips line 5's
+    # padded id, and fails on its third line.
+    assert out == [
+        ([2, 3], (("e1", "e2"), ("c1", "c1"), ("p1", "p1"))),
+        ([4, 5], (("e3", "e4"), ("c1", "c1"), ("p1", "p1"))),
+    ]
     assert error == f"{path}:6: field larger than field limit ({csv.field_size_limit()})"
+
+
+def test_a_crlf_file_is_split_without_csv(tmp_path, monkeypatch):
+    # Every chunk that csv.reader reads passes through _clean_columns.
+    monkeypatch.setattr(ingest, "_CHUNK_ROWS", 2)
+    monkeypatch.setattr(ingest, "_clean_columns", lambda rows, width: pytest.fail("read by csv"))
+    path = tmp_path / "events.csv"
+    path.write_bytes(f"{HEADER}\r\ne1,c1,p1\r\ne2,c2,p1\r\ne3,c1,p2\r\n".encode())
+    assert list(ingest._read_chunks(str(path), "events")) == [
+        (range(2, 4), (["e1", "e2"], ["c1", "c2"], ["p1", "p1"]), None),
+        (range(4, 5), (["e3"], ["c1"], ["p2"]), None),
+    ]
