@@ -278,13 +278,13 @@ def _read_chunks(path: str, kind: str):
             if len(lines) < _CHUNK_ROWS:
                 return
             lineno += len(lines)
-        reader = csv.reader(rest)
-        with _read_errors(path, reader, lineno - 1):
+        rest_reader = csv.reader(rest)
+        with _read_errors(path, rest_reader, lineno - 1):
             while True:
                 rows: list[list[str]] = []
                 failure = None
                 try:
-                    rows.extend(itertools.islice(reader, _CHUNK_ROWS))
+                    rows.extend(itertools.islice(rest_reader, _CHUNK_ROWS))
                 except (csv.Error, UnicodeDecodeError) as exc:
                     failure = exc
                 if (columns := _clean_columns(rows, len(header))) is not None:
@@ -308,13 +308,10 @@ def _split_lines(lines: list[str], width: int) -> Optional[tuple]:
     """``lines`` as ``width`` columns, split without the csv module, if the
     split is sure to give the columns that ``csv.reader`` and
     :func:`_clean_columns` would; else None. So every line ends in a line
-    feed, or a carriage return and a line feed, and holds ``width - 1``
-    commas, every other character is printable ASCII but a space or a
-    quote, and no field is longer than csv's limit.
+    feed and holds ``width - 1`` commas, every other character is printable
+    ASCII but a space or a quote, and no field is longer than csv's limit.
     """
     text = "".join(lines)
-    if "\r" in text:  # a test far cheaper than a replace that finds nothing
-        text = text.replace("\r\n", "\n")
     # Without the characters a field may hold, the text is its commas and line feeds.
     field_bytes = bytes(range(0x21, 0x7F)).translate(None, b'",')
     skeleton = ("," * (width - 1) + "\n").encode() * len(lines)
@@ -348,7 +345,7 @@ def _checked_rows(path: str, header: Sequence[str], rows: list[list[str]], linen
     ``lineno`` on, skipping blank lines, up to the first row of the wrong
     width, with a comma or line break in a field, or with an id that could
     print like another (:func:`_id_fault`); and that row's fault, or None."""
-    lines, checked = [], []
+    lines, checked, fault = [], [], None
     for lineno, row in enumerate(rows, start=lineno):
         if not row:
             continue  # blank line
@@ -362,8 +359,9 @@ def _checked_rows(path: str, header: Sequence[str], rows: list[list[str]], linen
             lines.append(lineno)
             checked.append(row)
             continue
-        return lines, tuple(zip(*checked)), IngestError(path, reason, line=lineno)
-    return lines, tuple(zip(*checked)), None
+        fault = IngestError(path, reason, line=lineno)
+        break
+    return lines, tuple(zip(*checked)), fault
 
 
 def _id_fault(header: Sequence[str], row: list[str]) -> Optional[str]:
@@ -629,8 +627,7 @@ def _load_tables(
     "model <m> ``unknown`` <c>" for a cell ``store`` does not know, then
     ``rules``, then "duplicate ``entry`` m/p/c". A slice is added only if
     ``store`` adds each of its (model, period) runs: none holds a cell it
-    does not know, a cell twice, or one it held. A slice whose (model,
-    period)s interleave is taken grouped by them, so each is one run.
+    does not know, a cell twice, or one it held.
 
     ``store.known`` holds the known cells; ``store.holds(key, cell)`` answers
     whether ``key``'s table holds ``cell``; ``store.add(key, cells,
@@ -639,16 +636,8 @@ def _load_tables(
     """
 
     def commit(models, periods, cells, *values):
-        runs = list(_runs(models, periods))
-        if len(runs) > len({key for key, _, _ in runs}):
-            # A key recurs: take the rows grouped by key, each key added once.
-            keys = list(zip(models, periods))
-            order = sorted(range(len(keys)), key=keys.__getitem__)
-            columns = (models, periods, cells, *values)
-            models, periods, cells, *values = ([c[i] for i in order] for c in columns)
-            runs = _runs(models, periods)
         added = []
-        for key, start, stop in runs:
+        for key, start, stop in _runs(models, periods):
             undo = store.add(key, cells[start:stop], *(v[start:stop] for v in values))
             if undo is None:
                 for undo in added:

@@ -1090,32 +1090,6 @@ class TestSurfaceStorage:
         shuffled = w(tmp_path / "shuffled.csv", header + "".join(lines))
         assert load_surfaces(shuffled, grid) == ordered
 
-    @pytest.mark.parametrize("kind", ["selections", "surfaces"])
-    def test_a_shuffled_table_adds_each_key_once_a_chunk(self, tmp_path, monkeypatch, kind):
-        cells = [f"c{i:03d}" for i in range(500)]
-        grid = load_cells(w(tmp_path / "cells.csv", "cell_id,area_km2\n"
-                            + "".join(f"{c},1\n" for c in cells)))
-        rows = [(m, p, c) for m in ("m1", "m2", "m3") for p in ("p1", "p2") for c in cells]
-        load = {
-            "selections": lambda path: load_selections(path, grid.cell_ids),
-            "surfaces": lambda path: load_surfaces(path, grid, renormalize=True),
-        }[kind]
-        header = ",".join(ingest.HEADERS[kind])
-        suffix = ",1" if kind == "surfaces" else ""
-        ordered = load(w(tmp_path / "ordered.csv",
-                         f"{header}\n" + "".join(f"{','.join(r)}{suffix}\n" for r in rows)))
-        random.Random(5).shuffle(rows)
-        # Every 1024-row chunk holds every (model, period), interleaved.
-        chunk = ingest._CHUNK_ROWS
-        keys = sum(len({r[:2] for r in rows[i:i + chunk]}) for i in range(0, len(rows), chunk))
-        store = {"selections": ingest._Flags, "surfaces": ingest._SurfaceMasses}[kind]
-        add, calls = store.add, []
-        monkeypatch.setattr(store, "add", lambda *args: calls.append(args[1]) or add(*args))
-        shuffled = load(w(tmp_path / "shuffled.csv",
-                          f"{header}\n" + "".join(f"{','.join(r)}{suffix}\n" for r in rows)))
-        assert shuffled == ordered
-        assert len(calls) <= keys == 6 * 3
-
     def test_masses_whose_sum_overflows_are_refused_by_range(self, tmp_path):
         grid = load_cells(w(tmp_path / "cells.csv", CELLS_CSV))
         path = w(tmp_path / "surfaces.csv", "model_id,period_id,cell_id,probability\n"

@@ -15,10 +15,11 @@ shuffled, where every mass takes the loader's one-at-a-time path.
 and ``optimize-alpha`` a hot cluster of small units, or the run has no
 defined ranking or no valid alpha.
 
-The loaders read and write 64 rows a chunk here, not 1024. A chunk's fixed
-cost is most of a load's Python-level work, and at these sizes a file of
-1024-row chunks has 1, 2 or 8 of them where its rows grow 4 and 16 fold,
-which bends the ratio; 64-row chunks grow with the rows.
+``compare``, ``optimize-alpha`` and ``gen`` read and write 64 rows a chunk
+here, not 1024. A chunk's fixed cost is most of their Python-level work,
+and at these sizes a file of 1024-row chunks has 1, 2 or 8 of them where
+its rows grow 4 and 16 fold, which bends the ratio; 64-row chunks grow
+with the rows.
 """
 
 import math
@@ -35,7 +36,7 @@ PACKAGE = os.path.dirname(gridscore.__file__)
 SIZES = (500, 2000, 8000)
 
 
-@pytest.fixture(autouse=True)
+@pytest.fixture
 def small_chunks(monkeypatch):
     monkeypatch.setattr(ingest, "_CHUNK_ROWS", 64)
 
@@ -112,6 +113,7 @@ def test_evaluate_with_surfaces_is_linear(tmp_path, surfaces):
     ]))
 
 
+@pytest.mark.usefixtures("small_chunks")
 def test_compare_is_linear(tmp_path):
     argvs = []
     for cells in SIZES:
@@ -129,6 +131,7 @@ def test_compare_is_linear(tmp_path):
     assert_linear(counts(argvs))
 
 
+@pytest.mark.usefixtures("small_chunks")
 def test_optimize_alpha_is_linear(tmp_path):
     argvs = []
     for n in SIZES:
@@ -152,6 +155,7 @@ def test_optimize_alpha_is_linear(tmp_path):
     assert_linear(counts(argvs))
 
 
+@pytest.mark.usefixtures("small_chunks")
 def test_gen_is_linear(tmp_path):
     argvs = []
     for cells in SIZES:

@@ -19,7 +19,6 @@ import os
 import tempfile
 from unittest import mock
 
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -124,14 +123,3 @@ def test_a_csv_error_after_the_switch_names_the_line_of_the_file(tmp_path, monke
     ]
     assert error == f"{path}:6: field larger than field limit ({csv.field_size_limit()})"
 
-
-def test_a_crlf_file_is_split_without_csv(tmp_path, monkeypatch):
-    # Every chunk that csv.reader reads passes through _clean_columns.
-    monkeypatch.setattr(ingest, "_CHUNK_ROWS", 2)
-    monkeypatch.setattr(ingest, "_clean_columns", lambda rows, width: pytest.fail("read by csv"))
-    path = tmp_path / "events.csv"
-    path.write_bytes(f"{HEADER}\r\ne1,c1,p1\r\ne2,c2,p1\r\ne3,c1,p2\r\n".encode())
-    assert list(ingest._read_chunks(str(path), "events")) == [
-        (range(2, 4), (["e1", "e2"], ["c1", "c2"], ["p1", "p1"]), None),
-        (range(4, 5), (["e3"], ["c1"], ["p2"]), None),
-    ]
