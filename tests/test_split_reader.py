@@ -79,7 +79,6 @@ def chunks(path):
 @given(drawn=files(), chunk=st.sampled_from([1, 2, 3, 5, 1024]))
 @example(drawn=(f"{HEADER}\ne1,c1,p1\ne2,c2,p2".encode(), 16), chunk=1024)
 @example(drawn=(f"{HEADER}\r\ne1,c1,p1\r\n".encode(), 16), chunk=1)
-@example(drawn=(f"{HEADER}\r\ne1,c1,p1\r\ne2,c2,p2\r\ne3,c3,p3\re4,c4\r\n".encode(), 16), chunk=2)
 def test_the_split_path_reads_as_csv_does(drawn, chunk):
     data, limit = drawn
     before = csv.field_size_limit(limit)
@@ -122,4 +121,3 @@ def test_a_csv_error_after_the_switch_names_the_line_of_the_file(tmp_path, monke
         ([4, 5], (("e3", "e4"), ("c1", "c1"), ("p1", "p1"))),
     ]
     assert error == f"{path}:6: field larger than field limit ({csv.field_size_limit()})"
-
